@@ -20,7 +20,6 @@ from .bounds import (
     derivative_rank_monotone_check,
     entropic_inequality_check,
     rank_ladder_bound,
-    rank_of_basis_vector,
     repeated_column_permanent,
     sparse_permanent_bound,
     uniform_rank_bound,
@@ -59,7 +58,6 @@ from .io import (
     save_polynomial,
 )
 from .oracles import (
-    MixedFormRequest,
     exact_mixed_partial,
     mixed_discriminant,
     mixed_form,
@@ -74,7 +72,6 @@ from .polynomials import (
     ProductFormPolynomial,
     SparsePolynomial,
     derivative_reduce,
-    evaluate,
     expand,
     variable_degree,
 )
@@ -88,7 +85,6 @@ __all__ = [
     "EvaluationOracle",
     "FunctionOracle",
     "InputError",
-    "MixedFormRequest",
     "NotHyperbolicError",
     "PolycapError",
     "ProductFormPolynomial",
@@ -105,7 +101,6 @@ __all__ = [
     "derivative_reduce",
     "entropic_inequality_check",
     "estimate_mixed_partial",
-    "evaluate",
     "exact_mixed_partial",
     "expand",
     "factorization_check",
@@ -121,7 +116,6 @@ __all__ = [
     "polynomial_from_dict",
     "polynomial_to_dict",
     "rank_ladder_bound",
-    "rank_of_basis_vector",
     "rank_via_roots",
     "real_rootedness_check",
     "repeated_column_permanent",

@@ -20,8 +20,6 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-import numpy as np
-
 from .capacity import CapacityResult, capacity_minimize
 from .errors import InputError
 from .polynomials import EvaluationOracle, pairwise_sum

@@ -206,12 +206,6 @@ def univariate_linear_bound_check(a, b, tol: float = 1e-10) -> tuple:
     return float(d1), C, bound
 
 
-def rank_of_basis_vector(poly: EvaluationOracle, i: int) -> int:
-    """Effective rank of variable i: single-variable degree for sparse and
-    product forms, matrix rank of slot i for determinantal pencils."""
-    return variable_degree(poly, i)
-
-
 @dataclass
 class BoundReport:
     n: int
@@ -259,7 +253,7 @@ def rank_ladder_bound(poly: EvaluationOracle, ordering="as-given",
         raise InputError(
             f"bound needs degree == n_vars, got degree {poly.degree} with {n} variables")
 
-    ranks = tuple(rank_of_basis_vector(poly, i) for i in range(n))
+    ranks = tuple(variable_degree(poly, i) for i in range(n))
     if ordering == "as-given":
         perm = tuple(range(n))
     elif ordering == "greedy":
@@ -275,6 +269,10 @@ def rank_ladder_bound(poly: EvaluationOracle, ordering="as-given",
         ladder *= _phi(g)
 
     cap = capacity_minimize(poly, tol=tol, max_iter=max_iter)
+    if not math.isfinite(cap.value):
+        raise ResourceLimitError(
+            f"capacity {cap.value} is not finite in float arithmetic; "
+            "the bounds cannot be formed")
     cap_frac = Fraction(cap.value)
     lower_vdw = float(vdw_factor(n) * cap_frac)
     lower_rank = float(ladder * cap_frac)
@@ -377,7 +375,7 @@ def contraction_capacity_check(q: EvaluationOracle,
     sparse_q = expand(q)
     r = derivative_reduce(sparse_q)
     cap_r = capacity_minimize(r)
-    m = rank_of_basis_vector(q, 0) if use_first_variable_rank else n
+    m = variable_degree(q, 0) if use_first_variable_rank else n
     factor = float(_phi(max(m, 1)))
     if cap_r.value < factor * cap_q.value - tol * max(1.0, cap_q.value):
         raise AssertionError(
@@ -395,7 +393,7 @@ def derivative_rank_monotone_check(q: EvaluationOracle) -> bool:
         raise InputError("rank monotonicity check needs degree == n_vars >= 2")
     r = derivative_reduce(expand(q))
     for i in range(n - 1):
-        before = rank_of_basis_vector(q, i + 1)
+        before = variable_degree(q, i + 1)
         after = variable_degree(r, i)
         limit = min(before, n - 1)
         if after > limit:

@@ -14,7 +14,6 @@ inf |p(z)| over Re(z) > 0 with prod Re(z_i) = 1.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 
 import numpy as np
 

@@ -13,7 +13,6 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import asdict, dataclass
 
 from . import __version__
 from .acceptance import run_all
@@ -23,143 +22,73 @@ from .capacity import capacity_minimize, sinkhorn_scale
 from .errors import InputError, NotHyperbolicError, ResourceLimitError
 from .hyperbolicity import half_plane_sample_check, real_rootedness_check
 from .io import SCHEMA, format_scalar, load_polynomial
-from .oracles import exact_mixed_partial, mixed_discriminant, permanent_ryser
+from .oracles import mixed_discriminant, permanent_ryser
 from .polynomials import DeterminantalPolynomial, ProductFormPolynomial
 
 _EQUALITY_TOL = 1e-9
 
 
-@dataclass
-class RunConfig:
-    """Validated bundle of the options shared by the CLI commands."""
-
-    command: str
-    input_path: str | None = None
-    mode: str = "float"
-    tol: float = 1e-10
-    max_iter: int = 200
-    seed: int = 0
-    k: int = 0
-    ordering: str = "as-given"
-    output: str | None = None
-    threads: int | None = None
-    no_meta: bool = False
-
-    def __post_init__(self):
-        if self.mode not in ("exact", "float"):
-            raise InputError(f"unknown mode {self.mode!r}")
-        if not self.tol > 0:
-            raise InputError("tol must be positive")
-        if self.max_iter < 1:
-            raise InputError("max-iter must be >= 1")
-        if self.k < 0:
-            raise InputError("k must be >= 0")
-
-    def to_dict(self) -> dict:
-        return asdict(self)
-
-    @classmethod
-    def from_dict(cls, obj: dict) -> "RunConfig":
-        fields = {f for f in cls.__dataclass_fields__}  # noqa: C416
-        unknown = set(obj) - fields
-        if unknown:
-            raise InputError(f"unknown config fields: {sorted(unknown)}")
-        return cls(**obj)
-
-
-def _emit(config: RunConfig, inputs: dict, result: dict) -> str:
+def _emit(args, inputs: dict, result: dict) -> str:
     report = {
         "schema": SCHEMA,
-        "command": config.command,
+        "command": args.command,
         "inputs": inputs,
         "result": result,
     }
-    if not config.no_meta:
+    if not args.no_meta:
         report["meta"] = {
             "tool": "polycap",
             "version": __version__,
-            "mode": config.mode,
+            "mode": args.mode,
         }
     text = json.dumps(report, indent=2, sort_keys=True)
-    if config.output:
-        with open(config.output, "w", encoding="utf-8") as fh:
+    if args.output:
+        with open(args.output, "w", encoding="utf-8") as fh:
             fh.write(text + "\n")
     else:
         print(text)
     return text
 
 
-def _config_from_args(args, command: str) -> RunConfig:
-    return RunConfig(
-        command=command,
-        input_path=getattr(args, "input", None),
-        mode=getattr(args, "mode", "float"),
-        tol=getattr(args, "tol", 1e-10),
-        max_iter=getattr(args, "max_iter", 200),
-        seed=getattr(args, "seed", 0),
-        k=getattr(args, "k", 0),
-        ordering=getattr(args, "ordering", "as-given"),
-        output=getattr(args, "output", None),
-        threads=getattr(args, "threads", None),
-        no_meta=getattr(args, "no_meta", False),
-    )
-
-
-def _apply_threads(config: RunConfig):
-    if config.threads is not None:
-        import os
-
-        if config.threads < 1:
-            raise InputError("threads must be >= 1")
-        os.environ["POLYCAP_THREADS"] = str(config.threads)
-
-
-def _load(config: RunConfig):
-    if not config.input_path:
+def _load(args):
+    if not args.input:
         raise InputError("an input file is required")
-    return load_polynomial(config.input_path, mode=config.mode)
+    return load_polynomial(args.input, mode=args.mode)
 
 
 def _cmd_capacity(args) -> int:
-    config = _config_from_args(args, "capacity")
-    poly = _load(config)
-    res = capacity_minimize(poly, tol=config.tol, max_iter=config.max_iter)
-    _emit(config, {"path": config.input_path, "n_vars": poly.n_vars,
-                   "degree": poly.degree}, res.to_dict())
+    poly = _load(args)
+    res = capacity_minimize(poly, tol=args.tol, max_iter=args.max_iter)
+    _emit(args, {"path": args.input, "n_vars": poly.n_vars,
+                 "degree": poly.degree}, res.to_dict())
     return 0
 
 
 def _cmd_permanent(args) -> int:
-    config = _config_from_args(args, "permanent")
-    _apply_threads(config)
-    poly = _load(config)
+    poly = _load(args)
     if not isinstance(poly, ProductFormPolynomial):
         raise InputError(
             "permanent needs a 'product' document (the matrix rows)")
-    value = permanent_ryser(poly.rows, mode=config.mode)
-    _emit(config, {"path": config.input_path, "n": poly.n_vars},
+    value = permanent_ryser(poly.rows, mode=args.mode)
+    _emit(args, {"path": args.input, "n": poly.n_vars},
           {"permanent": format_scalar(value)})
     return 0
 
 
 def _cmd_mixed_disc(args) -> int:
-    config = _config_from_args(args, "mixed-disc")
-    _apply_threads(config)
-    poly = _load(config)
+    poly = _load(args)
     if not isinstance(poly, DeterminantalPolynomial):
         raise InputError(
             "mixed-disc needs a 'determinantal' document (the PSD tuple)")
-    value = mixed_discriminant(poly.matrices, mode=config.mode)
-    _emit(config, {"path": config.input_path, "n": poly.n_vars},
+    value = mixed_discriminant(poly.matrices, mode=args.mode)
+    _emit(args, {"path": args.input, "n": poly.n_vars},
           {"mixed_discriminant": format_scalar(value)})
     return 0
 
 
 def _cmd_bound(args) -> int:
-    config = _config_from_args(args, "bound")
-    _apply_threads(config)
-    poly = _load(config)
-    ordering = config.ordering
+    poly = _load(args)
+    ordering = args.ordering
     if ordering not in ("as-given", "greedy"):
         try:
             ordering = tuple(int(s) for s in ordering.split(","))
@@ -168,8 +97,8 @@ def _cmd_bound(args) -> int:
                 "ordering must be 'as-given', 'greedy', or a comma-separated "
                 "permutation of 0..n-1") from None
     report = rank_ladder_bound(poly, ordering=ordering,
-                               include_exact="auto", tol=config.tol,
-                               max_iter=config.max_iter)
+                               include_exact="auto", tol=args.tol,
+                               max_iter=args.max_iter)
     result = report.to_dict()
     if report.exact_value is not None:
         scale = max(1.0, abs(report.exact_value))
@@ -177,27 +106,25 @@ def _cmd_bound(args) -> int:
             abs(report.exact_value - report.lower_bound_vdw) <= _EQUALITY_TOL * scale)
         result["equality_rank"] = bool(
             abs(report.exact_value - report.lower_bound_rank) <= _EQUALITY_TOL * scale)
-    _emit(config, {"path": config.input_path, "n_vars": poly.n_vars,
-                   "degree": poly.degree}, result)
+    _emit(args, {"path": args.input, "n_vars": poly.n_vars,
+                 "degree": poly.degree}, result)
     return 0
 
 
 def _cmd_approx(args) -> int:
-    config = _config_from_args(args, "approx")
-    poly = _load(config)
-    res = estimate_mixed_partial(poly, k=config.k, tol=config.tol,
-                                 max_iter=config.max_iter)
-    _emit(config, {"path": config.input_path, "n_vars": poly.n_vars,
-                   "degree": poly.degree, "k": config.k}, res.to_dict())
+    poly = _load(args)
+    res = estimate_mixed_partial(poly, k=args.k, tol=args.tol,
+                                 max_iter=args.max_iter)
+    _emit(args, {"path": args.input, "n_vars": poly.n_vars,
+                 "degree": poly.degree, "k": args.k}, res.to_dict())
     return 0
 
 
 def _cmd_check_hyperbolic(args) -> int:
-    config = _config_from_args(args, "check-hyperbolic")
-    poly = _load(config)
+    poly = _load(args)
     checks = []
     ok_root, worst = real_rootedness_check(
-        poly, trials=args.trials, seed=config.seed)
+        poly, trials=args.trials, seed=args.seed)
     checks.append({
         "check": "real-rootedness",
         "passed": bool(ok_root),
@@ -205,7 +132,7 @@ def _cmd_check_hyperbolic(args) -> int:
         "worst_profile": worst.to_dict() if worst is not None else None,
     })
     ok_half, stats = half_plane_sample_check(
-        poly, samples=args.samples, seed=config.seed)
+        poly, samples=args.samples, seed=args.seed)
     checks.append({
         "check": "half-plane",
         "passed": bool(ok_half),
@@ -214,8 +141,8 @@ def _cmd_check_hyperbolic(args) -> int:
         "witness": stats["witness"],
     })
     passed = bool(ok_root and ok_half)
-    _emit(config, {"path": config.input_path, "n_vars": poly.n_vars,
-                   "degree": poly.degree},
+    _emit(args, {"path": args.input, "n_vars": poly.n_vars,
+                 "degree": poly.degree},
           {"passed": passed, "checks": checks,
            "oracle_calls": poly.calls})
     if args.strict and not passed:
@@ -224,34 +151,31 @@ def _cmd_check_hyperbolic(args) -> int:
 
 
 def _cmd_scale(args) -> int:
-    config = _config_from_args(args, "scale")
-    poly = _load(config)
+    poly = _load(args)
     if not isinstance(poly, ProductFormPolynomial):
         raise InputError("scale needs a 'product' document (the matrix rows)")
-    res = sinkhorn_scale(poly.rows, tol=config.tol,
-                         max_iter=max(config.max_iter, 10000))
-    _emit(config, {"path": config.input_path, "n": poly.n_vars},
+    res = sinkhorn_scale(poly.rows, tol=args.tol,
+                         max_iter=max(args.max_iter, 10000))
+    _emit(args, {"path": args.input, "n": poly.n_vars},
           res.to_dict())
     return 0
 
 
 def _cmd_sparse_bound(args) -> int:
-    config = _config_from_args(args, "sparse-bound")
-    poly = _load(config)
+    poly = _load(args)
     if not isinstance(poly, ProductFormPolynomial):
         raise InputError(
             "sparse-bound needs a 'product' document (the matrix rows)")
-    bound = sparse_permanent_bound(poly.rows, k=config.k,
+    bound = sparse_permanent_bound(poly.rows, k=args.k,
                                    transpose=args.transpose)
-    result = {"bound": bound, "k": config.k, "transpose": bool(args.transpose)}
+    result = {"bound": bound, "k": args.k, "transpose": bool(args.transpose)}
     if poly.n_vars <= 14:
         result["permanent"] = float(permanent_ryser(poly.rows, mode="float"))
-    _emit(config, {"path": config.input_path, "n": poly.n_vars}, result)
+    _emit(args, {"path": args.input, "n": poly.n_vars}, result)
     return 0
 
 
 def _cmd_suite(args) -> int:
-    _config_from_args(args, "suite")
     only = None
     if args.only is not None:
         try:
@@ -292,8 +216,6 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--seed", type=int, default=0,
                        help="seed for sampled checks (default 0)")
         p.add_argument("--output", help="write the JSON report here instead of stdout")
-        p.add_argument("--threads", type=int, default=None,
-                       help="worker threads for signed-average sums")
         p.add_argument("--no-meta", dest="no_meta", action="store_true",
                        help="omit the meta block (byte-stable reports)")
 
@@ -360,6 +282,12 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
+        if not args.tol > 0:
+            raise InputError("tol must be positive")
+        if args.max_iter < 1:
+            raise InputError("max-iter must be >= 1")
+        if getattr(args, "k", 0) < 0:
+            raise InputError("k must be >= 0")
         return args.fn(args)
     except InputError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -13,7 +13,6 @@ import numpy as np
 from .capacity import sinkhorn_scale
 from .errors import InputError
 from .polynomials import (
-    DeterminantalPolynomial,
     ProductFormPolynomial,
     SparsePolynomial,
 )
@@ -188,27 +187,6 @@ def doubly_stochastic_psd_tuple(n: int, rng: np.random.Generator):
     mats = np.tensordot(W, outer, axes=([1], [0]))
     mats = 0.5 * (mats + mats.transpose(0, 2, 1))
     return tuple(tuple(map(tuple, m)) for m in mats)
-
-
-def random_sparse_homogeneous(n: int, degree: int, n_terms: int,
-                              rng: np.random.Generator,
-                              mode: str = "float") -> SparsePolynomial:
-    """Random sparse homogeneous polynomial: exponent vectors drawn as
-    multinomial counts, strictly positive coefficients."""
-    if n < 1 or degree < 1 or n_terms < 1:
-        raise InputError("n, degree, and n_terms must be >= 1")
-    terms = {}
-    guard = 0
-    while len(terms) < n_terms and guard < 100 * n_terms:
-        guard += 1
-        e = tuple(int(v) for v in rng.multinomial(degree, [1.0 / n] * n))
-        if e in terms:
-            continue
-        if mode == "exact":
-            terms[e] = Fraction(int(rng.integers(1, 100)), 100)
-        else:
-            terms[e] = float(rng.uniform(0.1, 1.0))
-    return SparsePolynomial(n, terms, mode=mode)
 
 
 def multilinear_head_sparse(n: int, k: int, n_terms: int,

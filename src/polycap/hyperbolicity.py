@@ -20,7 +20,6 @@ matrices, equality families) classify as real while genuinely complex pairs
 """
 from __future__ import annotations
 
-import math
 import warnings
 from dataclasses import dataclass
 from typing import NamedTuple
@@ -138,14 +137,11 @@ def _slice_fit(poly, point, direction) -> _SliceFit:
     return best
 
 
-def _repeated_root_tolerance(roots, j, lead_abs, vmax):
-    """Backward-error radius for treating roots[j]'s cluster as one repeated
-    real root: perturbing the slice by eps*vmax moves an m-fold root at t0
-    with cofactor g by about (eps*vmax / |lead*g(t0)|)^(1/m)."""
-    r = roots[j]
-    b = abs(r.imag)
-    center = complex(r.real, 0.0)
-    radius = 4.0 * b
+def _cluster_tolerance(roots, center, radius, lead_abs, vmax):
+    """Backward-error radius for treating the roots within ``radius`` of
+    ``center`` as one repeated root at ``center``: perturbing the slice by
+    eps*vmax moves an m-fold root at t0 with cofactor g by about
+    (eps*vmax / |lead*g(t0)|)^(1/m)."""
     cluster = [i for i, s in enumerate(roots) if abs(s - center) <= radius]
     m = max(len(cluster), 1)
     cofactor = 1.0
@@ -166,11 +162,12 @@ def _classify_real(fit: _SliceFit, base_tol: float):
     scale = max(1.0, max(abs(r) for r in roots))
     max_imag = max(abs(r.imag) for r in roots)
     all_real = True
-    for j, r in enumerate(roots):
+    for r in roots:
         b = abs(r.imag)
         if b <= base_tol * scale:
             continue
-        if b <= _repeated_root_tolerance(roots, j, fit.lead_abs, fit.vmax):
+        if b <= _cluster_tolerance(roots, r.real, 4.0 * b, fit.lead_abs,
+                                   fit.vmax):
             continue
         all_real = False
         break
@@ -318,11 +315,11 @@ def factorization_check(poly: EvaluationOracle, z, y, real_tol: float = 1e-6):
     fit = _slice_fit(poly, z, d)
     scale = max(1.0, max((abs(r) for r in fit.roots), default=0.0))
     lam = []
-    for j, r in enumerate(fit.roots):
+    for r in fit.roots:
         b = abs(r.imag)
         if (b > real_tol * scale
-                and b > _repeated_root_tolerance(fit.roots, j, fit.lead_abs,
-                                                 fit.vmax)):
+                and b > _cluster_tolerance(fit.roots, r.real, 4.0 * b,
+                                           fit.lead_abs, fit.vmax)):
             raise NotHyperbolicError(
                 f"slice along z + y has a complex root {r}; the polynomial "
                 "is not stable in this pencil", roots=fit.roots)
@@ -354,21 +351,6 @@ def factorization_check(poly: EvaluationOracle, z, y, real_tol: float = 1e-6):
     return a, b
 
 
-def _zero_cluster_tolerance(roots, j, lead_abs, vmax):
-    """Backward-error radius for treating roots[j]'s cluster as a repeated
-    root at exactly zero (same analysis as _repeated_root_tolerance with the
-    cluster centered at the origin)."""
-    radius = 4.0 * abs(roots[j])
-    cluster = [i for i, s in enumerate(roots) if abs(s) <= radius]
-    m = max(len(cluster), 1)
-    cofactor = 1.0
-    for i, s in enumerate(roots):
-        if i not in cluster:
-            cofactor *= max(abs(s), _TINY)
-    eta = (_FIT_NOISE * vmax / max(lead_abs * cofactor, _TINY)) ** (1.0 / m)
-    return _CLUSTER_SAFETY * eta
-
-
 def rank_via_roots(poly: EvaluationOracle, i: int, zero_tol: float = 1e-7,
                    warn_tol: float = 1e-9) -> int:
     """Count the nonzero roots of t -> p(e_i - t * ones): for stable p this
@@ -392,7 +374,7 @@ def rank_via_roots(poly: EvaluationOracle, i: int, zero_tol: float = 1e-7,
     roots = fit.roots
     scale = max(1.0, max((abs(r) for r in roots), default=0.0))
     count = 0
-    for j, r in enumerate(roots):
+    for r in roots:
         mag = abs(r)
         if warn_tol * scale <= mag <= zero_tol * scale:
             warnings.warn(
@@ -401,7 +383,8 @@ def rank_via_roots(poly: EvaluationOracle, i: int, zero_tol: float = 1e-7,
                 RuntimeWarning, stacklevel=2)
         if mag <= zero_tol * scale:
             continue
-        if mag <= _zero_cluster_tolerance(roots, j, fit.lead_abs, fit.vmax):
+        if mag <= _cluster_tolerance(roots, 0.0, 4.0 * mag, fit.lead_abs,
+                                     fit.vmax):
             continue
         count += 1
     return count

@@ -73,6 +73,14 @@ def polynomial_from_dict(obj, mode: str = "float"):
     schema = obj.get("schema")
     if schema is not None and schema != SCHEMA:
         raise InputError(f"unsupported schema {schema!r}; expected {SCHEMA!r}")
+    if "mode" in obj:
+        pinned = obj["mode"]
+        if pinned not in ("exact", "float"):
+            raise InputError(
+                f"field 'mode' must be 'exact' or 'float', got {pinned!r}")
+        if pinned != mode:
+            raise InputError(
+                f"document pins mode {pinned!r} but {mode!r} was requested")
     kind = _require(obj, "kind", "polynomial document")
     if kind == "sparse":
         n = _require(obj, "n", "sparse polynomial")

@@ -3,16 +3,12 @@ discriminants, and Taylor-coefficient extraction.
 
 Every bound in the package is validated against these. Exact mode runs in big
 rationals; float mode uses a fixed pairwise-tree reduction so results are
-bit-stable regardless of worker count.
+bit-stable.
 """
 from __future__ import annotations
 
-import os
-from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass
 from fractions import Fraction
 from math import factorial
-from typing import Sequence
 
 from .errors import InputError, ResourceLimitError
 from .polynomials import (
@@ -31,16 +27,6 @@ MIXED_DISC_CAP = 12
 TAYLOR_CAP = 10
 
 _EXACT_TYPES = (int, Fraction)
-
-
-def default_workers() -> int:
-    """Worker-pool size: POLYCAP_THREADS env var, default 1."""
-    raw = os.environ.get("POLYCAP_THREADS", "1")
-    try:
-        k = int(raw)
-    except ValueError:
-        raise InputError(f"POLYCAP_THREADS must be an integer, got {raw!r}") from None
-    return max(1, k)
 
 
 def _matrix_rows(matrix):
@@ -101,10 +87,10 @@ def permanent_ryser(matrix, mode: str | None = None):
     return total if n % 2 == 0 else -total
 
 
-def _signed_points(n, vectors, start, stop):
-    """Yield (index, sign, point) for Gray-code-ordered sign patterns.
+def _signed_points(n, vectors):
+    """Yield (sign, point) for all 2^n Gray-code-ordered sign patterns.
 
-    Index i encodes the sign pattern gray(i): set bits are -1. The point is
+    Step i visits the sign pattern gray(i): set bits are -1. The point is
     sum_j b_j vectors[j], maintained incrementally and refreshed periodically
     to keep float drift bounded.
     """
@@ -119,12 +105,12 @@ def _signed_points(n, vectors, start, stop):
                 pt[d] = pt[d] + sgn * vectors[j][d]
         return pt
 
-    gray = start ^ (start >> 1)
+    gray = 0
     point = fresh(gray)
-    size = bin(gray).count("1")
-    for i in range(start, stop):
+    size = 0
+    for i in range(1 << n):
         g = i ^ (i >> 1)
-        if i > start:
+        if i > 0:
             bit = g ^ gray
             j = bit.bit_length() - 1
             if g & bit:
@@ -139,16 +125,16 @@ def _signed_points(n, vectors, start, stop):
             if not exact and i % 4096 == 0:
                 point = fresh(gray)
         sign = 1 if size % 2 == 0 else -1
-        yield i, sign, tuple(point)
+        yield sign, tuple(point)
 
 
-def mixed_form(poly: EvaluationOracle, vectors=None, workers: int | None = None):
+def mixed_form(poly: EvaluationOracle, vectors=None):
     """Polarized mixed form: 2^-n sum over sign patterns b of p(sum b_i v_i) prod(b_i).
 
     ``vectors`` defaults to the canonical basis, in which case this equals the
     coefficient of x_1...x_n (for degree-n polynomials in n variables, the
     only surviving exponent pattern is all-ones). Deterministic: terms are
-    combined by a fixed pairwise tree regardless of worker count.
+    combined by a fixed pairwise tree.
     """
     n = poly.degree
     if vectors is None:
@@ -183,21 +169,10 @@ def mixed_form(poly: EvaluationOracle, vectors=None, workers: int | None = None)
         )
 
     total = 1 << n
-    terms = [None] * total
-    workers = default_workers() if workers is None else max(1, int(workers))
-
-    def work(start, stop):
-        for i, sign, point in _signed_points(n, vectors, start, stop):
-            v = poly.evaluate(point)
-            terms[i] = v if sign == 1 else -v
-
-    if workers == 1 or total < 1024:
-        work(0, total)
-    else:
-        chunk = (total + workers - 1) // workers
-        spans = [(s, min(s + chunk, total)) for s in range(0, total, chunk)]
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            list(pool.map(lambda span: work(*span), spans))
+    terms = []
+    for sign, point in _signed_points(n, vectors):
+        v = poly.evaluate(point)
+        terms.append(v if sign == 1 else -v)
 
     s = pairwise_sum(terms)
     if exact:
@@ -205,24 +180,12 @@ def mixed_form(poly: EvaluationOracle, vectors=None, workers: int | None = None)
     return s / float(total)
 
 
-@dataclass
-class MixedFormRequest:
-    """A polarization request: polynomial plus the vector tuple (default basis)."""
-
-    poly: EvaluationOracle
-    vectors: Sequence | None = None
-    workers: int | None = None
-
-    def compute(self):
-        return mixed_form(self.poly, self.vectors, self.workers)
-
-
-def mixed_partial_polarization(poly: EvaluationOracle, workers: int | None = None):
+def mixed_partial_polarization(poly: EvaluationOracle):
     """The mixed partial d^n p / dx_1..dx_n via polarization at the basis."""
-    return mixed_form(poly, None, workers)
+    return mixed_form(poly, None)
 
 
-def mixed_discriminant(matrices, mode: str | None = None, workers: int | None = None):
+def mixed_discriminant(matrices, mode: str | None = None):
     """Mixed discriminant of n symmetric PSD n x n matrices.
 
     Computed as the polarized mixed partial of the determinantal polynomial:
@@ -233,10 +196,10 @@ def mixed_discriminant(matrices, mode: str | None = None, workers: int | None = 
         raise ResourceLimitError(
             f"mixed discriminant refused: n={poly.n_vars} exceeds the cap of {MIXED_DISC_CAP}"
         )
-    return mixed_partial_polarization(poly, workers)
+    return mixed_partial_polarization(poly)
 
 
-def taylor_mixed_form_coefficient(q: SparsePolynomial, r, workers: int | None = None):
+def taylor_mixed_form_coefficient(q: SparsePolynomial, r):
     """Coefficient of prod x_i^{r_i} recovered as M_q(X_r) / prod(r_i!).
 
     X_r replicates basis vector e_i with multiplicity r_i. Asserts agreement
@@ -263,7 +226,7 @@ def taylor_mixed_form_coefficient(q: SparsePolynomial, r, workers: int | None = 
     denom = 1
     for k in r:
         denom *= factorial(k)
-    value = mixed_form(q, vectors, workers)
+    value = mixed_form(q, vectors)
     value = value * Fraction(1, denom) if q.mode == "exact" else value / denom
     stored = q.coefficient(r)
     if q.mode == "exact":
@@ -280,7 +243,7 @@ def taylor_mixed_form_coefficient(q: SparsePolynomial, r, workers: int | None = 
     return value
 
 
-def exact_mixed_partial(poly, workers: int | None = None):
+def exact_mixed_partial(poly):
     """Structural exact route to d^n p / dx_1..dx_n, one per representation.
 
     Sparse: direct coefficient lookup. Product form: Ryser permanent.
@@ -303,5 +266,5 @@ def exact_mixed_partial(poly, workers: int | None = None):
                 f"mixed discriminant refused: n={poly.n_vars} exceeds the cap of "
                 f"{MIXED_DISC_CAP}"
             )
-        return mixed_partial_polarization(poly, workers)
+        return mixed_partial_polarization(poly)
     raise InputError(f"no exact mixed-partial route for {type(poly).__name__}")

@@ -7,7 +7,7 @@
   of symmetric PSD matrices.
 
 All three implement the ``EvaluationOracle`` interface: ``evaluate`` accepts a
-real or complex point and every call bumps a thread-safe counter, so derived
+real or complex point and every call bumps a call counter, so derived
 oracles can account for how many underlying evaluations they spend.
 
 Each polynomial carries an arithmetic ``mode``: ``"exact"`` keeps scalars as
@@ -17,9 +17,8 @@ passed explicitly.
 """
 from __future__ import annotations
 
-import threading
 from fractions import Fraction
-from typing import Callable, Iterable, Mapping, Sequence
+from typing import Callable, Mapping, Sequence
 
 import numpy as np
 
@@ -44,25 +43,6 @@ def pairwise_sum(values):
             nxt.append(vals[-1])
         vals = nxt
     return vals[0]
-
-
-class _Counter:
-    """Atomic monotone counter."""
-
-    __slots__ = ("_lock", "_n")
-
-    def __init__(self):
-        self._lock = threading.Lock()
-        self._n = 0
-
-    def add(self, k: int = 1):
-        with self._lock:
-            self._n += k
-
-    @property
-    def value(self) -> int:
-        with self._lock:
-            return self._n
 
 
 def _infer_mode(values, mode):
@@ -96,14 +76,14 @@ class EvaluationOracle:
     mode: str
 
     def __init__(self):
-        self._counter = _Counter()
+        self._calls = 0
 
     @property
     def calls(self) -> int:
-        return self._counter.value
+        return self._calls
 
     def reset_calls(self):
-        self._counter = _Counter()
+        self._calls = 0
 
     def evaluate(self, point: Sequence):
         pt = tuple(point)
@@ -111,7 +91,7 @@ class EvaluationOracle:
             raise InputError(
                 f"point has {len(pt)} coordinates, polynomial has {self.n_vars} variables"
             )
-        self._counter.add()
+        self._calls += 1
         is_complex = any(isinstance(v, complex) for v in pt)
         return self._evaluate(pt, is_complex)
 
@@ -344,11 +324,6 @@ class DeterminantalPolynomial(EvaluationOracle):
 
     def __repr__(self):
         return f"DeterminantalPolynomial(n={self.n_vars}, mode={self.mode!r})"
-
-
-def evaluate(poly: EvaluationOracle, x: Sequence):
-    """Free-function alias for ``poly.evaluate(x)``."""
-    return poly.evaluate(x)
 
 
 def variable_degree(poly, i: int) -> int:

@@ -7,7 +7,7 @@ import pytest
 import polycap as pc
 from polycap import io as pio
 from polycap import fixtures
-from polycap.cli import RunConfig, main
+from polycap.cli import main
 
 
 @pytest.fixture
@@ -40,28 +40,15 @@ def run_json(capsys, argv):
 
 
 class TestRunConfig:
-    def test_round_trip(self):
-        c = RunConfig(command="capacity", input_path="x.json", mode="exact",
-                      tol=1e-9, max_iter=50, seed=3, k=1,
-                      ordering="greedy", output=None, threads=2, no_meta=True)
-        assert RunConfig.from_dict(c.to_dict()) == c
-
-    def test_unknown_field_rejected(self):
-        c = RunConfig(command="capacity")
-        d = c.to_dict()
-        d["verbosity"] = 3
-        with pytest.raises(pc.InputError, match="verbosity"):
-            RunConfig.from_dict(d)
-
-    def test_validation(self):
-        with pytest.raises(pc.InputError):
-            RunConfig(command="capacity", mode="symbolic")
-        with pytest.raises(pc.InputError):
-            RunConfig(command="capacity", tol=0.0)
-        with pytest.raises(pc.InputError):
-            RunConfig(command="capacity", max_iter=0)
-        with pytest.raises(pc.InputError):
-            RunConfig(command="capacity", k=-1)
+    def test_validation(self, capsys, product_file):
+        for option, value in (("--tol", "0"), ("--max-iter", "0"),
+                              ("--k", "-1")):
+            assert main(["approx", product_file, option, value]) == 2
+            err = capsys.readouterr().err
+            assert err.startswith("error:") and err.count("\n") == 1
+        with pytest.raises(SystemExit) as exc:
+            main(["capacity", product_file, "--mode", "symbolic"])
+        assert exc.value.code == 2
 
 
 class TestCapacityCommand:
@@ -106,6 +93,17 @@ class TestPermanentCommand:
         assert main(["permanent", str(path)]) == 2
         assert "product" in capsys.readouterr().err
 
+    def test_document_mode_must_match(self, tmp_path, capsys):
+        path = tmp_path / "pinned.json"
+        path.write_text(json.dumps({
+            "schema": pio.SCHEMA, "kind": "product", "mode": "exact",
+            "matrix": [["1/2", "1/2"], ["1/2", "1/2"]]}))
+        assert main(["permanent", str(path)]) == 2
+        assert "pins mode 'exact'" in capsys.readouterr().err
+        code, doc = run_json(capsys, ["permanent", str(path), "--mode", "exact"])
+        assert code == 0
+        assert doc["result"]["permanent"] == "1/2"
+
     def test_resource_cap_exits_3(self, tmp_path, capsys):
         path = tmp_path / "big.json"
         pio.save_polynomial(path, pc.ProductFormPolynomial(
@@ -140,6 +138,15 @@ class TestBoundCommand:
 
     def test_bad_ordering_exits_2(self, capsys, circulant_file):
         assert main(["bound", circulant_file, "--ordering", "bogus"]) == 2
+
+    def test_infinite_capacity_exits_3(self, tmp_path, capsys):
+        path = tmp_path / "huge.json"
+        path.write_text(json.dumps({
+            "schema": pio.SCHEMA, "kind": "product",
+            "matrix": [["1e200", "1e200"], ["1e200", "1e200"]]}))
+        assert main(["bound", str(path)]) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and err.count("\n") == 1
 
 
 class TestApproxCommand:

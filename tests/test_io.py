@@ -118,6 +118,15 @@ class TestErrorDiagnostics:
             pio.polynomial_from_dict({"kind": "sparse", "n": 0, "terms": []},
                                      mode="float")
 
+    def test_document_mode_field(self):
+        doc = {"kind": "product", "mode": "exact", "matrix": [["1/2"]]}
+        assert pio.polynomial_from_dict(doc, mode="exact").mode == "exact"
+        with pytest.raises(pc.InputError, match="pins mode 'exact' but "
+                                                "'float' was requested"):
+            pio.polynomial_from_dict(doc, mode="float")
+        with pytest.raises(pc.InputError, match="field 'mode'"):
+            pio.polynomial_from_dict({**doc, "mode": "symbolic"}, mode="exact")
+
     def test_float_coefficient_in_exact_file(self, tmp_path):
         path = tmp_path / "f.json"
         path.write_text(json.dumps({

@@ -6,7 +6,6 @@ import pytest
 
 import polycap as pc
 from polycap import fixtures
-from polycap.oracles import default_workers
 
 
 class TestPermanentRyser:
@@ -95,12 +94,14 @@ class TestPolarization:
         pc.mixed_partial_polarization(p)
         assert p.calls == 2 ** 5
 
-    def test_workers_do_not_change_the_value(self):
+    def test_float_refresh_matches_ryser(self):
+        # n = 13 walks 8,192 sign patterns: the running point is built from
+        # scratch at step 0 and rebuilt at step 4,096 of the Gray-code walk.
         rng = np.random.default_rng(9)
-        p = pc.ProductFormPolynomial(fixtures.random_positive_matrix(6, rng),
-                                     mode="float")
-        assert pc.mixed_partial_polarization(p, workers=1) == \
-            pc.mixed_partial_polarization(p, workers=4)
+        m = fixtures.random_positive_matrix(13, rng)
+        p = pc.ProductFormPolynomial(m, mode="float")
+        assert pc.mixed_partial_polarization(p) == pytest.approx(
+            pc.permanent_ryser(m, mode="float"), rel=1e-9)
 
     def test_needs_degree_equal_n_vars(self):
         p = pc.SparsePolynomial(2, {(2, 2): 1}, mode="exact")
@@ -189,18 +190,3 @@ class TestExactMixedPartial:
         p = pc.SparsePolynomial(3, {(2, 0, 0): 1, (0, 1, 1): 1}, mode="exact")
         with pytest.raises(pc.InputError):
             pc.exact_mixed_partial(p)
-
-
-class TestWorkerConfig:
-    def test_env_override(self, monkeypatch):
-        monkeypatch.setenv("POLYCAP_THREADS", "3")
-        assert default_workers() == 3
-
-    def test_invalid_env_rejected(self, monkeypatch):
-        monkeypatch.setenv("POLYCAP_THREADS", "zero")
-        with pytest.raises(pc.InputError):
-            default_workers()
-
-    def test_nonpositive_env_clamped(self, monkeypatch):
-        monkeypatch.setenv("POLYCAP_THREADS", "-2")
-        assert default_workers() == 1
