@@ -11,7 +11,6 @@ from .approx import (
     DerivativeSliceOracle,
     estimate_mixed_partial,
     guarantee_factor,
-    partial_derivative_oracle,
 )
 from .bounds import (
     BoundReport,
@@ -61,7 +60,6 @@ from .oracles import (
     exact_mixed_partial,
     mixed_discriminant,
     mixed_form,
-    mixed_partial_polarization,
     permanent_ryser,
     taylor_mixed_form_coefficient,
 )
@@ -72,8 +70,6 @@ from .polynomials import (
     ProductFormPolynomial,
     SparsePolynomial,
     derivative_reduce,
-    expand,
-    variable_degree,
 )
 
 __all__ = [
@@ -102,7 +98,6 @@ __all__ = [
     "entropic_inequality_check",
     "estimate_mixed_partial",
     "exact_mixed_partial",
-    "expand",
     "factorization_check",
     "guarantee_factor",
     "half_plane_sample_check",
@@ -110,8 +105,6 @@ __all__ = [
     "log_objective",
     "mixed_discriminant",
     "mixed_form",
-    "mixed_partial_polarization",
-    "partial_derivative_oracle",
     "permanent_ryser",
     "polynomial_from_dict",
     "polynomial_to_dict",
@@ -127,7 +120,6 @@ __all__ = [
     "taylor_mixed_form_coefficient",
     "uniform_rank_bound",
     "univariate_linear_bound_check",
-    "variable_degree",
     "vdw_factor",
     "vdw_lower_bound",
 ]

@@ -28,11 +28,7 @@ from .bounds import (
 from .capacity import capacity_minimize, sinkhorn_scale
 from .errors import InputError
 from .hyperbolicity import half_plane_sample_check, real_rootedness_check
-from .oracles import (
-    mixed_discriminant,
-    mixed_partial_polarization,
-    permanent_ryser,
-)
+from .oracles import mixed_discriminant, mixed_form, permanent_ryser
 from .polynomials import (
     DeterminantalPolynomial,
     ProductFormPolynomial,
@@ -133,7 +129,7 @@ def criterion_3_polarization_exact() -> CriterionResult:
             n = 2 + i % 7
             m = fixtures.random_rational_matrix(n, rng)
             poly = ProductFormPolynomial(m, mode="exact")
-            a = mixed_partial_polarization(poly)
+            a = mixed_form(poly)
             b = permanent_ryser(m)
             if a != b:
                 raise AssertionError(

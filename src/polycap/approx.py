@@ -79,7 +79,7 @@ class DerivativeSliceOracle(EvaluationOracle):
         self.calls_per_eval = (2 ** self.k) * self.m
         self.last_condition = None
 
-    def _signed_average(self, eps, tail, is_complex):
+    def _signed_average(self, eps, tail):
         """2^-k sum over sign patterns of p(eps*b, tail) * prod(b)."""
         k = self.k
         head = [eps] * k
@@ -107,7 +107,7 @@ class DerivativeSliceOracle(EvaluationOracle):
         tail = tuple(point)
         samples = []
         for j, e in enumerate(self.eps):
-            g = self._signed_average(e, tail, is_complex)
+            g = self._signed_average(e, tail)
             # g = eps^k * h(eps^2): divide the sign-average by eps^k.
             if self.mode == "exact":
                 h = g * Fraction(2 ** ((j + 1) * self.k))
@@ -120,13 +120,6 @@ class DerivativeSliceOracle(EvaluationOracle):
             mag = sum(abs(complex(t)) for t in terms)
             self.last_condition = float(mag / max(abs(complex(value)), _TINY))
         return value
-
-
-def partial_derivative_oracle(poly: EvaluationOracle, k: int) -> EvaluationOracle:
-    """Oracle for the order-k head derivative at zero; k = 0 returns poly."""
-    if k == 0:
-        return poly
-    return DerivativeSliceOracle(poly, k)
 
 
 @dataclass
@@ -168,13 +161,13 @@ def estimate_mixed_partial(poly: EvaluationOracle, k: int = 0,
         raise InputError("need 0 <= k <= n-1")
 
     calls_before = poly.calls
-    target = partial_derivative_oracle(poly, k)
+    target = DerivativeSliceOracle(poly, k) if k > 0 else poly
     tail = n - k
     ones = ((Fraction(1),) * tail if target.mode == "exact"
             else (1.0,) * tail)
     ones_value = target.evaluate(ones)
     unreliable = (
-        isinstance(target, DerivativeSliceOracle)
+        k > 0
         and target.mode == "float"
         and target.last_condition is not None
         and target.last_condition >= 1e13  # no significant digits survive
@@ -192,9 +185,7 @@ def estimate_mixed_partial(poly: EvaluationOracle, k: int = 0,
         cap = capacity_minimize(target, tol=tol, max_iter=max_iter)
     oracle_calls = poly.calls - calls_before
 
-    condition = None
-    if isinstance(target, DerivativeSliceOracle):
-        condition = target.last_condition
+    condition = target.last_condition if k > 0 else None
     estimate = 0.0 if cap.status == "degenerate-zero" else cap.value
     return ApproxResult(
         estimate=float(estimate),

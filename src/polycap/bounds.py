@@ -27,12 +27,7 @@ import numpy as np
 from .capacity import capacity_minimize
 from .errors import InputError, ResourceLimitError
 from .oracles import exact_mixed_partial, permanent_ryser
-from .polynomials import (
-    EvaluationOracle,
-    derivative_reduce,
-    expand,
-    variable_degree,
-)
+from .polynomials import EvaluationOracle, derivative_reduce
 
 
 def vdw_factor(n: int) -> Fraction:
@@ -253,7 +248,7 @@ def rank_ladder_bound(poly: EvaluationOracle, ordering="as-given",
         raise InputError(
             f"bound needs degree == n_vars, got degree {poly.degree} with {n} variables")
 
-    ranks = tuple(variable_degree(poly, i) for i in range(n))
+    ranks = tuple(poly.variable_degree(i) for i in range(n))
     if ordering == "as-given":
         perm = tuple(range(n))
     elif ordering == "greedy":
@@ -273,12 +268,10 @@ def rank_ladder_bound(poly: EvaluationOracle, ordering="as-given",
         raise ResourceLimitError(
             f"capacity {cap.value} is not finite in float arithmetic; "
             "the bounds cannot be formed")
-    cap_frac = Fraction(cap.value)
-    lower_vdw = float(vdw_factor(n) * cap_frac)
-    lower_rank = float(ladder * cap_frac)
+    lower_vdw = vdw_lower_bound(cap.value, n)
+    lower_rank = float(ladder * Fraction(cap.value))
     kmax = max(ranks)
-    lower_uniform = (float(_uniform_factor(n, kmax) * cap_frac)
-                     if kmax < n else None)
+    lower_uniform = uniform_rank_bound(cap.value, n, kmax) if kmax < n else None
 
     exact_value = None
     if include_exact is True or include_exact == "auto":
@@ -372,10 +365,9 @@ def contraction_capacity_check(q: EvaluationOracle,
     cap_q = capacity_minimize(q)
     if cap_q.status == "degenerate-zero" or cap_q.value == 0:
         return 0.0, None, None
-    sparse_q = expand(q)
-    r = derivative_reduce(sparse_q)
+    r = derivative_reduce(q.expand())
     cap_r = capacity_minimize(r)
-    m = variable_degree(q, 0) if use_first_variable_rank else n
+    m = q.variable_degree(0) if use_first_variable_rank else n
     factor = float(_phi(max(m, 1)))
     if cap_r.value < factor * cap_q.value - tol * max(1.0, cap_q.value):
         raise AssertionError(
@@ -391,10 +383,10 @@ def derivative_rank_monotone_check(q: EvaluationOracle) -> bool:
     n = q.n_vars
     if q.degree != n or n < 2:
         raise InputError("rank monotonicity check needs degree == n_vars >= 2")
-    r = derivative_reduce(expand(q))
+    r = derivative_reduce(q.expand())
     for i in range(n - 1):
-        before = variable_degree(q, i + 1)
-        after = variable_degree(r, i)
+        before = q.variable_degree(i + 1)
+        after = r.variable_degree(i)
         limit = min(before, n - 1)
         if after > limit:
             raise AssertionError(

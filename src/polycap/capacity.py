@@ -276,7 +276,6 @@ def capacity_minimize(poly: EvaluationOracle, tol: float = 1e-10,
                                   gnorm, "degenerate-zero")
         H = obj.hessian(y)
         Hr = U.T @ H @ U
-        step = None
         try:
             np.linalg.cholesky(Hr)
             step = -np.linalg.solve(Hr, gr)
@@ -304,8 +303,6 @@ def capacity_minimize(poly: EvaluationOracle, tol: float = 1e-10,
         gr = U.T @ g
         gnorm = float(np.linalg.norm(gr))
         iterations += 1
-    else:
-        pass
 
     if gnorm <= tol:
         status = "converged"

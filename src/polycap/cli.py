@@ -50,10 +50,15 @@ def _emit(args, inputs: dict, result: dict) -> str:
     return text
 
 
-def _load(args):
+def _load(args, kind=None, what=None):
+    """Load the input document; with ``kind``, refuse any other representation
+    with the error '<command> needs a <what>'."""
     if not args.input:
         raise InputError("an input file is required")
-    return load_polynomial(args.input, mode=args.mode)
+    poly = load_polynomial(args.input, mode=args.mode)
+    if kind is not None and not isinstance(poly, kind):
+        raise InputError(f"{args.command} needs a {what}")
+    return poly
 
 
 def _cmd_capacity(args) -> int:
@@ -65,10 +70,7 @@ def _cmd_capacity(args) -> int:
 
 
 def _cmd_permanent(args) -> int:
-    poly = _load(args)
-    if not isinstance(poly, ProductFormPolynomial):
-        raise InputError(
-            "permanent needs a 'product' document (the matrix rows)")
+    poly = _load(args, ProductFormPolynomial, "'product' document (the matrix rows)")
     value = permanent_ryser(poly.rows, mode=args.mode)
     _emit(args, {"path": args.input, "n": poly.n_vars},
           {"permanent": format_scalar(value)})
@@ -76,10 +78,8 @@ def _cmd_permanent(args) -> int:
 
 
 def _cmd_mixed_disc(args) -> int:
-    poly = _load(args)
-    if not isinstance(poly, DeterminantalPolynomial):
-        raise InputError(
-            "mixed-disc needs a 'determinantal' document (the PSD tuple)")
+    poly = _load(args, DeterminantalPolynomial,
+                 "'determinantal' document (the PSD tuple)")
     value = mixed_discriminant(poly.matrices, mode=args.mode)
     _emit(args, {"path": args.input, "n": poly.n_vars},
           {"mixed_discriminant": format_scalar(value)})
@@ -151,9 +151,7 @@ def _cmd_check_hyperbolic(args) -> int:
 
 
 def _cmd_scale(args) -> int:
-    poly = _load(args)
-    if not isinstance(poly, ProductFormPolynomial):
-        raise InputError("scale needs a 'product' document (the matrix rows)")
+    poly = _load(args, ProductFormPolynomial, "'product' document (the matrix rows)")
     res = sinkhorn_scale(poly.rows, tol=args.tol,
                          max_iter=max(args.max_iter, 10000))
     _emit(args, {"path": args.input, "n": poly.n_vars},
@@ -162,10 +160,7 @@ def _cmd_scale(args) -> int:
 
 
 def _cmd_sparse_bound(args) -> int:
-    poly = _load(args)
-    if not isinstance(poly, ProductFormPolynomial):
-        raise InputError(
-            "sparse-bound needs a 'product' document (the matrix rows)")
+    poly = _load(args, ProductFormPolynomial, "'product' document (the matrix rows)")
     bound = sparse_permanent_bound(poly.rows, k=args.k,
                                    transpose=args.transpose)
     result = {"bound": bound, "k": args.k, "transpose": bool(args.transpose)}
@@ -289,10 +284,7 @@ def main(argv=None) -> int:
         if getattr(args, "k", 0) < 0:
             raise InputError("k must be >= 0")
         return args.fn(args)
-    except InputError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except NotHyperbolicError as exc:
+    except (InputError, NotHyperbolicError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except ResourceLimitError as exc:

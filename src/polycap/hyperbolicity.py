@@ -311,7 +311,6 @@ def factorization_check(poly: EvaluationOracle, z, y, real_tol: float = 1e-6):
     if not p_d > 0:
         raise InputError(f"p(z + y) = {p_d}; expected a positive value")
 
-    _, _ = _check_slice_inputs(poly, z, d)
     fit = _slice_fit(poly, z, d)
     scale = max(1.0, max((abs(r) for r in fit.roots), default=0.0))
     lam = []

@@ -61,6 +61,21 @@ def format_scalar(value):
     return float(value)
 
 
+def _parse_rows(rows, mode: str, where: str):
+    """parse_scalar over a list of rows. On failure the rows are scanned again
+    to name the bad entry, as in matrix[0][1], so success builds no label."""
+    try:
+        return [[parse_scalar(v, mode) for v in row] for row in rows]
+    except InputError as exc:
+        for i, row in enumerate(rows):
+            for j, v in enumerate(row):
+                try:
+                    parse_scalar(v, mode)
+                except InputError:
+                    raise InputError(f"{where}[{i}][{j}]: {exc}") from None
+        raise
+
+
 def _require(obj: dict, field: str, where: str):
     if field not in obj:
         raise InputError(f"missing field {field!r} in {where}")
@@ -97,15 +112,17 @@ def polynomial_from_dict(obj, mode: str = "float"):
                 e = tuple(int(k) for k in exp)
             except (TypeError, ValueError):
                 raise InputError(f"terms[{idx}].exp must be a list of integers") from None
-            terms[e] = parse_scalar(coef, mode)
+            try:
+                terms[e] = parse_scalar(coef, mode)
+            except InputError as exc:
+                raise InputError(f"terms[{idx}].coef: {exc}") from None
         return SparsePolynomial(n, terms, mode=mode)
     if kind == "product":
         matrix = _require(obj, "matrix", "product polynomial")
-        rows = [[parse_scalar(v, mode) for v in row] for row in matrix]
-        return ProductFormPolynomial(rows, mode=mode)
+        return ProductFormPolynomial(_parse_rows(matrix, mode, "matrix"), mode=mode)
     if kind == "determinantal":
         matrices = _require(obj, "matrices", "determinantal polynomial")
-        mats = [[[parse_scalar(v, mode) for v in row] for row in m] for m in matrices]
+        mats = [_parse_rows(m, mode, f"matrices[{k}]") for k, m in enumerate(matrices)]
         return DeterminantalPolynomial(mats, mode=mode)
     raise InputError(
         f"unknown kind {kind!r}; expected 'sparse', 'product', or 'determinantal'"

@@ -12,6 +12,7 @@ from math import factorial
 
 from .errors import InputError, ResourceLimitError
 from .polynomials import (
+    _EXACT_TYPES,
     DeterminantalPolynomial,
     EvaluationOracle,
     ProductFormPolynomial,
@@ -26,16 +27,6 @@ POLARIZATION_EXACT_CAP = 14
 MIXED_DISC_CAP = 12
 TAYLOR_CAP = 10
 
-_EXACT_TYPES = (int, Fraction)
-
-
-def _matrix_rows(matrix):
-    rows = [list(r) for r in matrix]
-    n = len(rows)
-    if n < 1 or any(len(r) != n for r in rows):
-        raise InputError("permanent needs a nonempty square matrix")
-    return rows, n
-
 
 def permanent_ryser(matrix, mode: str | None = None):
     """Permanent by Ryser inclusion-exclusion with Gray-code subset updates.
@@ -43,7 +34,10 @@ def permanent_ryser(matrix, mode: str | None = None):
     Exact (Fraction) when all entries are rational and mode is not forced to
     float; caps: n <= 14 exact, n <= 20 float.
     """
-    rows, n = _matrix_rows(matrix)
+    rows = [list(r) for r in matrix]
+    n = len(rows)
+    if n < 1 or any(len(r) != n for r in rows):
+        raise InputError("permanent needs a nonempty square matrix")
     flat = [v for r in rows for v in r]
     if mode is None:
         mode = "exact" if all(isinstance(v, _EXACT_TYPES) for v in flat) else "float"
@@ -180,23 +174,13 @@ def mixed_form(poly: EvaluationOracle, vectors=None):
     return s / float(total)
 
 
-def mixed_partial_polarization(poly: EvaluationOracle):
-    """The mixed partial d^n p / dx_1..dx_n via polarization at the basis."""
-    return mixed_form(poly, None)
-
-
 def mixed_discriminant(matrices, mode: str | None = None):
     """Mixed discriminant of n symmetric PSD n x n matrices.
 
     Computed as the polarized mixed partial of the determinantal polynomial:
     2^n determinant evaluations. Cap n <= 12.
     """
-    poly = DeterminantalPolynomial(matrices, mode=mode)
-    if poly.n_vars > MIXED_DISC_CAP:
-        raise ResourceLimitError(
-            f"mixed discriminant refused: n={poly.n_vars} exceeds the cap of {MIXED_DISC_CAP}"
-        )
-    return mixed_partial_polarization(poly)
+    return exact_mixed_partial(DeterminantalPolynomial(matrices, mode=mode))
 
 
 def taylor_mixed_form_coefficient(q: SparsePolynomial, r):
@@ -258,13 +242,12 @@ def exact_mixed_partial(poly):
     if isinstance(poly, SparsePolynomial):
         return poly.coefficient((1,) * poly.n_vars)
     if isinstance(poly, ProductFormPolynomial):
-        mode = "exact" if poly.mode == "exact" else "float"
-        return permanent_ryser(poly.rows, mode=mode)
+        return permanent_ryser(poly.rows, mode=poly.mode)
     if isinstance(poly, DeterminantalPolynomial):
         if poly.n_vars > MIXED_DISC_CAP:
             raise ResourceLimitError(
                 f"mixed discriminant refused: n={poly.n_vars} exceeds the cap of "
                 f"{MIXED_DISC_CAP}"
             )
-        return mixed_partial_polarization(poly)
+        return mixed_form(poly)
     raise InputError(f"no exact mixed-partial route for {type(poly).__name__}")

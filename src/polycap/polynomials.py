@@ -10,6 +10,12 @@ All three implement the ``EvaluationOracle`` interface: ``evaluate`` accepts a
 real or complex point and every call bumps a call counter, so derived
 oracles can account for how many underlying evaluations they spend.
 
+Each representation also carries its own ``variable_degree(i)``, the rank
+that the rank-ladder bound peels (the largest exponent of x_i for sparse
+polynomials, the support of column i for product forms, the rank of A_i for
+determinantal ones), and its own ``expand()`` into a ``SparsePolynomial``.
+A plain oracle has neither and raises ``InputError``.
+
 Each polynomial carries an arithmetic ``mode``: ``"exact"`` keeps scalars as
 ``fractions.Fraction`` (evaluation at rational points is exact), ``"float"``
 uses IEEE doubles. The mode is inferred from the coefficient types unless
@@ -98,6 +104,29 @@ class EvaluationOracle:
     def _evaluate(self, point, is_complex):
         raise NotImplementedError
 
+    def variable_degree(self, i: int) -> int:
+        """Rank of variable i (0-based), as the rank-ladder bound peels it."""
+        if not isinstance(i, int) or not 0 <= i < self.n_vars:
+            raise InputError(f"variable index {i!r} out of range [0, {self.n_vars})")
+        return self._variable_degree(i)
+
+    def _variable_degree(self, i):
+        raise InputError(f"variable_degree is undefined for {type(self).__name__}")
+
+    def expand(self, cap: int = EXPAND_CAP) -> SparsePolynomial:
+        """Expand into sparse terms.
+
+        Refused above ``cap`` variables: the term count grows like C(2n-1, n).
+        """
+        if self.n_vars > cap:
+            raise ResourceLimitError(
+                f"expand refused: n={self.n_vars} exceeds the cap of {cap}"
+            )
+        return self._expand()
+
+    def _expand(self):
+        raise InputError(f"expand is undefined for {type(self).__name__}")
+
 
 class FunctionOracle(EvaluationOracle):
     """Wrap an arbitrary evaluation function as an oracle."""
@@ -174,6 +203,12 @@ class SparsePolynomial(EvaluationOracle):
         zero = Fraction(0) if self.mode == "exact" else 0.0
         return self.terms.get(e, zero)
 
+    def _variable_degree(self, i):
+        return max(e[i] for e in self.terms)
+
+    def expand(self, cap: int = EXPAND_CAP) -> SparsePolynomial:
+        return self
+
     def _float_arrays(self):
         if self._exp_matrix is None:
             exps = list(self.terms)
@@ -241,6 +276,24 @@ class ProductFormPolynomial(EvaluationOracle):
             acc = acc * pairwise_sum([a * xi for a, xi in zip(row, point)])
         return acc
 
+    def _variable_degree(self, i):
+        return sum(1 for row in self.rows if row[i] > 0)
+
+    def _expand(self):
+        one = Fraction(1) if self.mode == "exact" else 1.0
+        n = self.n_vars
+        cur = {(0,) * n: one}
+        for row in self.rows:
+            nxt = {}
+            for exp, c in cur.items():
+                for j, a in enumerate(row):
+                    if a == 0:
+                        continue
+                    e2 = exp[:j] + (exp[j] + 1,) + exp[j + 1:]
+                    nxt[e2] = nxt.get(e2, 0) + c * a
+            cur = nxt
+        return SparsePolynomial(n, cur, mode=self.mode)
+
     def __repr__(self):
         return f"ProductFormPolynomial(n={self.n_vars}, mode={self.mode!r})"
 
@@ -304,10 +357,10 @@ class DeterminantalPolynomial(EvaluationOracle):
         self.degree = n
         self.mode = mode
 
-    def matrix_rank(self, i: int, tol: float = 1e-9) -> int:
+    def _variable_degree(self, i):
         eig = np.linalg.eigvalsh(self._stack[i])
         scale = max(1.0, float(eig.max(initial=0.0)))
-        return int((eig > tol * scale).sum())
+        return int((eig > 1e-9 * scale).sum())
 
     def _evaluate(self, point, is_complex):
         if is_complex:
@@ -322,103 +375,50 @@ class DeterminantalPolynomial(EvaluationOracle):
               for j in range(n)] for i in range(n)]
         return _bareiss_det(m)
 
+    def _expand(self):
+        n = self.n_vars
+        mats = self.matrices  # already Fractions or floats, as the mode says
+        zero_exp = (0,) * n
+        one = Fraction(1) if self.mode == "exact" else 1.0
+
+        # Laplace expansion along rows with memoization over column subsets:
+        # level[mask] = det of the submatrix on rows 0..popcount(mask)-1 and the
+        # columns in mask, held as a term dict. Only two popcount levels are live.
+        level = {0: {zero_exp: one}}
+        for size in range(1, n + 1):
+            nxt = {}
+            masks = [m for m in range(1 << n) if bin(m).count("1") == size]
+            r = size - 1
+            for mask in masks:
+                acc = {}
+                pos = 0
+                for j in range(n):
+                    if not mask & (1 << j):
+                        continue
+                    sub = level[mask ^ (1 << j)]
+                    sgn = 1 if (r + pos) % 2 == 0 else -1
+                    for v in range(n):
+                        a = mats[v][r][j]
+                        if a == 0:
+                            continue
+                        coef = a if sgn == 1 else -a
+                        for exp, c in sub.items():
+                            e2 = exp[:v] + (exp[v] + 1,) + exp[v + 1:]
+                            acc[e2] = acc.get(e2, 0) + coef * c
+                    pos += 1
+                nxt[mask] = acc
+            level = nxt
+        full = level[(1 << n) - 1]
+
+        if self.mode == "float":
+            scale = max((abs(c) for c in full.values()), default=0.0)
+            full = {e: c for e, c in full.items() if abs(c) > 1e-12 * scale}
+        else:
+            full = {e: c for e, c in full.items() if c != 0}
+        return SparsePolynomial(n, full, mode=self.mode, allow_signed=True)
+
     def __repr__(self):
         return f"DeterminantalPolynomial(n={self.n_vars}, mode={self.mode!r})"
-
-
-def variable_degree(poly, i: int) -> int:
-    """Degree of variable i (0-based): max exponent for sparse polynomials,
-    column support count for product forms, matrix rank for determinantal.
-    """
-    if not isinstance(i, int) or not 0 <= i < poly.n_vars:
-        raise InputError(f"variable index {i!r} out of range [0, {poly.n_vars})")
-    if isinstance(poly, SparsePolynomial):
-        return max(e[i] for e in poly.terms)
-    if isinstance(poly, ProductFormPolynomial):
-        return sum(1 for row in poly.rows if row[i] > 0)
-    if isinstance(poly, DeterminantalPolynomial):
-        return poly.matrix_rank(i)
-    raise InputError(f"variable_degree is undefined for {type(poly).__name__}")
-
-
-def _expand_product(poly: ProductFormPolynomial):
-    one = Fraction(1) if poly.mode == "exact" else 1.0
-    n = poly.n_vars
-    cur = {(0,) * n: one}
-    for row in poly.rows:
-        nxt = {}
-        for exp, c in cur.items():
-            for j, a in enumerate(row):
-                if a == 0:
-                    continue
-                e2 = exp[:j] + (exp[j] + 1,) + exp[j + 1:]
-                nxt[e2] = nxt.get(e2, 0) + c * a
-        cur = nxt
-    return SparsePolynomial(n, cur, mode=poly.mode)
-
-
-def _expand_determinantal(poly: DeterminantalPolynomial):
-    n = poly.n_vars
-    if poly.mode == "exact":
-        mats = poly.matrices
-    else:
-        mats = tuple(tuple(tuple(float(v) for v in r) for r in m) for m in poly.matrices)
-    zero_exp = (0,) * n
-    one = Fraction(1) if poly.mode == "exact" else 1.0
-
-    # Laplace expansion along rows with memoization over column subsets:
-    # level[mask] = det of the submatrix on rows 0..popcount(mask)-1 and the
-    # columns in mask, held as a term dict. Only two popcount levels are live.
-    level = {0: {zero_exp: one}}
-    for size in range(1, n + 1):
-        nxt = {}
-        masks = [m for m in range(1 << n) if bin(m).count("1") == size]
-        r = size - 1
-        for mask in masks:
-            acc = {}
-            pos = 0
-            for j in range(n):
-                if not mask & (1 << j):
-                    continue
-                sub = level[mask ^ (1 << j)]
-                sgn = 1 if (r + pos) % 2 == 0 else -1
-                for v in range(n):
-                    a = mats[v][r][j]
-                    if a == 0:
-                        continue
-                    coef = a if sgn == 1 else -a
-                    for exp, c in sub.items():
-                        e2 = exp[:v] + (exp[v] + 1,) + exp[v + 1:]
-                        acc[e2] = acc.get(e2, 0) + coef * c
-                pos += 1
-            nxt[mask] = acc
-        level = nxt
-    full = level[(1 << n) - 1]
-
-    if poly.mode == "float":
-        scale = max((abs(c) for c in full.values()), default=0.0)
-        full = {e: c for e, c in full.items() if abs(c) > 1e-12 * scale}
-    else:
-        full = {e: c for e, c in full.items() if c != 0}
-    return SparsePolynomial(n, full, mode=poly.mode, allow_signed=True)
-
-
-def expand(poly, cap: int = EXPAND_CAP) -> SparsePolynomial:
-    """Expand a product-form or determinantal polynomial into sparse terms.
-
-    Refused above ``cap`` variables: the term count grows like C(2n-1, n).
-    """
-    if isinstance(poly, SparsePolynomial):
-        return poly
-    if poly.n_vars > cap:
-        raise ResourceLimitError(
-            f"expand refused: n={poly.n_vars} exceeds the cap of {cap}"
-        )
-    if isinstance(poly, ProductFormPolynomial):
-        return _expand_product(poly)
-    if isinstance(poly, DeterminantalPolynomial):
-        return _expand_determinantal(poly)
-    raise InputError(f"expand is undefined for {type(poly).__name__}")
 
 
 def derivative_reduce(q: SparsePolynomial) -> SparsePolynomial:

@@ -52,8 +52,8 @@ class TestObjectiveDerivatives:
     def test_gradient_and_hessian_match_finite_differences(self, kind):
         rng = np.random.default_rng(42)
         if kind == "sparse":
-            poly = pc.expand(pc.ProductFormPolynomial(
-                fixtures.random_positive_matrix(3, rng), mode="float"))
+            poly = pc.ProductFormPolynomial(
+                fixtures.random_positive_matrix(3, rng), mode="float").expand()
         elif kind == "product":
             poly = pc.ProductFormPolynomial(fixtures.random_positive_matrix(4, rng),
                                             mode="float")
@@ -113,7 +113,7 @@ class TestInvariances:
         m = fixtures.random_positive_matrix(4, rng)
         p = pc.ProductFormPolynomial(m, mode="float")
         c_prod = pc.capacity_minimize(p).value
-        c_sparse = pc.capacity_minimize(pc.expand(p)).value
+        c_sparse = pc.capacity_minimize(p.expand()).value
         mats = fixtures.diagonal_psd_tuple(m)
         # det(sum x_i diag(row_i)) multiplies columns, i.e. the transpose form
         c_det = pc.capacity_minimize(

@@ -87,11 +87,19 @@ class TestPermanentCommand:
         assert code == 0
         assert doc["result"]["permanent"] == pytest.approx(2 / 9, rel=1e-12)
 
-    def test_wrong_kind_exits_2(self, tmp_path, capsys):
+    @pytest.mark.parametrize("argv, message", [
+        (["permanent"], "permanent needs a 'product' document (the matrix rows)"),
+        (["mixed-disc"],
+         "mixed-disc needs a 'determinantal' document (the PSD tuple)"),
+        (["scale"], "scale needs a 'product' document (the matrix rows)"),
+        (["sparse-bound", "--k", "1"],
+         "sparse-bound needs a 'product' document (the matrix rows)"),
+    ], ids=["permanent", "mixed-disc", "scale", "sparse-bound"])
+    def test_wrong_kind_exits_2(self, tmp_path, capsys, argv, message):
         path = tmp_path / "sparse.json"
         pio.save_polynomial(path, fixtures.elementary_product(3))
-        assert main(["permanent", str(path)]) == 2
-        assert "product" in capsys.readouterr().err
+        assert main(argv[:1] + [str(path)] + argv[1:]) == 2
+        assert capsys.readouterr().err == f"error: {message}\n"
 
     def test_document_mode_must_match(self, tmp_path, capsys):
         path = tmp_path / "pinned.json"

@@ -109,6 +109,22 @@ class TestErrorDiagnostics:
         with pytest.raises(pc.InputError, match=r"terms\[1\]"):
             pio.polynomial_from_dict(doc, mode="float")
 
+    @pytest.mark.parametrize("doc, label", [
+        ({"kind": "sparse", "n": 2,
+          "terms": [{"exp": [2, 0], "coef": "1"}, {"exp": [1, 1], "coef": "abc"}]},
+         "terms[1].coef"),
+        ({"kind": "product", "matrix": [["1", "1"], ["1", "abc"]]},
+         "matrix[1][1]"),
+        ({"kind": "determinantal",
+          "matrices": [[["1", "0", "0"], ["0", "1", "0"], ["0", "0", "1"]]] * 2
+          + [[["1", "abc", "0"], ["0", "1", "0"], ["0", "0", "1"]]]},
+         "matrices[2][0][1]"),
+    ], ids=["sparse", "product", "determinantal"])
+    def test_bad_scalar_names_its_entry(self, doc, label):
+        with pytest.raises(pc.InputError) as info:
+            pio.polynomial_from_dict(doc, mode="exact")
+        assert str(info.value).startswith(f"{label}: cannot parse scalar 'abc'")
+
     def test_non_object_document(self):
         with pytest.raises(pc.InputError):
             pio.polynomial_from_dict([1, 2, 3], mode="float")

@@ -71,27 +71,27 @@ class TestPolarization:
         # p = x1^3 + x1 x2 x3: both terms have every exponent odd, but only
         # the multilinear one survives the signed average.
         p = pc.SparsePolynomial(3, {(3, 0, 0): 1, (1, 1, 1): 1}, mode="exact")
-        assert pc.mixed_partial_polarization(p) == Fraction(1)
+        assert pc.mixed_form(p) == Fraction(1)
 
     def test_coefficient_extraction_with_mixed_terms(self):
         p = pc.SparsePolynomial(3, {(1, 1, 1): Fraction(5, 7), (3, 0, 0): 2,
                                     (0, 2, 1): 3, (2, 1, 0): 11}, mode="exact")
-        assert pc.mixed_partial_polarization(p) == Fraction(5, 7)
+        assert pc.mixed_form(p) == Fraction(5, 7)
 
     def test_matches_ryser_on_product_forms(self):
         rng = np.random.default_rng(8)
         m = fixtures.random_rational_matrix(4, rng)
         p = pc.ProductFormPolynomial(m, mode="exact")
-        assert pc.mixed_partial_polarization(p) == pc.permanent_ryser(m, mode="exact")
+        assert pc.mixed_form(p) == pc.permanent_ryser(m, mode="exact")
 
     def test_uniform_product(self):
         p = fixtures.uniform_product_polynomial(3)
-        assert pc.mixed_partial_polarization(p) == Fraction(2, 9)
+        assert pc.mixed_form(p) == Fraction(2, 9)
 
     def test_call_count_is_2_to_n(self):
         p = fixtures.uniform_product_polynomial(5)
         p.reset_calls()
-        pc.mixed_partial_polarization(p)
+        pc.mixed_form(p)
         assert p.calls == 2 ** 5
 
     def test_float_refresh_matches_ryser(self):
@@ -100,25 +100,25 @@ class TestPolarization:
         rng = np.random.default_rng(9)
         m = fixtures.random_positive_matrix(13, rng)
         p = pc.ProductFormPolynomial(m, mode="float")
-        assert pc.mixed_partial_polarization(p) == pytest.approx(
+        assert pc.mixed_form(p) == pytest.approx(
             pc.permanent_ryser(m, mode="float"), rel=1e-9)
 
     def test_needs_degree_equal_n_vars(self):
         p = pc.SparsePolynomial(2, {(2, 2): 1}, mode="exact")
         with pytest.raises(pc.InputError):
-            pc.mixed_partial_polarization(p)
+            pc.mixed_form(p)
 
     def test_exact_cap(self):
         n = 15
         p = pc.SparsePolynomial(n, {(1,) * n: 1}, mode="exact")
         with pytest.raises(pc.ResourceLimitError):
-            pc.mixed_partial_polarization(p)
+            pc.mixed_form(p)
 
     def test_float_cap(self):
         n = 23
         p = pc.SparsePolynomial(n, {(1,) * n: 1.0}, mode="float")
         with pytest.raises(pc.ResourceLimitError):
-            pc.mixed_partial_polarization(p)
+            pc.mixed_form(p)
 
     def test_explicit_vectors_validation(self):
         p = fixtures.uniform_product_polynomial(3)
