@@ -173,36 +173,33 @@ class _OracleObjective:
     def __init__(self, poly: EvaluationOracle):
         self.poly = poly
 
+    def _values(self, Y):
+        """f at each row of Y: log p(e^y), or inf where p(e^y) is not positive."""
+        v = np.asarray(self.poly.evaluate_batch(np.exp(Y)), dtype=float)
+        out = np.full(len(v), np.inf)
+        ok = np.isfinite(v) & (v > 0)
+        out[ok] = np.log(v[ok])
+        return out
+
     def value(self, y):
-        v = self.poly.evaluate(tuple(np.exp(y)))
-        v = float(v)
-        if not np.isfinite(v) or v <= 0:
-            return np.inf
-        return float(np.log(v))
+        return float(self._values(y[None, :])[0])
 
     def gradient(self, y):
-        n = len(y)
-        g = np.zeros(n)
         h = self._H_GRAD
-        for i in range(n):
-            e = np.zeros(n)
-            e[i] = h
-            g[i] = (self.value(y + e) - self.value(y - e)) / (2 * h)
-        return g
+        E = h * np.eye(len(y))
+        f = self._values(np.concatenate([y + E, y - E]))
+        return (f[:len(y)] - f[len(y):]) / (2 * h)
 
     def hessian(self, y):
         n = len(y)
         h = self._H_HESS
-        H = np.zeros((n, n))
-        for i in range(n):
-            for j in range(i, n):
-                ei = np.zeros(n)
-                ej = np.zeros(n)
-                ei[i] = h
-                ej[j] = h
-                v = (self.value(y + ei + ej) - self.value(y + ei - ej)
-                     - self.value(y - ei + ej) + self.value(y - ei - ej)) / (4 * h * h)
-                H[i, j] = H[j, i] = v
+        E = h * np.eye(n)
+        i, j = np.triu_indices(n)
+        f = self._values(np.concatenate([
+            y + E[i] + E[j], y + E[i] - E[j], y - E[i] + E[j], y - E[i] - E[j]]))
+        f = f.reshape(4, -1)
+        H = np.empty((n, n))
+        H[i, j] = H[j, i] = (f[0] - f[1] - f[2] + f[3]) / (4 * h * h)
         return H
 
 
@@ -238,8 +235,7 @@ def capacity_minimize(poly: EvaluationOracle, tol: float = 1e-10,
     if tol <= 0:
         raise InputError("tol must be positive")
     n = poly.n_vars
-    ones_value = float(poly.evaluate(tuple([1.0] * n) if poly.mode == "float"
-                                     else tuple([1] * n)))
+    ones_value = float(poly.evaluate((1,) * n))
     if not ones_value > 0:
         raise InputError(f"p(1,...,1) = {ones_value}; capacity needs a positive value")
 
@@ -363,15 +359,13 @@ def complex_capacity_sample(poly: EvaluationOracle, samples: int = 2000,
         raise InputError("samples must be >= 1")
     rng = np.random.default_rng(seed)
     n = poly.n_vars
-    best = np.inf
-    for _ in range(samples):
+    Z = np.empty((samples, n), dtype=complex)
+    for z in Z:
         rho = np.exp(rng.normal(0.0, 0.5, n))
         theta = rng.uniform(-np.pi / 2 * 0.98, np.pi / 2 * 0.98, n)
         re = rho * np.cos(theta)
         # normalize so prod Re(z_i) = 1; |p| is then directly comparable
         scale = np.exp(np.log(re).mean())
-        z = (rho / scale) * np.exp(1j * theta)
-        val = abs(complex(poly.evaluate(tuple(z))))
-        if val < best:
-            best = val
-    return float(best)
+        z[:] = (rho / scale) * np.exp(1j * theta)
+    # fmin skips NaN values, as the per-sample minimum did.
+    return float(np.fmin.reduce(np.abs(poly.evaluate_batch(Z)), initial=np.inf))

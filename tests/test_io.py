@@ -39,6 +39,16 @@ class TestParseScalar:
         with pytest.raises(pc.InputError):
             pio.parse_scalar("one half", "exact")
 
+    @pytest.mark.parametrize("text", ["0.1", "1/3", "1e-5"])
+    def test_float_mode_rounds_the_exact_value_once(self, text):
+        v = pio.parse_scalar(text, "float")
+        assert isinstance(v, float) and v == float(Fraction(text))
+
+    @pytest.mark.parametrize("text", ["1e400", "inf", "-infinity", "nan"])
+    def test_non_finite_rejected_in_float_mode(self, text):
+        with pytest.raises(pc.InputError, match="not a finite number"):
+            pio.parse_scalar(text, "float")
+
     def test_scalar_to_string_round_trip(self):
         s = pio.scalar_to_string(Fraction(22, 7))
         assert pio.parse_scalar(s, "exact") == Fraction(22, 7)
@@ -124,6 +134,19 @@ class TestErrorDiagnostics:
         with pytest.raises(pc.InputError) as info:
             pio.polynomial_from_dict(doc, mode="exact")
         assert str(info.value).startswith(f"{label}: cannot parse scalar 'abc'")
+
+    @pytest.mark.parametrize("doc, message", [
+        ({"kind": "product", "matrix": [1, 2]},
+         "matrix[0] must be a list of scalars"),
+        ({"kind": "determinantal", "matrices": [1, 2]},
+         "matrices[0] must be a list of rows"),
+        ({"kind": "determinantal", "matrices": [[1, 2]]},
+         "matrices[0][0] must be a list of scalars"),
+    ], ids=["matrix-row", "matrices-entry", "matrices-row"])
+    def test_row_that_is_not_a_list_names_its_entry(self, doc, message):
+        with pytest.raises(pc.InputError) as info:
+            pio.polynomial_from_dict(doc, mode="float")
+        assert str(info.value) == message
 
     def test_non_object_document(self):
         with pytest.raises(pc.InputError):

@@ -94,14 +94,23 @@ class TestPolarization:
         pc.mixed_form(p)
         assert p.calls == 2 ** 5
 
-    def test_float_refresh_matches_ryser(self):
-        # n = 13 walks 8,192 sign patterns: the running point is built from
-        # scratch at step 0 and rebuilt at step 4,096 of the Gray-code walk.
+    def test_float_past_the_table_matches_ryser(self):
+        # n = 13: the first 10 vectors make a table of 1,024 sums, and the
+        # 8 sign patterns of the other 3 shift it.
         rng = np.random.default_rng(9)
         m = fixtures.random_positive_matrix(13, rng)
         p = pc.ProductFormPolynomial(m, mode="float")
         assert pc.mixed_form(p) == pytest.approx(
             pc.permanent_ryser(m, mode="float"), rel=1e-9)
+
+    def test_exact_past_the_table_matches_ryser(self):
+        # n = 11: one vector past the 1,024-row table, in Fractions.
+        rng = np.random.default_rng(14)
+        m = [[Fraction(int(v), 7) for v in row]
+             for row in rng.integers(0, 4, size=(11, 11))]
+        value = pc.mixed_form(pc.ProductFormPolynomial(m, mode="exact"))
+        assert isinstance(value, Fraction)
+        assert value == pc.permanent_ryser(m, mode="exact")
 
     def test_needs_degree_equal_n_vars(self):
         p = pc.SparsePolynomial(2, {(2, 2): 1}, mode="exact")

@@ -182,6 +182,52 @@ class TestFunctionOracle:
             pc.FunctionOracle(0, 2, lambda x: 1.0)
 
 
+def _batch_cases():
+    rng = np.random.default_rng(21)
+    mats = fixtures.random_psd_tuple(3, rng)
+    return {
+        "sparse": pc.SparsePolynomial(3, {(2, 1, 0): 1.5, (1, 1, 1): 2.0,
+                                          (0, 0, 3): 0.5}),
+        "product": pc.ProductFormPolynomial(fixtures.random_positive_matrix(3, rng),
+                                            mode="float"),
+        "determinantal": pc.DeterminantalPolynomial(mats, mode="float"),
+        "function": pc.FunctionOracle(3, 3, lambda x: x[0] * x[1] * x[2] + x[0] ** 3),
+    }
+
+
+class TestEvaluateBatch:
+    @pytest.mark.parametrize("kind", ["sparse", "product", "determinantal", "function"])
+    @pytest.mark.parametrize("dtype", [float, complex])
+    def test_matches_row_by_row(self, kind, dtype):
+        p = _batch_cases()[kind]
+        rng = np.random.default_rng(22)
+        X = rng.uniform(0.2, 2.0, (7, 3)).astype(dtype)
+        if dtype is complex:
+            X += 1j * rng.normal(size=(7, 3))
+        values = p.evaluate_batch(X)
+        scalar = p.evaluate_batch(X.astype(object))  # the scalar path
+        assert values.shape == (7,)
+        for x, v, s in zip(X, values, scalar):
+            assert v == pytest.approx(p.evaluate(tuple(x)), rel=1e-13)
+            assert v == pytest.approx(s, rel=1e-12)
+        assert p.calls == 3 * 7
+
+    def test_exact_rows_stay_fractions(self):
+        p = fixtures.uniform_product_polynomial(3)
+        X = np.array([[Fraction(1, 3), 1, Fraction(2, 5)], [1, 2, 3]], dtype=object)
+        values = p.evaluate_batch(X)
+        assert all(isinstance(v, Fraction) for v in values)
+        assert list(values) == [p.evaluate(tuple(x)) for x in X]
+        assert values[1] == Fraction(8)
+
+    def test_wrong_shape_rejected(self):
+        p = pc.SparsePolynomial(2, {(1, 1): 1})
+        for X in (np.ones(2), np.ones((3, 3)), np.ones((1, 2, 2))):
+            with pytest.raises(pc.InputError):
+                p.evaluate_batch(X)
+        assert p.calls == 0
+
+
 class TestVariableDegree:
     def test_sparse(self):
         p = pc.SparsePolynomial(3, {(2, 1, 0): 1, (1, 1, 1): 1})
