@@ -103,7 +103,7 @@ def criterion_2_capacity_sandwich() -> CriterionResult:
             n = 2 + i % 9
             poly = fixtures.random_product_polynomial(n, rng)
             cap = capacity_minimize(poly).value
-            per = float(permanent_ryser(poly.rows, mode="float"))
+            per = float(permanent_ryser(poly.matrix, mode="float"))
             scale = max(1.0, abs(per))
             upper_slack = (cap - per) / scale
             lower_slack = (per - float(vdw_factor(n)) * cap) / scale
@@ -181,8 +181,7 @@ def criterion_5_sparse_support() -> CriterionResult:
         per = permanent_ryser(circ)
         if per != Fraction(1, 4):
             raise AssertionError(f"circulant permanent {per} != 1/4")
-        bound = sparse_permanent_bound(
-            [[float(v) for v in row] for row in circ], k=2)
+        bound = sparse_permanent_bound(circ, k=2)
         if abs(bound - 0.25) > 1e-12 or abs(float(per) - bound) > 1e-12:
             raise AssertionError(
                 f"circulant: bound {bound} and permanent {float(per)} "
@@ -197,8 +196,7 @@ def criterion_5_sparse_support() -> CriterionResult:
                     m, perms = fixtures.random_k_regular_doubly_stochastic(
                         n, k, rng)
                     per_exact = permanent_ryser(m)
-                    b = sparse_permanent_bound(
-                        [[float(v) for v in row] for row in m], k=k)
+                    b = sparse_permanent_bound(m, k=k)
                     slack = float(per_exact) - b
                     worst = min(worst, slack)
                     if slack < -1e-9:
@@ -347,7 +345,7 @@ def criterion_9_head_derivative_oracle() -> CriterionResult:
         worst_high = math.inf
         for n, k in [(4, 1), (5, 2), (6, 2)]:
             poly = fixtures.random_product_polynomial(n, rng)
-            true = float(permanent_ryser(poly.rows, mode="float"))
+            true = float(permanent_ryser(poly.matrix, mode="float"))
             res = estimate_mixed_partial(poly, k=k)
             factor = guarantee_factor(n, k)
             low = (res.estimate - true) / max(true, 1e-300)

@@ -315,7 +315,7 @@ def sparse_permanent_bound(matrix, k: int, transpose: bool = False) -> float:
     Set transpose=True to apply the row-wise variant. At n <= 14 the bound is
     verified against the exact permanent before being returned.
     """
-    A = np.array([[float(v) for v in row] for row in matrix])
+    A = np.asarray(matrix, dtype=float)
     if A.ndim != 2 or A.shape[0] != A.shape[1]:
         raise InputError("matrix must be square")
     n = A.shape[0]
@@ -342,7 +342,7 @@ def sparse_permanent_bound(matrix, k: int, transpose: bool = False) -> float:
 
     bound = float(_uniform_factor(n, k))
     if n <= 14:
-        per = float(permanent_ryser(tuple(map(tuple, A))))
+        per = float(permanent_ryser(A))
         if per < bound - 1e-9:
             raise AssertionError(
                 f"permanent {per} fell below the certified bound {bound}")

@@ -74,11 +74,10 @@ class _SparseObjective:
     """f(y) = log sum_r c_r exp(<r, y>), gradients via softmax weights."""
 
     def __init__(self, poly: SparsePolynomial):
-        if any(c < 0 for c in poly.terms.values()):
+        if (poly.coefficients < 0).any():
             raise InputError("capacity needs nonnegative coefficients")
-        exps = sorted(poly.terms)
-        self.R = np.array(exps, dtype=float)
-        self.logc = np.log(np.array([float(poly.terms[e]) for e in exps]))
+        self.R = poly.exponents.astype(float)
+        self.logc = np.log(np.asarray(poly.coefficients, dtype=float))
 
     def _weights(self, y):
         v = self.logc + self.R @ y
@@ -104,7 +103,7 @@ class _ProductObjective:
     """f(y) = sum_i log (A e^y)_i; each row contributes a softmax distribution."""
 
     def __init__(self, poly: ProductFormPolynomial):
-        self.A = poly.float_matrix
+        self.A = np.asarray(poly.matrix, dtype=float)
 
     def value(self, y):
         u = self.A @ np.exp(y)
@@ -131,7 +130,7 @@ class _DeterminantalObjective:
     """f(y) = log det(sum_i e^{y_i} A_i) via Cholesky; trace-form derivatives."""
 
     def __init__(self, poly: DeterminantalPolynomial):
-        self.mats = poly._stack
+        self.mats = np.asarray(poly.matrices, dtype=float)
 
     def _chol(self, y):
         m = np.tensordot(np.exp(y), self.mats, axes=([0], [0]))
@@ -313,7 +312,7 @@ def sinkhorn_scale(matrix, tol: float = 1e-10, max_iter: int = 10000) -> Scaling
     """
     if tol <= 0:
         raise InputError("tol must be positive")
-    B = np.array([[float(v) for v in row] for row in matrix])
+    B = np.asarray(matrix, dtype=float)
     if B.ndim != 2 or B.shape[0] != B.shape[1] or B.shape[0] < 1:
         raise InputError("sinkhorn_scale needs a nonempty square matrix")
     if np.any(B < 0):

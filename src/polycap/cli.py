@@ -71,7 +71,7 @@ def _cmd_capacity(args) -> int:
 
 def _cmd_permanent(args) -> int:
     poly = _load(args, ProductFormPolynomial, "'product' document (the matrix rows)")
-    value = permanent_ryser(poly.rows, mode=args.mode)
+    value = permanent_ryser(poly.matrix, mode=args.mode)
     _emit(args, {"path": args.input, "n": poly.n_vars},
           {"permanent": format_scalar(value)})
     return 0
@@ -152,7 +152,7 @@ def _cmd_check_hyperbolic(args) -> int:
 
 def _cmd_scale(args) -> int:
     poly = _load(args, ProductFormPolynomial, "'product' document (the matrix rows)")
-    res = sinkhorn_scale(poly.rows, tol=args.tol,
+    res = sinkhorn_scale(poly.matrix, tol=args.tol,
                          max_iter=max(args.max_iter, 10000))
     _emit(args, {"path": args.input, "n": poly.n_vars},
           res.to_dict())
@@ -161,11 +161,11 @@ def _cmd_scale(args) -> int:
 
 def _cmd_sparse_bound(args) -> int:
     poly = _load(args, ProductFormPolynomial, "'product' document (the matrix rows)")
-    bound = sparse_permanent_bound(poly.rows, k=args.k,
+    bound = sparse_permanent_bound(poly.matrix, k=args.k,
                                    transpose=args.transpose)
     result = {"bound": bound, "k": args.k, "transpose": bool(args.transpose)}
     if poly.n_vars <= 14:
-        result["permanent"] = float(permanent_ryser(poly.rows, mode="float"))
+        result["permanent"] = float(permanent_ryser(poly.matrix, mode="float"))
     _emit(args, {"path": args.input, "n": poly.n_vars}, result)
     return 0
 

@@ -84,10 +84,15 @@ def _fit_once(poly, point, direction, M, n):
     return roots, lead_abs, vmax
 
 
-def _slice_fit(poly, point, direction) -> _SliceFit:
+def _slice_ends(poly, point, direction):
+    """p(direction) and p(point), in one batch."""
+    return np.real(poly.evaluate_batch([direction, point])).tolist()
+
+
+def _slice_fit(poly, point, direction, expected) -> _SliceFit:
+    """Fit the slice; ``expected`` = p(point)/p(direction) is the product of
+    its roots (both leading sign flips cancel)."""
     n = poly.degree
-    p_dir, p_point = np.real(poly.evaluate_batch([direction, point])).tolist()
-    expected = p_point / p_dir  # prod(roots): both leading sign flips cancel
 
     x_norm = max((abs(v) for v in point), default=0.0)
     d_norm = max(max(abs(v) for v in direction), _TINY)
@@ -170,16 +175,17 @@ def _classify_real(fit: _SliceFit, base_tol: float):
     return all_real, float(max_imag)
 
 
-def _check_slice_inputs(poly, point, direction):
+def _checked_slice_fit(poly, point, direction):
+    """(point, direction, fit) for a slice with p(direction) > 0."""
     point = tuple(float(v) for v in point)
     direction = tuple(float(v) for v in direction)
     if len(point) != poly.n_vars or len(direction) != poly.n_vars:
         raise InputError("point and direction must have length n_vars")
-    p_dir = complex(poly.evaluate(direction)).real
+    p_dir, p_point = _slice_ends(poly, point, direction)
     if not p_dir > 0:
         raise InputError(
             f"p(direction) = {p_dir}; root extraction needs a positive value")
-    return point, direction
+    return point, direction, _slice_fit(poly, point, direction, p_point / p_dir)
 
 
 def restricted_roots(poly: EvaluationOracle, point, direction):
@@ -191,16 +197,14 @@ def restricted_roots(poly: EvaluationOracle, point, direction):
     identity prod(roots) = p(point)/p(direction) used to validate the
     interpolation window.
     """
-    point, direction = _check_slice_inputs(poly, point, direction)
-    fit = _slice_fit(poly, point, direction)
+    fit = _checked_slice_fit(poly, point, direction)[2]
     return fit.roots, fit.residual
 
 
 def root_profile(poly: EvaluationOracle, point, direction,
                  real_tol: float = 1e-6) -> RootProfile:
     """Restricted roots plus a real/complex classification for one slice."""
-    point, direction = _check_slice_inputs(poly, point, direction)
-    fit = _slice_fit(poly, point, direction)
+    point, direction, fit = _checked_slice_fit(poly, point, direction)
     all_real, max_imag = _classify_real(fit, real_tol)
     return RootProfile(
         direction=direction,
@@ -303,11 +307,11 @@ def factorization_check(poly: EvaluationOracle, z, y, real_tol: float = 1e-6):
     if any(v <= 0 for v in d):
         raise InputError("z + y must be entrywise positive")
 
-    p_d = float(complex(poly.evaluate(d)).real)
+    p_d, p_z = _slice_ends(poly, z, d)
     if not p_d > 0:
         raise InputError(f"p(z + y) = {p_d}; expected a positive value")
 
-    fit = _slice_fit(poly, z, d)
+    fit = _slice_fit(poly, z, d, p_z / p_d)
     scale = max(1.0, max((abs(r) for r in fit.roots), default=0.0))
     lam = []
     for r in fit.roots:
@@ -363,8 +367,7 @@ def rank_via_roots(poly: EvaluationOracle, i: int, zero_tol: float = 1e-7,
         raise InputError(f"variable index {i} out of range for {n} variables")
     point = tuple(1.0 if j == i else 0.0 for j in range(n))
     direction = tuple([1.0] * n)
-    point, direction = _check_slice_inputs(poly, point, direction)
-    fit = _slice_fit(poly, point, direction)
+    fit = _checked_slice_fit(poly, point, direction)[2]
     roots = fit.roots
     scale = max(1.0, max((abs(r) for r in roots), default=0.0))
     count = 0

@@ -21,6 +21,7 @@ from .polynomials import (
     DeterminantalPolynomial,
     ProductFormPolynomial,
     SparsePolynomial,
+    _is_int,
 )
 
 SCHEMA = "polycap/1"
@@ -114,21 +115,20 @@ def polynomial_from_dict(obj, mode: str = "float"):
     kind = _require(obj, "kind", "polynomial document")
     if kind == "sparse":
         n = _require(obj, "n", "sparse polynomial")
-        if not isinstance(n, int) or n < 1:
+        if not _is_int(n) or n < 1:
             raise InputError(f"field 'n' must be a positive integer, got {n!r}")
         raw_terms = _require(obj, "terms", "sparse polynomial")
-        terms = {}
+        terms = []
         for idx, t in enumerate(_check_list(raw_terms, "terms", "objects")):
             if not isinstance(t, dict):
                 raise InputError(f"terms[{idx}] must be an object with 'exp' and 'coef'")
             exp = _require(t, "exp", f"terms[{idx}]")
             coef = _require(t, "coef", f"terms[{idx}]")
+            where = f"terms[{idx}].exp"
+            if not all(_is_int(k) for k in _check_list(exp, where, "integers")):
+                raise InputError(f"{where} must be a list of integers")
             try:
-                e = tuple(int(k) for k in exp)
-            except (TypeError, ValueError):
-                raise InputError(f"terms[{idx}].exp must be a list of integers") from None
-            try:
-                terms[e] = parse_scalar(coef, mode)
+                terms.append((exp, parse_scalar(coef, mode)))
             except InputError as exc:
                 raise InputError(f"terms[{idx}].coef: {exc}") from None
         return SparsePolynomial(n, terms, mode=mode)
@@ -158,14 +158,15 @@ def polynomial_to_dict(poly) -> dict:
     if isinstance(poly, ProductFormPolynomial):
         return {
             "kind": "product",
-            "matrix": [[scalar_to_string(v) for v in row] for row in poly.rows],
+            "matrix": [[scalar_to_string(v) for v in row]
+                       for row in poly.matrix.tolist()],
         }
     if isinstance(poly, DeterminantalPolynomial):
         return {
             "kind": "determinantal",
             "matrices": [
                 [[scalar_to_string(v) for v in row] for row in m]
-                for m in poly.matrices
+                for m in poly.matrices.tolist()
             ],
         }
     raise InputError(f"cannot serialize {type(poly).__name__}")

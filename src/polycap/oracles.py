@@ -229,7 +229,7 @@ def exact_mixed_partial(poly):
     if isinstance(poly, SparsePolynomial):
         return poly.coefficient((1,) * poly.n_vars)
     if isinstance(poly, ProductFormPolynomial):
-        return permanent_ryser(poly.rows, mode=poly.mode)
+        return permanent_ryser(poly.matrix, mode=poly.mode)
     if isinstance(poly, DeterminantalPolynomial):
         if poly.n_vars > MIXED_DISC_CAP:
             raise ResourceLimitError(

@@ -6,23 +6,26 @@
 * ``DeterminantalPolynomial``: p(x) = det(x_1 A_1 + ... + x_n A_n) for a tuple
   of symmetric PSD matrices.
 
+Each polynomial carries an arithmetic ``mode``: ``"exact"`` keeps scalars as
+``fractions.Fraction`` (evaluation at rational points is exact), ``"float"``
+uses IEEE doubles. The mode is inferred from the coefficient types unless
+passed explicitly. Each representation holds its data once, in one ndarray:
+float64 in float mode, an object array of Fractions in exact mode.
+
 All three implement the ``EvaluationOracle`` interface. ``evaluate_batch(X)``
-takes an ``(m, n_vars)`` array of points and returns the ``m`` values: float
-and complex rows go through numpy in one pass, object rows (Fractions) through
-the exact scalar path, one row at a time. ``evaluate(point)`` is a batch of one
-row. The call counter counts rows, so derived oracles can account for how many
-underlying evaluations they spend.
+takes an ``(m, n_vars)`` array of points and returns the ``m`` values, with
+one numpy expression per representation for every dtype of X: float and
+complex rows meet the float view of the data (in float mode the stored array
+itself), object rows (Fractions) the stored scalars, which numpy combines
+exactly. ``evaluate(point)`` is a batch of one row. The call counter counts
+rows, so derived oracles can account for how many underlying evaluations they
+spend.
 
 Each representation also carries its own ``variable_degree(i)``, the rank
 that the rank-ladder bound peels (the largest exponent of x_i for sparse
 polynomials, the support of column i for product forms, the rank of A_i for
 determinantal ones), and its own ``expand()`` into a ``SparsePolynomial``.
 A plain oracle has neither and raises ``InputError``.
-
-Each polynomial carries an arithmetic ``mode``: ``"exact"`` keeps scalars as
-``fractions.Fraction`` (evaluation at rational points is exact), ``"float"``
-uses IEEE doubles. The mode is inferred from the coefficient types unless
-passed explicitly.
 """
 from __future__ import annotations
 
@@ -41,49 +44,52 @@ EXPAND_CAP = 10
 _BATCH_ENTRIES = 1 << 12
 
 _EXACT_TYPES = (int, Fraction)
+_to_fractions = np.frompyfunc(Fraction, 1, 1)
 
 
-def pairwise_sum(values):
-    """Sum a list pairwise (fixed tree shape) so float results are bit-stable.
-
-    Works for any scalar type supporting +; returns 0 for an empty list.
-    """
-    vals = list(values)
-    if not vals:
-        return 0
-    while len(vals) > 1:
-        nxt = [vals[i] + vals[i + 1] for i in range(0, len(vals) - 1, 2)]
-        if len(vals) % 2:
-            nxt.append(vals[-1])
-        vals = nxt
-    return vals[0]
+def _is_int(value) -> bool:
+    """An int that is not a bool."""
+    return isinstance(value, int) and not isinstance(value, bool)
 
 
-def _infer_mode(values, mode):
-    if mode not in (None, "exact", "float"):
+def _check_mode(mode):
+    if mode not in ("exact", "float"):
         raise InputError(f"unknown mode {mode!r}; expected 'exact' or 'float'")
-    if mode is None:
-        mode = "exact" if all(isinstance(v, _EXACT_TYPES) for v in values) else "float"
-    if mode == "exact":
-        for v in values:
-            if not isinstance(v, _EXACT_TYPES):
-                raise InputError(
-                    "exact mode requires int or Fraction scalars; got "
-                    f"{type(v).__name__} (pass rationals, or use float mode)"
-                )
     return mode
 
 
-def _coerce(value, mode):
-    return Fraction(value) if mode == "exact" else float(value)
+def _scalar_array(values, mode):
+    """(mode, array): the nested sequences ``values`` as one ndarray, float64
+    in float mode or an object array of Fractions in exact mode. Without a
+    mode, exact when every scalar is an int or a Fraction."""
+    if mode is not None:
+        _check_mode(mode)
+    if mode != "float":
+        a = np.array(values, dtype=object)
+        for v in a.flat:
+            if not isinstance(v, _EXACT_TYPES):
+                if mode == "exact":
+                    raise InputError(
+                        "exact mode requires int or Fraction scalars; got "
+                        f"{type(v).__name__} (pass rationals, or use float mode)"
+                    )
+                break
+        else:
+            return "exact", _to_fractions(a)
+    return "float", np.array(values, dtype=float)
+
+
+def _view(a, X):
+    """The data ``a`` as the rows X meet it: the stored scalars for object
+    rows, else the float view, which in float mode is ``a`` itself."""
+    return a if X.dtype == object or a.dtype != object else a.astype(float)
 
 
 class EvaluationOracle:
     """Base interface: n_vars, degree, mode, counted evaluation.
 
-    Subclasses implement ``_evaluate(point)``, the scalar path for one row, and
-    may override ``_evaluate_batch(X)`` with a numpy path for float and complex
-    rows. Evaluation is pure and deterministic; the call counter is the only
+    Subclasses implement ``_evaluate_batch(X)`` for a chunk of rows of any
+    dtype. Evaluation is pure and deterministic; the call counter is the only
     mutable state.
     """
 
@@ -123,16 +129,11 @@ class EvaluationOracle:
                                for i in range(0, max(len(X), 1), step)])
 
     def _evaluate_batch(self, X):
-        """Row by row through ``_evaluate``: the exact path, and the only one
-        of a plain oracle."""
-        return np.array([self._evaluate(row) for row in X.tolist()])
+        raise NotImplementedError
 
     def _row_entries(self):
         """Array entries one row costs in ``_evaluate_batch``."""
         return self.n_vars
-
-    def _evaluate(self, point):
-        raise NotImplementedError
 
     def variable_degree(self, i: int) -> int:
         """Rank of variable i (0-based), as the rank-ladder bound peels it."""
@@ -167,11 +168,11 @@ class FunctionOracle(EvaluationOracle):
             raise InputError("FunctionOracle needs n_vars >= 1 and degree >= 0")
         self.n_vars = int(n_vars)
         self.degree = int(degree)
-        self.mode = mode
+        self.mode = _check_mode(mode)
         self._fn = fn
 
-    def _evaluate(self, point):
-        return self._fn(tuple(point))
+    def _evaluate_batch(self, X):
+        return np.array([self._fn(tuple(row)) for row in X.tolist()])
 
 
 class SparsePolynomial(EvaluationOracle):
@@ -181,12 +182,16 @@ class SparsePolynomial(EvaluationOracle):
     the identically-zero polynomial is rejected. Hyperbolicity diagnostics
     need signed examples (e.g. Lorentz quadratics), so ``allow_signed=True``
     opts out of the positivity requirement.
+
+    The terms, sorted by exponent vector, are held as the int array
+    ``exponents`` (one row per term) and the array ``coefficients``; ``terms``
+    maps each exponent tuple to its coefficient.
     """
 
     def __init__(self, n_vars: int, terms, mode: str | None = None,
                  allow_signed: bool = False):
         super().__init__()
-        if not isinstance(n_vars, int) or n_vars < 1:
+        if not _is_int(n_vars) or n_vars < 1:
             raise InputError(f"n_vars must be a positive integer, got {n_vars!r}")
         self.n_vars = n_vars
 
@@ -196,35 +201,36 @@ class SparsePolynomial(EvaluationOracle):
             e = tuple(exp)
             if len(e) != n_vars:
                 raise InputError(f"exponent vector {e} has length {len(e)}, expected {n_vars}")
-            if any((not isinstance(k, int)) or k < 0 for k in e):
+            if not all(_is_int(k) and k >= 0 for k in e):
                 raise InputError(f"exponent vector {e} must contain nonnegative integers")
             if e in cleaned:
                 raise InputError(f"duplicate exponent vector {e}")
             cleaned[e] = coef
 
-        mode = _infer_mode(list(cleaned.values()), mode)
-        final = {}
-        for e in sorted(cleaned):
-            c = _coerce(cleaned[e], mode)
-            if c == 0:
-                continue
-            if c < 0 and not allow_signed:
-                raise InputError(
-                    f"coefficient of {e} is negative; coefficients must be positive "
-                    "(allow_signed=True opts out for diagnostics fixtures)"
-                )
-            final[e] = c
-        if not final:
+        exps = sorted(cleaned)
+        self.mode, coefs = _scalar_array([cleaned[e] for e in exps], mode)
+        negative = np.flatnonzero(coefs < 0)
+        if len(negative) and not allow_signed:
+            raise InputError(
+                f"coefficient of {exps[negative[0]]} is negative; coefficients "
+                "must be positive (allow_signed=True opts out for diagnostics "
+                "fixtures)"
+            )
+        kept = np.flatnonzero(coefs != 0)
+        if not len(kept):
             raise InputError("polynomial is identically zero")
+        try:
+            self.exponents = np.array(exps, dtype=int).reshape(-1, n_vars)[kept]
+        except OverflowError:
+            raise InputError("exponents must be below 2^63") from None
+        self.coefficients = coefs[kept]
+        self.terms = dict(zip(map(tuple, self.exponents.tolist()),
+                              self.coefficients.tolist()))
 
-        degrees = {sum(e) for e in final}
+        degrees = np.unique(self.exponents.sum(axis=1)).tolist()
         if len(degrees) > 1:
-            raise InputError(f"terms are not homogeneous: total degrees {sorted(degrees)}")
-        self.degree = degrees.pop()
-        self.mode = mode
-        self.terms = final
-        self._exp_matrix = None
-        self._coef_vector = None
+            raise InputError(f"terms are not homogeneous: total degrees {degrees}")
+        self.degree = degrees[0]
 
     def coefficient(self, exp):
         e = tuple(exp)
@@ -234,36 +240,17 @@ class SparsePolynomial(EvaluationOracle):
         return self.terms.get(e, zero)
 
     def _variable_degree(self, i):
-        return max(e[i] for e in self.terms)
+        return int(self.exponents[:, i].max())
 
     def expand(self, cap: int = EXPAND_CAP) -> SparsePolynomial:
         return self
-
-    def _float_arrays(self):
-        if self._exp_matrix is None:
-            exps = list(self.terms)
-            self._exp_matrix = np.array(exps, dtype=float)
-            self._coef_vector = np.array([float(self.terms[e]) for e in exps])
-        return self._exp_matrix, self._coef_vector
 
     def _row_entries(self):
         return len(self.terms) * self.n_vars
 
     def _evaluate_batch(self, X):
-        if X.dtype == object:
-            return super()._evaluate_batch(X)
-        R, c = self._float_arrays()
-        return np.power(X[:, None, :], R).prod(axis=2) @ c
-
-    def _evaluate(self, point):
-        out = []
-        for exp, coef in self.terms.items():
-            v = coef
-            for xi, e in zip(point, exp):
-                if e:
-                    v = v * xi ** e
-            out.append(v)
-        return pairwise_sum(out)
+        c = _view(self.coefficients, X)
+        return np.power(X[:, None, :], self.exponents).prod(axis=2) @ c
 
     def __repr__(self):
         return (f"SparsePolynomial(n_vars={self.n_vars}, degree={self.degree}, "
@@ -271,7 +258,8 @@ class SparsePolynomial(EvaluationOracle):
 
 
 class ProductFormPolynomial(EvaluationOracle):
-    """p_A(x) = prod_i (Ax)_i for a square nonnegative matrix A."""
+    """p_A(x) = prod_i (Ax)_i for a square nonnegative matrix A, held in
+    ``matrix``."""
 
     def __init__(self, matrix, mode: str | None = None):
         super().__init__()
@@ -279,45 +267,26 @@ class ProductFormPolynomial(EvaluationOracle):
         n = len(rows)
         if n < 1 or any(len(r) != n for r in rows):
             raise InputError("product-form matrix must be square and nonempty")
-        flat = [v for r in rows for v in r]
-        mode = _infer_mode(flat, mode)
-        rows = tuple(tuple(_coerce(v, mode) for v in r) for r in rows)
-        for i, r in enumerate(rows):
-            if any(v < 0 for v in r):
+        self.mode, self.matrix = _scalar_array(rows, mode)
+        for i, row in enumerate(self.matrix):
+            if (row < 0).any():
                 raise InputError(f"row {i} has a negative entry; entries must be >= 0")
-            if all(v == 0 for v in r):
+            if (row == 0).all():
                 raise InputError(f"row {i} is all zeros (polynomial would be identically 0)")
-        self.rows = rows
         self.n_vars = n
         self.degree = n
-        self.mode = mode
-        self._float_matrix = None
-
-    @property
-    def float_matrix(self) -> np.ndarray:
-        if self._float_matrix is None:
-            self._float_matrix = np.array([[float(v) for v in r] for r in self.rows])
-        return self._float_matrix
 
     def _evaluate_batch(self, X):
-        if X.dtype == object:
-            return super()._evaluate_batch(X)
-        return np.prod(X @ self.float_matrix.T, axis=1)
-
-    def _evaluate(self, point):
-        acc = 1
-        for row in self.rows:
-            acc = acc * pairwise_sum([a * xi for a, xi in zip(row, point)])
-        return acc
+        return np.prod(X @ _view(self.matrix, X).T, axis=1)
 
     def _variable_degree(self, i):
-        return sum(1 for row in self.rows if row[i] > 0)
+        return int((self.matrix[:, i] > 0).sum())
 
     def _expand(self):
         one = Fraction(1) if self.mode == "exact" else 1.0
         n = self.n_vars
         cur = {(0,) * n: one}
-        for row in self.rows:
+        for row in self.matrix.tolist():
             nxt = {}
             for exp, c in cur.items():
                 for j, a in enumerate(row):
@@ -355,7 +324,8 @@ def _bareiss_det(m):
 
 
 class DeterminantalPolynomial(EvaluationOracle):
-    """p(x) = det(sum_i x_i A_i) for n symmetric PSD n x n matrices.
+    """p(x) = det(sum_i x_i A_i) for n symmetric PSD n x n matrices, held in
+    ``matrices`` of shape (n, n, n).
 
     Symmetry is required to 1e-12 entrywise and PSD-ness to eigenvalue
     >= -1e-10 on the float view. Evaluation uses dense determinants, never a
@@ -373,26 +343,17 @@ class DeterminantalPolynomial(EvaluationOracle):
                 raise InputError(
                     f"matrix {idx} is not {n}x{n}; need n matrices of size n x n"
                 )
-        flat = [v for m in mats for r in m for v in r]
-        mode = _infer_mode(flat, mode)
-        mats = tuple(tuple(tuple(_coerce(v, mode) for v in r) for r in m) for m in mats)
-
-        stack = np.array([[[float(v) for v in r] for r in m] for m in mats])
-        for idx in range(n):
-            m = stack[idx]
+        self.mode, self.matrices = _scalar_array(mats, mode)
+        for idx, m in enumerate(np.asarray(self.matrices, dtype=float)):
             if np.max(np.abs(m - m.T)) > 1e-12:
                 raise InputError(f"matrix {idx} is not symmetric (tolerance 1e-12)")
             if np.linalg.eigvalsh(m).min() < -1e-10:
                 raise InputError(f"matrix {idx} is not PSD (min eigenvalue < -1e-10)")
-
-        self.matrices = mats
-        self._stack = stack
         self.n_vars = n
         self.degree = n
-        self.mode = mode
 
     def _variable_degree(self, i):
-        eig = np.linalg.eigvalsh(self._stack[i])
+        eig = np.linalg.eigvalsh(np.asarray(self.matrices[i], dtype=float))
         scale = max(1.0, float(eig.max(initial=0.0)))
         return int((eig > 1e-9 * scale).sum())
 
@@ -400,19 +361,14 @@ class DeterminantalPolynomial(EvaluationOracle):
         return self.n_vars ** 2
 
     def _evaluate_batch(self, X):
+        M = np.tensordot(X, _view(self.matrices, X), axes=([1], [0]))
         if X.dtype == object:
-            return super()._evaluate_batch(X)
-        return np.linalg.det(np.tensordot(X, self._stack, axes=([1], [0])))
-
-    def _evaluate(self, point):
-        n = self.n_vars
-        m = [[pairwise_sum([point[v] * self.matrices[v][i][j] for v in range(n)])
-              for j in range(n)] for i in range(n)]
-        return _bareiss_det(m)
+            return np.array([_bareiss_det(m) for m in M.tolist()])
+        return np.linalg.det(M)
 
     def _expand(self):
         n = self.n_vars
-        mats = self.matrices  # already Fractions or floats, as the mode says
+        mats = self.matrices.tolist()  # Fractions or floats, as the mode says
         zero_exp = (0,) * n
         one = Fraction(1) if self.mode == "exact" else 1.0
 

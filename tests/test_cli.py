@@ -8,6 +8,7 @@ import polycap as pc
 from polycap import io as pio
 from polycap import fixtures
 from polycap.cli import main
+from test_io import BAD_SPARSE_DOCUMENTS, BAD_SPARSE_IDS
 
 
 @pytest.fixture
@@ -254,6 +255,15 @@ class TestErrorPaths:
         path = tmp_path / "bad.json"
         path.write_text(json.dumps(doc))
         assert main(["permanent", str(path)]) == 2
+        assert capsys.readouterr().err == f"error: {message}\n"
+
+    @pytest.mark.parametrize("doc, message", BAD_SPARSE_DOCUMENTS,
+                             ids=BAD_SPARSE_IDS)
+    def test_malformed_sparse_document_exits_2(self, tmp_path, capsys, doc,
+                                               message):
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(doc))
+        assert main(["capacity", str(path)]) == 2
         assert capsys.readouterr().err == f"error: {message}\n"
 
     def test_bad_tol_exits_2(self, capsys, product_file):

@@ -59,6 +59,15 @@ class TestRestrictedRoots:
 
 
 class TestRootProfile:
+    def test_calls_per_slice(self):
+        # p(direction) and p(point) in one batch, then n + 1 = 5 nodes for
+        # the first window and 5 for the rescaled one: p(direction) once.
+        rng = np.random.default_rng(37)
+        p = pc.ProductFormPolynomial(fixtures.random_positive_matrix(4, rng),
+                                     mode="float")
+        root_profile(p, (0.3, -1.2, 0.8, 2.0), (1.0, 1.0, 1.0, 1.0))
+        assert p.calls == 12
+
     def test_repeated_root_classified_real(self):
         # ((x1+..+x4)/4)^4 has a quadruple root on every slice; the extracted
         # cluster spreads like eps^(1/4) and must still count as real.
@@ -223,8 +232,7 @@ class TestRankViaRoots:
         rng = np.random.default_rng(36)
         for k in (1, 2, 3):
             p = fixtures.product_with_sparse_first_column(5, k, rng)
-            pf = pc.ProductFormPolynomial(
-                [[float(v) for v in row] for row in p.rows], mode="float")
+            pf = pc.ProductFormPolynomial(p.matrix, mode="float")
             assert pc.rank_via_roots(pf, 0) == pf.variable_degree(0) == k
 
     def test_borderline_root_warns(self):

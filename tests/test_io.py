@@ -65,7 +65,7 @@ class TestDocumentRoundTrip:
         p = fixtures.uniform_product_polynomial(3)
         q = pio.polynomial_from_dict(pio.polynomial_to_dict(p), mode="exact")
         assert isinstance(q, pc.ProductFormPolynomial)
-        assert q.rows == p.rows
+        assert q.matrix.tolist() == p.matrix.tolist()
 
     def test_determinantal(self):
         mats = fixtures.diagonal_psd_tuple([[Fraction(1, 2), Fraction(1, 2)],
@@ -96,6 +96,25 @@ class TestFileRoundTrip:
     def test_missing_file(self, tmp_path):
         with pytest.raises(pc.InputError, match="cannot read"):
             pio.load_polynomial(tmp_path / "nope.json")
+
+
+def _sparse(n, *exps):
+    return {"kind": "sparse", "n": n,
+            "terms": [{"exp": e, "coef": "1"} for e in exps]}
+
+
+# Sparse documents that once loaded with truncated or bool exponents, a bool
+# size, a repeated term silently overwritten, or an exponent no int64 holds.
+BAD_SPARSE_DOCUMENTS = [
+    (_sparse(2, [1.7, 0.9]), "terms[0].exp must be a list of integers"),
+    (_sparse(2, [2, 0], ["1", True]), "terms[1].exp must be a list of integers"),
+    (_sparse(2, [1, True]), "terms[0].exp must be a list of integers"),
+    (_sparse(True, [1]), "field 'n' must be a positive integer, got True"),
+    (_sparse(2, [1, 1], [1, 1]), "duplicate exponent vector (1, 1)"),
+    (_sparse(1, [2 ** 63]), "exponents must be below 2^63"),
+]
+BAD_SPARSE_IDS = ["float-exp", "string-exp", "bool-exp", "bool-n", "repeated-exp",
+                  "huge-exp"]
 
 
 class TestErrorDiagnostics:
@@ -144,6 +163,13 @@ class TestErrorDiagnostics:
          "matrices[0][0] must be a list of scalars"),
     ], ids=["matrix-row", "matrices-entry", "matrices-row"])
     def test_row_that_is_not_a_list_names_its_entry(self, doc, message):
+        with pytest.raises(pc.InputError) as info:
+            pio.polynomial_from_dict(doc, mode="float")
+        assert str(info.value) == message
+
+    @pytest.mark.parametrize("doc, message", BAD_SPARSE_DOCUMENTS,
+                             ids=BAD_SPARSE_IDS)
+    def test_sparse_document_must_hold_integers(self, doc, message):
         with pytest.raises(pc.InputError) as info:
             pio.polynomial_from_dict(doc, mode="float")
         assert str(info.value) == message

@@ -1,5 +1,4 @@
 """Representation layer: construction, validation, evaluation, expansion."""
-import math
 from fractions import Fraction
 
 import numpy as np
@@ -7,24 +6,6 @@ import pytest
 
 import polycap as pc
 from polycap import fixtures
-from polycap.polynomials import pairwise_sum
-
-
-class TestPairwiseSum:
-    def test_empty_is_zero(self):
-        assert pairwise_sum([]) == 0
-
-    def test_single(self):
-        assert pairwise_sum([Fraction(3, 7)]) == Fraction(3, 7)
-
-    def test_exact_fractions(self):
-        vals = [Fraction(1, k) for k in range(1, 40)]
-        assert pairwise_sum(vals) == sum(vals)
-
-    def test_matches_naive_float(self):
-        rng = np.random.default_rng(0)
-        vals = list(rng.normal(size=1000))
-        assert pairwise_sum(vals) == pytest.approx(math.fsum(vals), rel=1e-14)
 
 
 class TestSparsePolynomial:
@@ -41,6 +22,11 @@ class TestSparsePolynomial:
     def test_unknown_mode(self):
         with pytest.raises(pc.InputError):
             pc.SparsePolynomial(2, {(1, 1): 1}, mode="rational")
+
+    @pytest.mark.parametrize("n_vars, exp", [(2, (1, True)), (True, (1,))])
+    def test_bool_is_not_an_integer(self, n_vars, exp):
+        with pytest.raises(pc.InputError, match="integer"):
+            pc.SparsePolynomial(n_vars, {exp: 1})
 
     def test_bad_exponent_length(self):
         with pytest.raises(pc.InputError):
@@ -181,6 +167,10 @@ class TestFunctionOracle:
         with pytest.raises(pc.InputError):
             pc.FunctionOracle(0, 2, lambda x: 1.0)
 
+    def test_unknown_mode(self):
+        with pytest.raises(pc.InputError, match="unknown mode 'bogus'"):
+            pc.FunctionOracle(2, 2, lambda x: 1.0, mode="bogus")
+
 
 def _batch_cases():
     rng = np.random.default_rng(21)
@@ -195,6 +185,21 @@ def _batch_cases():
     }
 
 
+def _rational_cases():
+    """Constructor arguments with rational data, and the class, per kind."""
+    rng = np.random.default_rng(24)
+    vecs = rng.integers(-3, 4, (3, 2, 3))
+    pencil = [[[Fraction(int(a), 5) for a in row] for row in v.T @ v]
+              for v in vecs]
+    return {
+        "sparse": ((3, {(2, 1, 0): Fraction(3, 2), (1, 1, 1): 2,
+                        (0, 0, 3): Fraction(1, 3)}), pc.SparsePolynomial),
+        "product": ((fixtures.random_rational_matrix(3, rng),),
+                    pc.ProductFormPolynomial),
+        "determinantal": ((pencil,), pc.DeterminantalPolynomial),
+    }
+
+
 class TestEvaluateBatch:
     @pytest.mark.parametrize("kind", ["sparse", "product", "determinantal", "function"])
     @pytest.mark.parametrize("dtype", [float, complex])
@@ -205,12 +210,26 @@ class TestEvaluateBatch:
         if dtype is complex:
             X += 1j * rng.normal(size=(7, 3))
         values = p.evaluate_batch(X)
-        scalar = p.evaluate_batch(X.astype(object))  # the scalar path
         assert values.shape == (7,)
-        for x, v, s in zip(X, values, scalar):
+        for x, v in zip(X, values):
             assert v == pytest.approx(p.evaluate(tuple(x)), rel=1e-13)
-            assert v == pytest.approx(s, rel=1e-12)
-        assert p.calls == 3 * 7
+        assert p.calls == 2 * 7
+
+    @pytest.mark.parametrize("kind", ["sparse", "product", "determinantal"])
+    def test_exact_matches_float(self, kind):
+        data, cls = _rational_cases()[kind]
+        exact, floats = cls(*data, mode="exact"), cls(*data, mode="float")
+        rng = np.random.default_rng(23)
+        X = np.array([[Fraction(int(a), 7) for a in row]
+                      for row in rng.integers(1, 20, (9, 3))], dtype=object)
+        values = exact.evaluate_batch(X)
+        assert all(isinstance(v, Fraction) for v in values)
+        expected = floats.evaluate_batch(X.astype(float))
+        assert [float(v) for v in values] == pytest.approx(expected, rel=1e-12)
+        # A float polynomial at Fraction rows gives floats.
+        at_fractions = floats.evaluate_batch(X).tolist()
+        assert all(isinstance(v, float) for v in at_fractions)
+        assert at_fractions == pytest.approx(expected, rel=1e-12)
 
     def test_exact_rows_stay_fractions(self):
         p = fixtures.uniform_product_polynomial(3)
