@@ -102,16 +102,6 @@ class ApproxResult:
     capacity_result: CapacityResult
     extrapolation_condition: float | None
 
-    def to_dict(self) -> dict:
-        return {
-            "estimate": self.estimate,
-            "guarantee_factor": self.guarantee_factor,
-            "oracle_calls": self.oracle_calls,
-            "k_used": self.k_used,
-            "capacity_result": self.capacity_result.to_dict(),
-            "extrapolation_condition": self.extrapolation_condition,
-        }
-
 
 def estimate_mixed_partial(poly: EvaluationOracle, k: int = 0,
                            tol: float = 1e-8, max_iter: int = 300) -> ApproxResult:

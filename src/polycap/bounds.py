@@ -215,21 +215,6 @@ class BoundReport:
     capacity_status: str
     provenance: dict = field(default_factory=dict)
 
-    def to_dict(self) -> dict:
-        return {
-            "n": self.n,
-            "capacity": self.capacity,
-            "lower_bound_vdw": self.lower_bound_vdw,
-            "lower_bound_rank": self.lower_bound_rank,
-            "lower_bound_uniform_rank": self.lower_bound_uniform_rank,
-            "exact_value": self.exact_value,
-            "ranks": list(self.ranks),
-            "G": list(self.G),
-            "ordering_used": list(self.ordering_used),
-            "capacity_status": self.capacity_status,
-            "provenance": dict(self.provenance),
-        }
-
 
 def rank_ladder_bound(poly: EvaluationOracle, ordering="as-given",
                       include_exact="auto", tol: float = 1e-10,
@@ -249,6 +234,9 @@ def rank_ladder_bound(poly: EvaluationOracle, ordering="as-given",
             f"bound needs degree == n_vars, got degree {poly.degree} with {n} variables")
 
     ranks = tuple(poly.variable_degree(i) for i in range(n))
+    if 0 in ranks:
+        raise InputError(
+            f"variable {ranks.index(0)} does not occur in p (rank 0)")
     if ordering == "as-given":
         perm = tuple(range(n))
     elif ordering == "greedy":

@@ -38,15 +38,6 @@ class CapacityResult:
     gradient_norm: float
     status: str  # "converged" | "iteration-cap" | "degenerate-zero"
 
-    def to_dict(self) -> dict:
-        return {
-            "value": self.value,
-            "minimizer": [float(v) for v in self.minimizer],
-            "iterations": self.iterations,
-            "gradient_norm": self.gradient_norm,
-            "status": self.status,
-        }
-
 
 @dataclass
 class ScalingResult:
@@ -57,17 +48,6 @@ class ScalingResult:
     iterations: int
     max_deviation: float
     status: str  # "converged" | "iteration-cap"
-
-    def to_dict(self) -> dict:
-        return {
-            "row_scalers": [float(v) for v in self.row_scalers],
-            "col_scalers": [float(v) for v in self.col_scalers],
-            "scaled_matrix": [[float(v) for v in row] for row in self.scaled_matrix],
-            "capacity": self.capacity,
-            "iterations": self.iterations,
-            "max_deviation": self.max_deviation,
-            "status": self.status,
-        }
 
 
 class _SparseObjective:

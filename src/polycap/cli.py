@@ -5,14 +5,20 @@ entry point, and prints a JSON report to stdout:
 
     {"schema": "polycap/1", "command": ..., "inputs": ..., "result": ..., "meta": ...}
 
+Result objects go into the report as they are: the ``default`` hook of the
+one ``json.dumps`` call writes a result dataclass as its fields, a Fraction as
+its string and a complex root as [re, im].
+
 Exit codes: 0 success, 1 check-suite failure (or a failed diagnostic with
---strict), 2 invalid input, 3 resource limit refused.
+--strict), 2 invalid input, 3 resource limit refused, 4 unexpected error.
 """
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import sys
+from fractions import Fraction
 
 from . import __version__
 from .acceptance import run_all
@@ -21,14 +27,25 @@ from .bounds import rank_ladder_bound, sparse_permanent_bound
 from .capacity import capacity_minimize, sinkhorn_scale
 from .errors import InputError, NotHyperbolicError, ResourceLimitError
 from .hyperbolicity import half_plane_sample_check, real_rootedness_check
-from .io import SCHEMA, format_scalar, load_polynomial
+from .io import SCHEMA, load_polynomial
 from .oracles import mixed_discriminant, permanent_ryser
 from .polynomials import DeterminantalPolynomial, ProductFormPolynomial
 
 _EQUALITY_TOL = 1e-9
 
 
-def _emit(args, inputs: dict, result: dict) -> str:
+def _encode(obj):
+    """json.dumps default: what json cannot write by itself."""
+    if dataclasses.is_dataclass(obj):
+        return {f.name: getattr(obj, f.name) for f in dataclasses.fields(obj)}
+    if isinstance(obj, Fraction):
+        return str(obj)
+    if isinstance(obj, complex):
+        return [obj.real, obj.imag]
+    raise TypeError(f"cannot write {type(obj).__name__} into a report")
+
+
+def _emit(args, inputs: dict, result) -> str:
     report = {
         "schema": SCHEMA,
         "command": args.command,
@@ -41,7 +58,7 @@ def _emit(args, inputs: dict, result: dict) -> str:
             "version": __version__,
             "mode": args.mode,
         }
-    text = json.dumps(report, indent=2, sort_keys=True)
+    text = json.dumps(report, indent=2, sort_keys=True, default=_encode)
     if args.output:
         with open(args.output, "w", encoding="utf-8") as fh:
             fh.write(text + "\n")
@@ -65,7 +82,7 @@ def _cmd_capacity(args) -> int:
     poly = _load(args)
     res = capacity_minimize(poly, tol=args.tol, max_iter=args.max_iter)
     _emit(args, {"path": args.input, "n_vars": poly.n_vars,
-                 "degree": poly.degree}, res.to_dict())
+                 "degree": poly.degree}, res)
     return 0
 
 
@@ -73,7 +90,7 @@ def _cmd_permanent(args) -> int:
     poly = _load(args, ProductFormPolynomial, "'product' document (the matrix rows)")
     value = permanent_ryser(poly.matrix, mode=args.mode)
     _emit(args, {"path": args.input, "n": poly.n_vars},
-          {"permanent": format_scalar(value)})
+          {"permanent": value})
     return 0
 
 
@@ -82,7 +99,7 @@ def _cmd_mixed_disc(args) -> int:
                  "'determinantal' document (the PSD tuple)")
     value = mixed_discriminant(poly.matrices, mode=args.mode)
     _emit(args, {"path": args.input, "n": poly.n_vars},
-          {"mixed_discriminant": format_scalar(value)})
+          {"mixed_discriminant": value})
     return 0
 
 
@@ -99,7 +116,7 @@ def _cmd_bound(args) -> int:
     report = rank_ladder_bound(poly, ordering=ordering,
                                include_exact="auto", tol=args.tol,
                                max_iter=args.max_iter)
-    result = report.to_dict()
+    result = _encode(report)
     if report.exact_value is not None:
         scale = max(1.0, abs(report.exact_value))
         result["equality_vdw"] = bool(
@@ -116,7 +133,7 @@ def _cmd_approx(args) -> int:
     res = estimate_mixed_partial(poly, k=args.k, tol=args.tol,
                                  max_iter=args.max_iter)
     _emit(args, {"path": args.input, "n_vars": poly.n_vars,
-                 "degree": poly.degree, "k": args.k}, res.to_dict())
+                 "degree": poly.degree, "k": args.k}, res)
     return 0
 
 
@@ -129,7 +146,7 @@ def _cmd_check_hyperbolic(args) -> int:
         "check": "real-rootedness",
         "passed": bool(ok_root),
         "trials": args.trials,
-        "worst_profile": worst.to_dict() if worst is not None else None,
+        "worst_profile": worst,
     })
     ok_half, stats = half_plane_sample_check(
         poly, samples=args.samples, seed=args.seed)
@@ -154,8 +171,7 @@ def _cmd_scale(args) -> int:
     poly = _load(args, ProductFormPolynomial, "'product' document (the matrix rows)")
     res = sinkhorn_scale(poly.matrix, tol=args.tol,
                          max_iter=max(args.max_iter, 10000))
-    _emit(args, {"path": args.input, "n": poly.n_vars},
-          res.to_dict())
+    _emit(args, {"path": args.input, "n": poly.n_vars}, res)
     return 0
 
 
@@ -290,6 +306,9 @@ def main(argv=None) -> int:
     except ResourceLimitError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
+    except Exception as exc:
+        print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
+        return 4
 
 
 if __name__ == "__main__":

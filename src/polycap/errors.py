@@ -1,6 +1,7 @@
 """Exception types shared across the package.
 
-The CLI maps these onto exit codes: InputError -> 2, ResourceLimitError -> 3.
+The CLI maps these onto exit codes: InputError -> 2, ResourceLimitError -> 3;
+any other exception ends in one 'error:' line and exit code 4.
 """
 from __future__ import annotations
 

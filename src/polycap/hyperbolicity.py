@@ -34,6 +34,10 @@ _VALIDATE_POINTS = (0.5, 1.0, 2.0, 3.0)
 _FIT_NOISE = 1e-14  # relative backward error budget for the Chebyshev fit
 _CLUSTER_SAFETY = 10.0
 _TINY = 1e-300
+_REAL_TOL = 1e-6    # |imag| / root scale below which a root is real
+_MARGIN_TOL = 1e-9  # how far the margin |p(z)|/p(Re z) - 1 may fall below 0
+_ZERO_TOL = 1e-7    # rank_via_roots: |root| / root scale that counts as zero
+_WARN_TOL = 1e-9    # ... and above which such a root draws a RuntimeWarning
 
 
 @dataclass
@@ -44,16 +48,6 @@ class RootProfile:
     max_imag: float
     all_real: bool
     residual: float
-
-    def to_dict(self) -> dict:
-        return {
-            "direction": [float(v) for v in self.direction],
-            "point": [float(v) for v in self.point],
-            "roots": [[float(r.real), float(r.imag)] for r in self.roots],
-            "max_imag": self.max_imag,
-            "all_real": self.all_real,
-            "residual": self.residual,
-        }
 
 
 class _SliceFit(NamedTuple):
@@ -153,9 +147,9 @@ def _cluster_tolerance(roots, center, radius, lead_abs, vmax):
     return _CLUSTER_SAFETY * eta
 
 
-def _classify_real(fit: _SliceFit, base_tol: float):
+def _classify_real(fit: _SliceFit):
     """(all_real, max_imag): a complex pair counts as numerically real when
-    its imaginary part is under base_tol*scale or within the repeated-real-
+    its imaginary part is under _REAL_TOL*scale or within the repeated-real-
     root backward-error bound at its location."""
     roots = fit.roots
     if not roots:
@@ -165,7 +159,7 @@ def _classify_real(fit: _SliceFit, base_tol: float):
     all_real = True
     for r in roots:
         b = abs(r.imag)
-        if b <= base_tol * scale:
+        if b <= _REAL_TOL * scale:
             continue
         if b <= _cluster_tolerance(roots, r.real, 4.0 * b, fit.lead_abs,
                                    fit.vmax):
@@ -201,11 +195,10 @@ def restricted_roots(poly: EvaluationOracle, point, direction):
     return fit.roots, fit.residual
 
 
-def root_profile(poly: EvaluationOracle, point, direction,
-                 real_tol: float = 1e-6) -> RootProfile:
+def root_profile(poly: EvaluationOracle, point, direction) -> RootProfile:
     """Restricted roots plus a real/complex classification for one slice."""
     point, direction, fit = _checked_slice_fit(poly, point, direction)
-    all_real, max_imag = _classify_real(fit, real_tol)
+    all_real, max_imag = _classify_real(fit)
     return RootProfile(
         direction=direction,
         point=point,
@@ -217,8 +210,7 @@ def root_profile(poly: EvaluationOracle, point, direction,
 
 
 def real_rootedness_check(poly: EvaluationOracle, direction=None,
-                          trials: int = 50, seed: int = 0,
-                          real_tol: float = 1e-6):
+                          trials: int = 50, seed: int = 0):
     """Sample random slice points and test that every restricted polynomial
     is real-rooted along `direction` (default: the all-ones direction).
 
@@ -237,7 +229,7 @@ def real_rootedness_check(poly: EvaluationOracle, direction=None,
     for ss in children:
         rng = np.random.default_rng(ss)
         x = rng.standard_normal(n)
-        profile = root_profile(poly, tuple(x), direction, real_tol=real_tol)
+        profile = root_profile(poly, tuple(x), direction)
         if not profile.all_real:
             ok = False
         if (worst is None
@@ -249,7 +241,7 @@ def real_rootedness_check(poly: EvaluationOracle, direction=None,
 
 
 def half_plane_sample_check(poly: EvaluationOracle, samples: int = 500,
-                            seed: int = 0, margin_tol: float = 1e-9):
+                            seed: int = 0):
     """Sample z with Re(z) > 0 and test |p(z)| >= p(Re(z)) and |p(z)| > 0.
 
     Both hold for every polynomial with nonnegative coefficients that is
@@ -271,7 +263,7 @@ def half_plane_sample_check(poly: EvaluationOracle, samples: int = 500,
     bases = np.real(poly.evaluate_batch(xs)).tolist()
     for x, y, val, base in zip(xs, ys, vals, bases):
         margin = val / base - 1.0 if base > 0 else -1.0
-        failed = val == 0.0 or margin < -margin_tol
+        failed = val == 0.0 or margin < -_MARGIN_TOL
         if margin < worst_margin:
             worst_margin = margin
             if failed:
@@ -286,7 +278,7 @@ def half_plane_sample_check(poly: EvaluationOracle, samples: int = 500,
     return ok, stats
 
 
-def factorization_check(poly: EvaluationOracle, z, y, real_tol: float = 1e-6):
+def factorization_check(poly: EvaluationOracle, z, y):
     """Split p along a nonnegative direction pair: with d = z + y strictly
     positive, the slice R(t) = p(t z + y) of a stable p factors as
     prod_i (a_i t + b_i) with a_i, b_i >= 0.
@@ -316,7 +308,7 @@ def factorization_check(poly: EvaluationOracle, z, y, real_tol: float = 1e-6):
     lam = []
     for r in fit.roots:
         b = abs(r.imag)
-        if (b > real_tol * scale
+        if (b > _REAL_TOL * scale
                 and b > _cluster_tolerance(fit.roots, r.real, 4.0 * b,
                                            fit.lead_abs, fit.vmax)):
             raise NotHyperbolicError(
@@ -349,16 +341,15 @@ def factorization_check(poly: EvaluationOracle, z, y, real_tol: float = 1e-6):
     return a, b
 
 
-def rank_via_roots(poly: EvaluationOracle, i: int, zero_tol: float = 1e-7,
-                   warn_tol: float = 1e-9) -> int:
+def rank_via_roots(poly: EvaluationOracle, i: int) -> int:
     """Count the nonzero roots of t -> p(e_i - t * ones): for stable p this
     equals the effective rank of variable i.
 
-    A root counts as zero when its magnitude is below zero_tol relative to
+    A root counts as zero when its magnitude is below _ZERO_TOL relative to
     the root scale, or when its whole cluster sits within the backward-error
     radius of a repeated root at the origin (a double zero root, for
     instance, is recovered with magnitude ~ sqrt(fit noise), well above any
-    fixed tolerance). Borderline roots (between warn_tol and zero_tol
+    fixed tolerance). Borderline roots (between _WARN_TOL and _ZERO_TOL
     relative to the root scale) trigger a RuntimeWarning since the count may
     be off by one.
     """
@@ -373,12 +364,12 @@ def rank_via_roots(poly: EvaluationOracle, i: int, zero_tol: float = 1e-7,
     count = 0
     for r in roots:
         mag = abs(r)
-        if warn_tol * scale <= mag <= zero_tol * scale:
+        if _WARN_TOL * scale <= mag <= _ZERO_TOL * scale:
             warnings.warn(
                 f"root of magnitude {mag:.3g} is borderline between zero and "
                 f"nonzero at scale {scale:.3g}; rank count may be unstable",
                 RuntimeWarning, stacklevel=2)
-        if mag <= zero_tol * scale:
+        if mag <= _ZERO_TOL * scale:
             continue
         if mag <= _cluster_tolerance(roots, 0.0, 4.0 * mag, fit.lead_abs,
                                      fit.vmax):

@@ -62,13 +62,6 @@ def scalar_to_string(value) -> str:
     return repr(float(value))
 
 
-def format_scalar(value):
-    """JSON-report form: Fractions become strings, floats stay numbers."""
-    if isinstance(value, (Fraction, int)):
-        return str(value)
-    return float(value)
-
-
 def _check_list(value, where: str, of: str):
     if not isinstance(value, (list, tuple)):
         raise InputError(f"{where} must be a list of {of}")

@@ -144,14 +144,15 @@ class EvaluationOracle:
     def _variable_degree(self, i):
         raise InputError(f"variable_degree is undefined for {type(self).__name__}")
 
-    def expand(self, cap: int = EXPAND_CAP) -> SparsePolynomial:
+    def expand(self) -> SparsePolynomial:
         """Expand into sparse terms.
 
-        Refused above ``cap`` variables: the term count grows like C(2n-1, n).
+        Refused above EXPAND_CAP variables: the term count grows like
+        C(2n-1, n).
         """
-        if self.n_vars > cap:
+        if self.n_vars > EXPAND_CAP:
             raise ResourceLimitError(
-                f"expand refused: n={self.n_vars} exceeds the cap of {cap}"
+                f"expand refused: n={self.n_vars} exceeds the cap of {EXPAND_CAP}"
             )
         return self._expand()
 
@@ -242,7 +243,7 @@ class SparsePolynomial(EvaluationOracle):
     def _variable_degree(self, i):
         return int(self.exponents[:, i].max())
 
-    def expand(self, cap: int = EXPAND_CAP) -> SparsePolynomial:
+    def expand(self) -> SparsePolynomial:
         return self
 
     def _row_entries(self):

@@ -169,11 +169,3 @@ class TestEstimateMixedPartial:
         p = fixtures.uniform_product_polynomial(3, mode="float")
         with pytest.raises(pc.InputError):
             pc.estimate_mixed_partial(p, k=3)
-
-    def test_to_dict(self):
-        r = pc.estimate_mixed_partial(fixtures.uniform_product_polynomial(2,
-                                                                          mode="float"))
-        d = r.to_dict()
-        assert set(d) == {"estimate", "guarantee_factor", "oracle_calls",
-                          "k_used", "capacity_result", "extrapolation_condition"}
-        assert isinstance(d["capacity_result"], dict)

@@ -129,14 +129,6 @@ class TestRankLadderReport:
         with pytest.raises(pc.ResourceLimitError):
             pc.rank_ladder_bound(p, include_exact=True)
 
-    def test_to_dict_fields(self):
-        rep = pc.rank_ladder_bound(
-            pc.ProductFormPolynomial(fixtures.two_per_row_circulant()))
-        d = rep.to_dict()
-        assert d["G"] == [2, 2, 1]
-        assert set(d["provenance"]) >= {"capacity", "lower_bound_vdw",
-                                        "lower_bound_rank"}
-
 
 def rep_is_sandwich(rep, exact, tol=1e-7):
     scale = max(1.0, abs(exact))

@@ -164,12 +164,6 @@ class TestStatusesAndValidation:
         r1 = pc.capacity_minimize(p, x0=(2.0, 0.5))
         assert r1.value == pytest.approx(r0.value, rel=1e-10)
 
-    def test_to_dict_round_trip_fields(self):
-        r = pc.capacity_minimize(fixtures.uniform_product_polynomial(2))
-        d = r.to_dict()
-        assert set(d) == {"value", "minimizer", "iterations", "gradient_norm",
-                          "status"}
-
 
 class TestSinkhorn:
     def test_doubly_stochastic_fixed_point(self):

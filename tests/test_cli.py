@@ -7,6 +7,7 @@ import pytest
 import polycap as pc
 from polycap import io as pio
 from polycap import fixtures
+from polycap import cli
 from polycap.cli import main
 from test_io import BAD_SPARSE_DOCUMENTS, BAD_SPARSE_IDS
 
@@ -38,6 +39,53 @@ def run_json(capsys, argv):
     code = main(argv)
     out = capsys.readouterr().out
     return code, json.loads(out)
+
+
+CAPACITY_FIELDS = {"value", "minimizer", "iterations", "gradient_norm", "status"}
+PROFILE_FIELDS = {"direction", "point", "roots", "max_imag", "all_real",
+                  "residual"}
+
+
+class TestReportFields:
+    """Each command's result block: the fields of its result dataclass (plus
+    the command's own keys), with Fractions as strings and roots as pairs."""
+
+    @pytest.mark.parametrize("argv, document, fields", [
+        (["capacity"], "product_file", CAPACITY_FIELDS),
+        (["bound"], "product_file",
+         {"n", "capacity", "lower_bound_vdw", "lower_bound_rank",
+          "lower_bound_uniform_rank", "exact_value", "ranks", "G",
+          "ordering_used", "capacity_status", "provenance",
+          "equality_vdw", "equality_rank"}),
+        (["approx", "--k", "1"], "product_file",
+         {"estimate", "guarantee_factor", "oracle_calls", "k_used",
+          "capacity_result", "extrapolation_condition"}),
+        (["check-hyperbolic", "--trials", "5", "--samples", "50"],
+         "product_file", {"passed", "checks", "oracle_calls"}),
+        (["scale"], "product_file",
+         {"row_scalers", "col_scalers", "scaled_matrix", "capacity",
+          "iterations", "max_deviation", "status"}),
+        (["permanent", "--mode", "exact"], "product_file", {"permanent"}),
+        (["mixed-disc", "--mode", "exact"], "determinantal_file",
+         {"mixed_discriminant"}),
+    ], ids=["capacity", "bound", "approx", "check-hyperbolic", "scale",
+            "permanent", "mixed-disc"])
+    def test_result_fields(self, request, capsys, argv, document, fields):
+        path = request.getfixturevalue(document)
+        code, doc = run_json(capsys, argv[:1] + [path] + argv[1:])
+        assert code == 0
+        result = doc["result"]
+        assert set(result) == fields
+        if "--mode" in argv:
+            assert all(isinstance(v, str) for v in result.values())
+        if argv[0] == "approx":
+            assert set(result["capacity_result"]) == CAPACITY_FIELDS
+        if argv[0] == "check-hyperbolic":
+            worst = result["checks"][0]["worst_profile"]
+            assert set(worst) == PROFILE_FIELDS
+            assert len(worst["roots"]) == 3
+            assert all(len(r) == 2 and all(isinstance(v, float) for v in r)
+                       for r in worst["roots"])
 
 
 class TestRunConfig:
@@ -147,6 +195,15 @@ class TestBoundCommand:
 
     def test_bad_ordering_exits_2(self, capsys, circulant_file):
         assert main(["bound", circulant_file, "--ordering", "bogus"]) == 2
+
+    def test_rank_zero_variable_exits_2(self, tmp_path, capsys):
+        path = tmp_path / "zero_column.json"
+        path.write_text(json.dumps({
+            "schema": pio.SCHEMA, "kind": "product",
+            "matrix": [["1", "0"], ["1", "0"]]}))
+        assert main(["bound", str(path)]) == 2
+        assert capsys.readouterr().err == (
+            "error: variable 1 does not occur in p (rank 0)\n")
 
     def test_infinite_capacity_exits_3(self, tmp_path, capsys):
         path = tmp_path / "huge.json"
@@ -265,6 +322,30 @@ class TestErrorPaths:
         path.write_text(json.dumps(doc))
         assert main(["capacity", str(path)]) == 2
         assert capsys.readouterr().err == f"error: {message}\n"
+
+    def test_unexpected_error_exits_4(self, monkeypatch, capsys, product_file):
+        def fail(args):
+            raise RuntimeError("no report")
+        monkeypatch.setattr(cli, "_cmd_capacity", fail)
+        assert main(["capacity", product_file]) == 4
+        assert capsys.readouterr().err == "error: RuntimeError: no report\n"
+
+    @pytest.mark.parametrize("doc, error", [
+        ({"kind": "determinantal",
+          "matrices": [[["1e300", "0"], ["0", "1e300"]]] * 2},
+         "error: LinAlgError: "),
+        ({"kind": "sparse", "n": 2,
+          "terms": [{"exp": [1 << 62, 0], "coef": "1"},
+                    {"exp": [0, 1 << 62], "coef": "1"}]},
+         "error: ValueError: "),
+    ], ids=["overflowing-pencil", "huge-exponents"])
+    def test_numpy_failure_exits_4(self, tmp_path, capsys, doc, error):
+        path = tmp_path / "doc.json"
+        path.write_text(json.dumps(doc))
+        assert main(["check-hyperbolic", str(path)]) == 4
+        err = capsys.readouterr().err
+        assert "Traceback" not in err and err.count("error:") == 1
+        assert err.splitlines()[-1].startswith(error)
 
     def test_bad_tol_exits_2(self, capsys, product_file):
         assert main(["capacity", product_file, "--tol", "-1"]) == 2

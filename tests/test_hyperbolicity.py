@@ -81,13 +81,6 @@ class TestRootProfile:
         assert not prof.all_real
         assert prof.max_imag > 0.1
 
-    def test_to_dict(self):
-        p = fixtures.uniform_product_polynomial(2, mode="float")
-        d = root_profile(p, (1.0, 2.0), (1.0, 1.0)).to_dict()
-        assert set(d) == {"direction", "point", "roots", "max_imag",
-                          "all_real", "residual"}
-        assert all(len(r) == 2 for r in d["roots"])
-
 
 class TestRealRootednessCheck:
     @pytest.mark.parametrize("n", [2, 3, 4])
