@@ -120,7 +120,7 @@ def criterion_2_capacity_sandwich() -> CriterionResult:
 
 
 def criterion_3_polarization_exact() -> CriterionResult:
-    """Signed-average mixed form equals the Ryser permanent exactly on 50
+    """Signed-average mixed form equals the Glynn permanent exactly on 50
     random rational matrices (n <= 8), and the mixed discriminant of diagonal
     tuples equals the permanent exactly."""
     def body():

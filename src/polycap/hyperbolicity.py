@@ -27,7 +27,7 @@ from typing import NamedTuple
 import numpy as np
 from numpy.polynomial import chebyshev as cheb
 
-from .errors import InputError, NotHyperbolicError
+from .errors import InputError, NotHyperbolicError, ResourceLimitError
 from .polynomials import EvaluationOracle
 
 _VALIDATE_POINTS = (0.5, 1.0, 2.0, 3.0)
@@ -38,6 +38,10 @@ _REAL_TOL = 1e-6    # |imag| / root scale below which a root is real
 _MARGIN_TOL = 1e-9  # how far the margin |p(z)|/p(Re z) - 1 may fall below 0
 _ZERO_TOL = 1e-7    # rank_via_roots: |root| / root scale that counts as zero
 _WARN_TOL = 1e-9    # ... and above which such a root draws a RuntimeWarning
+# Slice fits refuse a degree past this. One fit plus its companion-matrix
+# roots takes 0.05 s at degree 200, 0.2 s at 400 and 1.3 s at 800 (2 vCPUs,
+# one BLAS thread), and check-hyperbolic fits at least two slices per trial.
+SLICE_DEGREE_CAP = 400
 
 
 @dataclass
@@ -67,6 +71,10 @@ def _fit_once(poly, point, direction, M, n):
     """Interpolate the slice on [-M, M] and extract companion-matrix roots."""
     u_nodes = cheb.chebpts2(n + 1)
     vals = _slice_values(poly, point, direction, M * u_nodes)
+    if not np.isfinite(vals).all():
+        raise ResourceLimitError(
+            "slice fit refused: p overflows the float range along the slice "
+            "(non-finite values); rescale the input")
     coeffs = cheb.chebfit(u_nodes, vals, n)
     vmax = float(np.abs(vals).max())
     # T_n has leading monomial coefficient 2^(n-1); convert to t = M u units.
@@ -79,7 +87,12 @@ def _fit_once(poly, point, direction, M, n):
 
 
 def _slice_ends(poly, point, direction):
-    """p(direction) and p(point), in one batch."""
+    """p(direction) and p(point), in one batch, for a slice fit: refuses a
+    degree past SLICE_DEGREE_CAP first."""
+    if poly.degree > SLICE_DEGREE_CAP:
+        raise ResourceLimitError(
+            f"slice fit refused: degree {poly.degree} exceeds the cap of "
+            f"{SLICE_DEGREE_CAP}")
     return np.real(poly.evaluate_batch([direction, point])).tolist()
 
 

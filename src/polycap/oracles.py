@@ -1,14 +1,15 @@
 """Exact brute-force oracles: permanents, polarized mixed forms, mixed
 discriminants, and Taylor-coefficient extraction.
 
-Every bound in the package is validated against these. Exact mode runs in big
-rationals; in float mode the order of every sum is fixed, so results are
-bit-stable.
+Every bound in the package is validated against these. Permanents (Glynn's
+formula) and mixed forms are signed sums over {-1,1}^k, both built on one
+table, ``_sign_table``. Exact mode stays in ints and Fractions; in float mode
+the order of every sum is fixed, so results are bit-stable.
 """
 from __future__ import annotations
 
 from fractions import Fraction
-from math import factorial
+from math import factorial, lcm
 
 import numpy as np
 
@@ -28,16 +29,21 @@ POLARIZATION_FLOAT_CAP = 22
 POLARIZATION_EXACT_CAP = 14
 MIXED_DISC_CAP = 12
 TAYLOR_CAP = 10
-# signed_sums tabulates this many vectors at once, a table of 2^10 rows.
+# signed_sums and _glynn tabulate this many vectors at once: 2^10 rows.
 _TABLE_BITS = 10
 
 
 def permanent_ryser(matrix, mode: str | None = None):
-    """Permanent by Ryser inclusion-exclusion with Gray-code subset updates.
+    """Permanent by Glynn's formula: 2^-(n-1) times the sum over d in {-1,1}^n
+    with d_1 = 1 of prod(d) prod_i sum_j d_j a_ij, half of Ryser's 2^n terms
+    (the name predates the switch). Exact (Fraction) when all entries are
+    rational and mode is not forced to float, summing integer numerators over
+    their common denominator; caps: n <= 14 exact, n <= 20 float.
 
-    Exact (Fraction) when all entries are rational and mode is not forced to
-    float; caps: n <= 14 exact, n <= 20 float.
-    """
+    Float error <= gamma_k prod_i sum_j |a_ij| (Higham) with k = 2^(n-1)+n^2,
+    or 2^(n-1)+n if every +-1 sum is exact (small dyadic entries). For A >= 0
+    that is at most Ryser's bound gamma_(2^n+n) sum_S |prod_i r_i(S)|, whose
+    S = all columns term is prod_i sum_j a_ij."""
     rows = [list(r) for r in matrix]
     n = len(rows)
     if n < 1 or any(len(r) != n for r in rows):
@@ -51,38 +57,28 @@ def permanent_ryser(matrix, mode: str | None = None):
                 f"exact permanent refused: n={n} exceeds the cap of {RYSER_EXACT_CAP}"
             )
         rows = [[Fraction(v) for v in r] for r in rows]
-        zero = Fraction(0)
-    else:
-        if n > RYSER_FLOAT_CAP:
-            raise ResourceLimitError(
-                f"float permanent refused: n={n} exceeds the cap of {RYSER_FLOAT_CAP}"
-            )
-        rows = [[float(v) for v in r] for r in rows]
-        zero = 0.0
+        den = lcm(*(v.denominator for r in rows for v in r))
+        nums = [[v.numerator * (den // v.denominator) for v in r] for r in rows]
+        return Fraction(_glynn(np.array(nums, dtype=object).T),
+                        den ** n << (n - 1))
+    if n > RYSER_FLOAT_CAP:
+        raise ResourceLimitError(
+            f"float permanent refused: n={n} exceeds the cap of {RYSER_FLOAT_CAP}"
+        )
+    return float(_glynn(np.array(rows, dtype=float).T)) / 2.0 ** (n - 1)
 
-    sums = [zero] * n
-    total = zero
-    prev_gray = 0
-    size = 0
-    for g in range(1, 1 << n):
-        gray = g ^ (g >> 1)
-        bit = gray ^ prev_gray
-        j = bit.bit_length() - 1
-        if gray & bit:
-            size += 1
-            for i in range(n):
-                sums[i] = sums[i] + rows[i][j]
-        else:
-            size -= 1
-            for i in range(n):
-                sums[i] = sums[i] - rows[i][j]
-        prod = sums[0]
-        for i in range(1, n):
-            prod = prod * sums[i]
-        total = total + prod if size % 2 == 0 else total - prod
-        prev_gray = gray
-    # total accumulated (-1)^|S| prod; fold in the global (-1)^n
-    return total if n % 2 == 0 else -total
+
+def _glynn(cols):
+    """2^(n-1) per(A) from the columns of A, the rows of ``cols``: columns
+    2 to 1 + ``_TABLE_BITS`` are tabulated once, and each sign pattern of the
+    rest, shifted by column 1, shifts the table. Object arrays stay exact."""
+    table, signs = _sign_table(cols[1:1 + _TABLE_BITS])
+    shifts, shift_signs = _sign_table(cols[1 + _TABLE_BITS:])
+    total = 0
+    # Python int signs: an np.int64 times an int past 2^63 overflows.
+    for shift, sign in zip(shifts + cols[0], shift_signs.tolist()):
+        total += sign * (np.prod(table + shift, axis=1) @ signs)
+    return total
 
 
 def _sign_table(vectors):
@@ -217,7 +213,7 @@ def taylor_mixed_form_coefficient(q: SparsePolynomial, r):
 def exact_mixed_partial(poly):
     """Structural exact route to d^n p / dx_1..dx_n, one per representation.
 
-    Sparse: direct coefficient lookup. Product form: Ryser permanent.
+    Sparse: direct coefficient lookup. Product form: Glynn permanent.
     Determinantal: mixed discriminant. These are the cross-checks for the
     capacity-based bounds.
     """

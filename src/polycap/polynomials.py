@@ -30,6 +30,7 @@ A plain oracle has neither and raises ``InputError``.
 from __future__ import annotations
 
 from fractions import Fraction
+from math import lcm
 from typing import Callable, Mapping, Sequence
 
 import numpy as np
@@ -303,8 +304,9 @@ class ProductFormPolynomial(EvaluationOracle):
 
 
 def _bareiss_det(m):
-    """Fraction-free Gaussian elimination determinant; exact for Fractions."""
-    a = [list(row) for row in m]
+    """Exact determinant by Bareiss elimination over integer numerators."""
+    den = lcm(*(v.denominator for row in m for v in row))
+    a = [[v.numerator * (den // v.denominator) for v in row] for row in m]
     n = len(a)
     sign = 1
     prev = 1
@@ -319,9 +321,9 @@ def _bareiss_det(m):
                 return Fraction(0)
         for i in range(k + 1, n):
             for j in range(k + 1, n):
-                a[i][j] = (a[i][j] * a[k][k] - a[i][k] * a[k][j]) / prev
+                a[i][j] = (a[i][j] * a[k][k] - a[i][k] * a[k][j]) // prev
         prev = a[k][k]
-    return sign * a[n - 1][n - 1]
+    return Fraction(sign * a[n - 1][n - 1], den ** n)
 
 
 class DeterminantalPolynomial(EvaluationOracle):
@@ -364,7 +366,9 @@ class DeterminantalPolynomial(EvaluationOracle):
     def _evaluate_batch(self, X):
         M = np.tensordot(X, _view(self.matrices, X), axes=([1], [0]))
         if X.dtype == object:
-            return np.array([_bareiss_det(m) for m in M.tolist()])
+            if self.mode == "exact":
+                return np.array([_bareiss_det(m) for m in M.tolist()])
+            M = M.astype(float)
         return np.linalg.det(M)
 
     def _expand(self):

@@ -4,7 +4,8 @@ import pytest
 
 import polycap as pc
 from polycap import fixtures
-from polycap.hyperbolicity import restricted_roots, root_profile
+from polycap.hyperbolicity import (SLICE_DEGREE_CAP, restricted_roots,
+                                   root_profile)
 
 
 def two_squares():
@@ -56,6 +57,20 @@ class TestRestrictedRoots:
         p = fixtures.uniform_product_polynomial(2, mode="float")
         with pytest.raises(pc.InputError):
             restricted_roots(p, (1.0,), (1.0, 1.0))
+
+    def test_degree_cap_refused_before_evaluation(self):
+        d = SLICE_DEGREE_CAP + 1
+        p = pc.SparsePolynomial(2, {(d, 0): 1.0, (0, d): 1.0}, mode="float")
+        with pytest.raises(pc.ResourceLimitError, match="exceeds the cap"):
+            restricted_roots(p, (1.0, 0.0), (1.0, 1.0))
+        assert p.calls == 0
+
+    @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning")
+    def test_non_finite_slice_refused(self):
+        big = [[1e300, 0.0], [0.0, 1e300]]
+        p = pc.DeterminantalPolynomial([big, big], mode="float")
+        with pytest.raises(pc.ResourceLimitError, match="overflows the float"):
+            restricted_roots(p, (1.0, 0.5), (1.0, 1.0))
 
 
 class TestRootProfile:

@@ -1,4 +1,6 @@
 """Brute-force reference computations: permanents, polarization, discriminants."""
+import itertools
+import math
 from fractions import Fraction
 
 import numpy as np
@@ -6,6 +8,22 @@ import pytest
 
 import polycap as pc
 from polycap import fixtures
+
+
+def permanent_by_permutations(m):
+    n = len(m)
+    return sum(math.prod(m[i][p[i]] for i in range(n))
+               for p in itertools.permutations(range(n)))
+
+
+def gamma(k):
+    """Higham's gamma_k for binary64."""
+    u = 2.0 ** -53
+    return k * u / (1 - k * u)
+
+
+def dyadic(rows, den=1024):
+    return [[Fraction(round(float(v) * den), den) for v in row] for row in rows]
 
 
 class TestPermanentRyser:
@@ -52,6 +70,50 @@ class TestPermanentRyser:
             minor = [[m[i][l] for l in range(4) if l != j] for i in range(1, 4)]
             total += m[0][j] * pc.permanent_ryser(minor, mode="exact")
         assert total == pc.permanent_ryser(m, mode="exact")
+
+    @pytest.mark.parametrize("n", range(1, 8))
+    def test_matches_permutation_sum(self, n):
+        rng = np.random.default_rng(40 + n)
+        nums = rng.integers(-5, 6, (n, n))
+        nums[rng.random((n, n)) < 0.2] = 0
+        m = [[Fraction(int(a), int(b)) for a, b in zip(row, dens)]
+             for row, dens in zip(nums, rng.integers(1, 10, (n, n)))]
+        for matrix in (m, [[0] * n for _ in range(n)]):
+            per = permanent_by_permutations(matrix)
+            assert pc.permanent_ryser(matrix, mode="exact") == per
+            floats = [[float(v) for v in row] for row in matrix]
+            scale = math.prod(sum(abs(v) for v in row) for row in floats)
+            assert abs(pc.permanent_ryser(floats, mode="float") - per) <= \
+                gamma(2 ** (n - 1) + n * n) * scale
+
+    def test_exact_past_int64(self):
+        # n = 12 with entries a/60: the integer numerators' row products pass
+        # 2^63, and column 12 sits past the 2^10-row table.
+        rng = np.random.default_rng(15)
+        m = [[Fraction(int(v), 60) for v in row]
+             for row in rng.integers(6, 61, size=(12, 12))]
+        value = pc.permanent_ryser(m, mode="exact")
+        assert isinstance(value, Fraction)
+        assert value == pc.mixed_form(pc.ProductFormPolynomial(m, mode="exact"))
+
+    def test_float_within_bound_on_dyadic_families(self):
+        # Dyadic entries from the families of suite criteria 1, 3 and 5:
+        # every +-1 sum is exact, so only products and the final sum round.
+        rng = np.random.default_rng(16)
+        cases = [dyadic(fixtures.random_doubly_stochastic(n, rng))
+                 for n in (3, 7, 10, 14)]
+        cases += [fixtures.random_rational_matrix(n, rng, denominator=1024)
+                  for n in (2, 5, 8, 13)]
+        cases += [fixtures.random_k_regular_doubly_stochastic(n, k, rng)[0]
+                  for n, k in ((4, 2), (8, 4), (12, 2), (12, 4))]
+        for m in cases:
+            n = len(m)
+            exact = pc.permanent_ryser(m, mode="exact")
+            approx = pc.permanent_ryser([[float(v) for v in row] for row in m],
+                                        mode="float")
+            scale = math.prod(sum(abs(v) for v in row) for row in m)
+            assert abs(Fraction(approx) - exact) <= \
+                Fraction(gamma(2 ** (n - 1) + n)) * scale
 
     def test_exact_cap(self):
         with pytest.raises(pc.ResourceLimitError):

@@ -142,6 +142,15 @@ class TestDeterminantalPolynomial:
             pf.evaluate((1 / 3, 2.0, 0.5)), rel=1e-9)
         assert isinstance(pe.evaluate(pt), Fraction)
 
+    def test_exact_pivoting(self):
+        # At (-1/3, 1) the pencil is [[0, 1/3], [1/3, 1/3]]: a zero pivot;
+        # at (0, 1) it is singular.
+        third = Fraction(1, 3)
+        p = pc.DeterminantalPolynomial(
+            [[[1, 0], [0, 0]], [[third, third], [third, third]]], mode="exact")
+        assert p.evaluate((-third, 1)) == Fraction(-1, 9)
+        assert p.evaluate((0, 1)) == 0
+
     def test_asymmetric_rejected(self):
         with pytest.raises(pc.InputError):
             pc.DeterminantalPolynomial([[[1.0, 2.0], [0.0, 1.0]]], mode="float")
