@@ -136,10 +136,11 @@ def estimate_mixed_partial(poly: EvaluationOracle, k: int = 0,
         # sits below the extrapolation noise floor). Nonnegative coefficients
         # force p_k to vanish identically, so capacity and estimate are 0,
         # which keeps the lower-bound guarantee valid.
-        cap = CapacityResult(0.0, (1.0,) * tail, 0, 0.0, "degenerate-zero")
+        cap = CapacityResult(0.0, (1.0,) * tail, 0, 0.0, "degenerate", None)
     elif k == n - 1:
         # One variable left: p_k is linear, so its capacity is its value at 1.
-        cap = CapacityResult(float(ones_value), (1.0,), 0, 0.0, "converged")
+        cap = CapacityResult(float(ones_value), (1.0,), 0, 0.0, "gradient",
+                             math.log(ones_value))
     else:
         cap = capacity_minimize(target, tol=tol, max_iter=max_iter)
     oracle_calls = poly.calls - calls_before

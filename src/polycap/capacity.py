@@ -13,7 +13,7 @@ inf |p(z)| over Re(z) > 0 with prod Re(z_i) = 1.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -28,6 +28,19 @@ from .polynomials import (
 # f must drop this far below its start, while the gradient stays large,
 # before the run is declared a divergence toward capacity zero.
 _DEGENERATE_DROP = 50.0
+# A Newton step whose predicted drop in f, half its squared decrement, is at
+# most this fraction of max(1, |f|) ends the run: f cannot resolve a smaller
+# drop, so further line searches only halve their way to null steps.
+_DECREMENT_TOL = 1e-13
+
+# The status each stop reason reports.
+_STATUS = {
+    "gradient": "converged",
+    "decrement": "converged",
+    "line-search": "iteration-cap",
+    "iteration-budget": "iteration-cap",
+    "degenerate": "degenerate-zero",
+}
 
 
 @dataclass
@@ -36,7 +49,12 @@ class CapacityResult:
     minimizer: tuple
     iterations: int
     gradient_norm: float
-    status: str  # "converged" | "iteration-cap" | "degenerate-zero"
+    stop_reason: str  # a key of _STATUS
+    log_value: float | None  # f = log p at the minimizer; None if degenerate
+    status: str = field(init=False)  # "converged" | "iteration-cap" | "degenerate-zero"
+
+    def __post_init__(self):
+        self.status = _STATUS[self.stop_reason]
 
 
 @dataclass
@@ -206,15 +224,23 @@ def capacity_minimize(poly: EvaluationOracle, tol: float = 1e-10,
                       max_iter: int = 200, x0=None) -> CapacityResult:
     """Minimize p over the positive slice prod(x) = 1.
 
-    Returns an upper estimate of Cap(p) whose certificate is the projected
-    gradient norm. Statuses: "converged" (gradient norm <= tol),
-    "iteration-cap" (budget exhausted or the line search stalled), and
-    "degenerate-zero" (f decreased without bound; the infimum is 0).
+    Returns an upper estimate of Cap(p) and f = log p at the minimizer. The
+    stop reason says why the run ended, and the status follows from it:
+
+    - "gradient": the projected gradient norm is <= tol ("converged").
+    - "decrement": a Newton step predicted a drop in f of at most
+      1e-13 max(1, |f|), below what f resolves ("converged").
+    - "line-search": no step passed the Armijo test ("iteration-cap").
+    - "iteration-budget": max_iter steps were taken ("iteration-cap").
+    - "degenerate": f decreased without bound; the infimum is 0
+      ("degenerate-zero").
     """
     if tol <= 0:
         raise InputError("tol must be positive")
     n = poly.n_vars
-    ones_value = float(poly.evaluate((1,) * n))
+    # p itself may overflow where f = log p does not; only its sign matters here.
+    with np.errstate(over="ignore"):
+        ones_value = float(poly.evaluate((1,) * n))
     if not ones_value > 0:
         raise InputError(f"p(1,...,1) = {ones_value}; capacity needs a positive value")
 
@@ -233,33 +259,40 @@ def capacity_minimize(poly: EvaluationOracle, tol: float = 1e-10,
     if not np.isfinite(f):
         # p vanishes on the whole positive orthant slice (e.g. a PSD pencil
         # with a common kernel): the infimum is 0.
-        return CapacityResult(0.0, tuple(np.exp(y)), 0, float("nan"), "degenerate-zero")
+        return CapacityResult(0.0, tuple(np.exp(y)), 0, float("nan"),
+                              "degenerate", None)
     f_init = f
     g = obj.gradient(y)
     gr = U.T @ g
     gnorm = float(np.linalg.norm(gr))
     g0 = gnorm
     iterations = 0
-    status = "iteration-cap"
+    reason = "iteration-budget"
 
     while iterations < max_iter:
         if gnorm <= tol:
-            status = "converged"
+            reason = "gradient"
             break
         if f < f_init - _DEGENERATE_DROP and gnorm >= max(0.01 * g0, tol):
             return CapacityResult(0.0, tuple(np.exp(y - y.mean())), iterations,
-                                  gnorm, "degenerate-zero")
+                                  gnorm, "degenerate", None)
         H = obj.hessian(y)
         Hr = U.T @ H @ U
         try:
             np.linalg.cholesky(Hr)
             step = -np.linalg.solve(Hr, gr)
+            newton = True
         except np.linalg.LinAlgError:
             step = -gr
+            newton = False
         slope = float(gr @ step)
         if slope >= 0:
             step = -gr
             slope = -gnorm * gnorm
+        elif newton and -slope / 2 <= _DECREMENT_TOL * max(1.0, abs(f)):
+            # slope = -lambda^2, the squared Newton decrement.
+            reason = "decrement"
+            break
         t = 1.0
         accepted = False
         for _ in range(60):
@@ -271,6 +304,7 @@ def capacity_minimize(poly: EvaluationOracle, tol: float = 1e-10,
                 break
             t *= 0.5
         if not accepted:
+            reason = "line-search"
             break
         y = y_try
         f = f_try
@@ -280,10 +314,12 @@ def capacity_minimize(poly: EvaluationOracle, tol: float = 1e-10,
         iterations += 1
 
     if gnorm <= tol:
-        status = "converged"
+        reason = "gradient"
     minimizer = np.exp(y - y.mean())
-    value = float(poly.evaluate(tuple(minimizer)))
-    return CapacityResult(value, tuple(minimizer), iterations, gnorm, status)
+    with np.errstate(over="ignore"):
+        value = float(poly.evaluate(tuple(minimizer)))
+    return CapacityResult(value, tuple(minimizer), iterations, gnorm, reason,
+                          float(f))
 
 
 def sinkhorn_scale(matrix, tol: float = 1e-10, max_iter: int = 10000) -> ScalingResult:

@@ -6,8 +6,8 @@ entry point, and prints a JSON report to stdout:
     {"schema": "polycap/1", "command": ..., "inputs": ..., "result": ..., "meta": ...}
 
 Result objects go into the report as they are: the ``default`` hook of the
-one ``json.dumps`` call writes a result dataclass as its fields, a Fraction as
-its string and a complex root as [re, im].
+one ``json.dumps`` call writes a result dataclass as its fields, a non-finite
+float field as null, a Fraction as its string and a complex root as [re, im].
 
 Exit codes: 0 success, 1 check-suite failure (or a failed diagnostic with
 --strict), 2 invalid input, 3 resource limit refused, 4 unexpected error.
@@ -17,6 +17,7 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import json
+import math
 import sys
 from fractions import Fraction
 
@@ -34,10 +35,18 @@ from .polynomials import DeterminantalPolynomial, ProductFormPolynomial
 _EQUALITY_TOL = 1e-9
 
 
+def _finite(value):
+    """A non-finite float as None (JSON null); anything else as it is."""
+    if isinstance(value, float) and not math.isfinite(value):
+        return None
+    return value
+
+
 def _encode(obj):
     """json.dumps default: what json cannot write by itself."""
     if dataclasses.is_dataclass(obj):
-        return {f.name: getattr(obj, f.name) for f in dataclasses.fields(obj)}
+        return {f.name: _finite(getattr(obj, f.name))
+                for f in dataclasses.fields(obj)}
     if isinstance(obj, Fraction):
         return str(obj)
     if isinstance(obj, complex):
@@ -58,7 +67,10 @@ def _emit(args, inputs: dict, result) -> str:
             "version": __version__,
             "mode": args.mode,
         }
-    text = json.dumps(report, indent=2, sort_keys=True, default=_encode)
+    # A non-finite float left outside a result field raises (exit 4) rather
+    # than writing Infinity or NaN, which are not JSON.
+    text = json.dumps(report, indent=2, sort_keys=True, default=_encode,
+                      allow_nan=False)
     if args.output:
         with open(args.output, "w", encoding="utf-8") as fh:
             fh.write(text + "\n")
@@ -97,7 +109,7 @@ def _cmd_permanent(args) -> int:
 def _cmd_mixed_disc(args) -> int:
     poly = _load(args, DeterminantalPolynomial,
                  "'determinantal' document (the PSD tuple)")
-    value = mixed_discriminant(poly.matrices, mode=args.mode)
+    value = mixed_discriminant(poly, mode=args.mode)
     _emit(args, {"path": args.input, "n": poly.n_vars},
           {"mixed_discriminant": value})
     return 0

@@ -61,20 +61,28 @@ class _SliceFit(NamedTuple):
     vmax: float      # max |slice value| over the fitted window
 
 
+def _finite_values(poly, X):
+    """Real parts of p at the rows X, with numpy's overflow warnings off:
+    values past the float range are refused here instead."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        vals = np.real(poly.evaluate_batch(X)).astype(float)
+    if not np.isfinite(vals).all():
+        raise ResourceLimitError(
+            "slice fit refused: p overflows the float range along the slice "
+            "(non-finite values); rescale the input")
+    return vals
+
+
 def _slice_values(poly, point, direction, ts):
     pt = np.array(point, dtype=float)
     d = np.array(direction, dtype=float)
-    return np.real(poly.evaluate_batch(pt - ts[:, None] * d)).astype(float)
+    return _finite_values(poly, pt - ts[:, None] * d)
 
 
 def _fit_once(poly, point, direction, M, n):
     """Interpolate the slice on [-M, M] and extract companion-matrix roots."""
     u_nodes = cheb.chebpts2(n + 1)
     vals = _slice_values(poly, point, direction, M * u_nodes)
-    if not np.isfinite(vals).all():
-        raise ResourceLimitError(
-            "slice fit refused: p overflows the float range along the slice "
-            "(non-finite values); rescale the input")
     coeffs = cheb.chebfit(u_nodes, vals, n)
     vmax = float(np.abs(vals).max())
     # T_n has leading monomial coefficient 2^(n-1); convert to t = M u units.
@@ -88,12 +96,12 @@ def _fit_once(poly, point, direction, M, n):
 
 def _slice_ends(poly, point, direction):
     """p(direction) and p(point), in one batch, for a slice fit: refuses a
-    degree past SLICE_DEGREE_CAP first."""
+    degree past SLICE_DEGREE_CAP first, then values past the float range."""
     if poly.degree > SLICE_DEGREE_CAP:
         raise ResourceLimitError(
             f"slice fit refused: degree {poly.degree} exceeds the cap of "
             f"{SLICE_DEGREE_CAP}")
-    return np.real(poly.evaluate_batch([direction, point])).tolist()
+    return _finite_values(poly, np.array([direction, point], dtype=float)).tolist()
 
 
 def _slice_fit(poly, point, direction, expected) -> _SliceFit:

@@ -164,8 +164,14 @@ def mixed_discriminant(matrices, mode: str | None = None):
     """Mixed discriminant of n symmetric PSD n x n matrices.
 
     Computed as the polarized mixed partial of the determinantal polynomial:
-    2^n determinant evaluations. Cap n <= 12.
+    2^n determinant evaluations. Cap n <= 12. ``matrices`` may be that
+    DeterminantalPolynomial itself; it is used as is, its evaluations counted
+    in its ``calls``, unless ``mode`` asks for the other mode.
     """
+    if isinstance(matrices, DeterminantalPolynomial):
+        if mode in (None, matrices.mode):
+            return exact_mixed_partial(matrices)
+        matrices = matrices.matrices
     return exact_mixed_partial(DeterminantalPolynomial(matrices, mode=mode))
 
 

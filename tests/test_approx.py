@@ -146,6 +146,31 @@ class TestEstimateMixedPartial:
             r = pc.estimate_mixed_partial(fixtures.power_sum(3, mode=mode), k=1)
             assert r.estimate == 0.0
             assert r.capacity_result.status == "degenerate-zero"
+            assert r.capacity_result.stop_reason == "degenerate"
+            assert r.capacity_result.log_value is None
+
+    def test_finite_difference_newton_converges_at_tight_tol(self):
+        # The CLI defaults: tol 1e-10 sits below what the finite-difference
+        # objective resolves, so these runs stop on the Newton decrement
+        # instead of spending 200 iterations on null steps.
+        rng = np.random.default_rng(0)
+        for _ in range(20):
+            m = rng.integers(1, 65, size=(7, 7)) / 64
+            p = pc.ProductFormPolynomial(m, mode="float")
+            r = pc.estimate_mixed_partial(p, k=1, tol=1e-10, max_iter=200)
+            cap = r.capacity_result
+            assert cap.stop_reason in ("gradient", "decrement")
+            assert cap.status == "converged" and cap.iterations <= 10
+            assert cap.log_value == pytest.approx(math.log(cap.value), abs=1e-12)
+            true = float(pc.permanent_ryser(m, mode="float"))
+            assert true * (1 - 1e-9) <= r.estimate
+            assert r.estimate <= r.guarantee_factor * true * (1 + 1e-9)
+
+    def test_last_variable_left_is_linear(self):
+        p = fixtures.uniform_product_polynomial(3, mode="float")
+        cap = pc.estimate_mixed_partial(p, k=2).capacity_result
+        assert cap.stop_reason == "gradient" and cap.status == "converged"
+        assert cap.log_value == pytest.approx(math.log(2 / 9), rel=1e-12)
 
     def test_oracle_calls_counted_on_base(self):
         p = fixtures.uniform_product_polynomial(4, mode="float")

@@ -1,12 +1,14 @@
 """Capacity minimization, Sinkhorn scaling, complex lower-envelope sampling."""
+import json
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
 import polycap as pc
-from polycap import fixtures
+from polycap import capacity, fixtures
 from polycap.capacity import log_objective
+from polycap.cli import main
 
 
 class TestKnownValues:
@@ -124,21 +126,98 @@ class TestInvariances:
         assert c_det == pytest.approx(c_trans, rel=1e-8)
 
 
+def _doubly_stochastic_pencil(rng, n, ranks):
+    """PSD matrices of the given ranks with sum I and unit traces, by
+    alternately normalizing the sum and the traces (operator scaling)."""
+    mats = np.array([w @ w.T for w in (rng.standard_normal((n, r)) for r in ranks)])
+    for _ in range(2000):
+        vals, vecs = np.linalg.eigh(mats.sum(axis=0))
+        half = vecs @ np.diag(vals ** -0.5) @ vecs.T
+        mats = half @ mats @ half
+        traces = np.trace(mats, axis1=1, axis2=2)
+        mats /= traces[:, None, None]
+        if np.abs(traces - 1.0).max() < 1e-13:
+            return mats
+    raise RuntimeError("operator scaling did not converge")
+
+
 class TestStatusesAndValidation:
     def test_degenerate_zero_sparse(self):
         p = pc.SparsePolynomial(2, {(2, 0): 1.0}, mode="float")
         r = pc.capacity_minimize(p)
         assert r.value == 0.0 and r.status == "degenerate-zero"
+        assert r.stop_reason == "degenerate" and r.log_value is None
 
     def test_degenerate_zero_product(self):
         p = pc.ProductFormPolynomial([[0.0, 1.0], [0.0, 1.0]], mode="float")
         r = pc.capacity_minimize(p)
         assert r.value == 0.0 and r.status == "degenerate-zero"
+        assert r.stop_reason == "degenerate" and r.log_value is None
 
     def test_iteration_cap_status(self):
         p = pc.ProductFormPolynomial([[5.0, 0.1], [0.1, 3.0]], mode="float")
         r = pc.capacity_minimize(p, max_iter=1)
         assert r.status == "iteration-cap" and r.iterations == 1
+        assert r.stop_reason == "iteration-budget"
+        assert r.log_value == pytest.approx(np.log(r.value), rel=1e-14)
+
+    def test_gradient_stop(self):
+        r = pc.capacity_minimize(fixtures.uniform_product_polynomial(4))
+        assert r.stop_reason == "gradient" and r.status == "converged"
+        assert r.iterations == 0 and r.log_value == pytest.approx(0.0, abs=1e-15)
+
+    def test_stalled_line_search_is_told_apart(self, monkeypatch):
+        # An objective that is finite only at the start: no step can pass
+        # the Armijo test, and the run says so instead of using its budget.
+        real = capacity.log_objective
+
+        class Wall:
+            def __init__(self, poly):
+                self.obj = real(poly)
+                self.gradient = self.obj.gradient
+                self.hessian = self.obj.hessian
+
+            def value(self, y):
+                return self.obj.value(y) if not y.any() else np.inf
+
+        monkeypatch.setattr(capacity, "log_objective", Wall)
+        p = pc.ProductFormPolynomial([[5.0, 0.1], [0.1, 3.0]], mode="float")
+        r = pc.capacity_minimize(p)
+        assert r.stop_reason == "line-search" and r.status == "iteration-cap"
+        assert r.iterations == 0 and r.minimizer == (1.0, 1.0)
+        assert r.value == pytest.approx(5.1 * 3.1)
+
+    def test_pencil_converges_within_budget(self):
+        # A 24 x 24 doubly stochastic pencil whose gradient norm stalls just
+        # above tol 1e-10; Cap(p(Dx)) = det(D) Cap(p) = det(D).
+        n = 24
+        rng = np.random.default_rng(35)
+        ranks = rng.integers(2, n // 2 + 1, size=n)
+        d = rng.uniform(0.5, 2.0, size=n)
+        mats = d[:, None, None] * _doubly_stochastic_pencil(rng, n, ranks)
+        mats = (mats + mats.transpose(0, 2, 1)) / 2
+        r = pc.capacity_minimize(pc.DeterminantalPolynomial(mats, mode="float"),
+                                 tol=1e-10, max_iter=200)
+        assert r.stop_reason in ("gradient", "decrement")
+        assert r.status == "converged" and r.iterations < 200
+        assert r.log_value == pytest.approx(np.log(d).sum(), abs=1e-12)
+
+    def test_overflowing_value_is_null_in_the_report(self, tmp_path, capsys):
+        # p(minimizer) overflows float64 at n = 400; f = log p does not.
+        m = np.random.default_rng(0).uniform(0.1, 1, (400, 400))
+        path = tmp_path / "p400.json"
+        path.write_text(json.dumps({"kind": "product", "matrix": m.tolist()}))
+        assert main(["capacity", str(path)]) == 0
+
+        def refuse(constant):
+            raise ValueError(f"{constant} is not JSON")
+        result = json.loads(capsys.readouterr().out,
+                            parse_constant=refuse)["result"]
+        assert result["value"] is None and result["status"] == "converged"
+        with np.errstate(over="ignore"):  # its product of scalers overflows
+            s = pc.sinkhorn_scale(m, tol=1e-12)
+        log_cap = np.log(s.row_scalers).sum() + np.log(s.col_scalers).sum()
+        assert result["log_value"] == pytest.approx(log_cap, abs=1e-9)
 
     def test_identically_zero_pencil_rejected(self):
         mats = [[[1.0, 0.0], [0.0, 0.0]], [[2.0, 0.0], [0.0, 0.0]]]

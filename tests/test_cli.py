@@ -1,5 +1,9 @@
 """Command-line interface: JSON reports, exit codes, determinism."""
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -41,7 +45,8 @@ def run_json(capsys, argv):
     return code, json.loads(out)
 
 
-CAPACITY_FIELDS = {"value", "minimizer", "iterations", "gradient_norm", "status"}
+CAPACITY_FIELDS = {"value", "minimizer", "iterations", "gradient_norm",
+                   "stop_reason", "log_value", "status"}
 PROFILE_FIELDS = {"direction", "point", "roots", "max_imag", "all_real",
                   "residual"}
 
@@ -347,6 +352,40 @@ class TestErrorPaths:
         err = capsys.readouterr().err
         assert "Traceback" not in err and err.count("error:") == 1
         assert err.splitlines()[-1] == error
+
+    @pytest.mark.parametrize("command, doc, error", [
+        ("check-hyperbolic",
+         {"kind": "determinantal",
+          "matrices": [[["1e300", "0"], ["0", "1e300"]]] * 2},
+         "error: slice fit refused: p overflows the float range along the "
+         "slice (non-finite values); rescale the input\n"),
+        ("bound", {"kind": "product", "matrix": [["1e200"] * 2] * 2},
+         "error: capacity inf is not finite in float arithmetic; the bounds "
+         "cannot be formed\n"),
+    ], ids=["overflowing-pencil", "overflowing-product"])
+    def test_overflow_refusal_prints_one_line(self, tmp_path, command, doc,
+                                              error):
+        # In a process of its own: pytest captures the warnings of an
+        # in-process main, so only a subprocess shows what reaches stderr.
+        path = tmp_path / "doc.json"
+        path.write_text(json.dumps(doc))
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            [str(Path(pc.__file__).parents[1]), os.environ.get("PYTHONPATH", "")]))
+        proc = subprocess.run(
+            [sys.executable, "-m", "polycap", command, str(path)],
+            capture_output=True, text=True, env=env, timeout=60)
+        assert proc.returncode == 3 and proc.stdout == ""
+        assert proc.stderr == error
+
+    def test_non_finite_outside_a_result_field_exits_4(self, monkeypatch,
+                                                       capsys, product_file):
+        def infinite(args):
+            cli._emit(args, {}, {"value": float("inf")})
+            return 0
+        monkeypatch.setattr(cli, "_cmd_capacity", infinite)
+        assert main(["capacity", product_file]) == 4
+        captured = capsys.readouterr()
+        assert captured.out == "" and captured.err.startswith("error: ValueError")
 
     def test_bad_tol_exits_2(self, capsys, product_file):
         assert main(["capacity", product_file, "--tol", "-1"]) == 2

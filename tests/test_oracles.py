@@ -217,6 +217,21 @@ class TestMixedDiscriminant:
         with pytest.raises(pc.ResourceLimitError):
             pc.mixed_discriminant(mats, mode="float")
 
+    def test_polynomial_is_used_as_is(self):
+        rng = np.random.default_rng(10)
+        m = fixtures.random_rational_matrix(4, rng)
+        poly = pc.DeterminantalPolynomial(fixtures.diagonal_psd_tuple(m))
+        for mode in (None, "exact"):
+            before = poly.calls
+            assert pc.mixed_discriminant(poly, mode=mode) == \
+                pc.permanent_ryser(m, mode="exact")
+            assert poly.calls - before == 2 ** 4
+        # The other mode builds its own polynomial from the matrices.
+        before = poly.calls
+        assert pc.mixed_discriminant(poly, mode="float") == pytest.approx(
+            float(pc.permanent_ryser(m, mode="exact")), rel=1e-12)
+        assert poly.calls == before
+
 
 class TestTaylorCoefficient:
     def test_binomial_cube(self):
