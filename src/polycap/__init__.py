@@ -60,6 +60,7 @@ from .oracles import (
     exact_mixed_partial,
     mixed_discriminant,
     mixed_form,
+    permanent_error_bound,
     permanent_ryser,
     taylor_mixed_form_coefficient,
 )
@@ -105,6 +106,7 @@ __all__ = [
     "log_objective",
     "mixed_discriminant",
     "mixed_form",
+    "permanent_error_bound",
     "permanent_ryser",
     "polynomial_from_dict",
     "polynomial_to_dict",

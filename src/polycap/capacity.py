@@ -62,7 +62,8 @@ class ScalingResult:
     row_scalers: tuple
     col_scalers: tuple
     scaled_matrix: tuple
-    capacity: float
+    capacity: float  # inf (null in a report) once the product overflows
+    log_capacity: float  # sum log d1 + sum log d2, finite where capacity is not
     iterations: int
     max_deviation: float
     status: str  # "converged" | "iteration-cap"
@@ -324,7 +325,8 @@ def capacity_minimize(poly: EvaluationOracle, tol: float = 1e-10,
 
 def sinkhorn_scale(matrix, tol: float = 1e-10, max_iter: int = 10000) -> ScalingResult:
     """Alternating row/column normalization: A = D1 B D2 with B doubly
-    stochastic to tolerance; the matrix capacity is prod(D1) * prod(D2).
+    stochastic to tolerance; the matrix capacity is prod(D1) * prod(D2),
+    and its log sum(log D1) + sum(log D2).
     """
     if tol <= 0:
         raise InputError("tol must be positive")
@@ -356,9 +358,11 @@ def sinkhorn_scale(matrix, tol: float = 1e-10, max_iter: int = 10000) -> Scaling
             iterations = it
             break
 
-    capacity = float(np.prod(d1) * np.prod(d2))
+    with np.errstate(over="ignore"):
+        capacity = float(np.prod(d1) * np.prod(d2))
+    log_capacity = float(np.log(d1).sum() + np.log(d2).sum())
     return ScalingResult(tuple(d1), tuple(d2), tuple(map(tuple, B)), capacity,
-                         iterations, dev, status)
+                         log_capacity, iterations, dev, status)
 
 
 def complex_capacity_sample(poly: EvaluationOracle, samples: int = 2000,

@@ -29,7 +29,11 @@ from .capacity import capacity_minimize, sinkhorn_scale
 from .errors import InputError, NotHyperbolicError, ResourceLimitError
 from .hyperbolicity import half_plane_sample_check, real_rootedness_check
 from .io import SCHEMA, load_polynomial
-from .oracles import mixed_discriminant, permanent_ryser
+from .oracles import (
+    mixed_discriminant,
+    permanent_error_bound,
+    permanent_ryser,
+)
 from .polynomials import DeterminantalPolynomial, ProductFormPolynomial
 
 _EQUALITY_TOL = 1e-9
@@ -100,9 +104,10 @@ def _cmd_capacity(args) -> int:
 
 def _cmd_permanent(args) -> int:
     poly = _load(args, ProductFormPolynomial, "'product' document (the matrix rows)")
-    value = permanent_ryser(poly.matrix, mode=args.mode)
-    _emit(args, {"path": args.input, "n": poly.n_vars},
-          {"permanent": value})
+    result = {"permanent": permanent_ryser(poly.matrix, mode=args.mode)}
+    if args.mode == "float":
+        result["error_bound"] = permanent_error_bound(poly.matrix)
+    _emit(args, {"path": args.input, "n": poly.n_vars}, result)
     return 0
 
 

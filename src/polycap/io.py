@@ -27,13 +27,26 @@ from .polynomials import (
 SCHEMA = "polycap/1"
 
 
+def _ratio(text: str):
+    """(p, q) for a string that is exactly [+-]digits/digits with q != 0, else
+    None. Such a string needs no Fraction regex; every other string goes
+    through Fraction, so the accepted syntax stays Fraction's."""
+    num, slash, den = text.partition("/")
+    if slash and den.isdecimal() and (
+            num[1:] if num[:1] in ("+", "-") else num).isdecimal():
+        q = int(den)
+        if q:
+            return int(num), q
+    return None
+
+
 def parse_scalar(value, mode: str):
     """Parse a JSON scalar (string/int/float) into a Fraction, or in float
     mode into a finite float.
 
-    A float-mode string goes through float() unless it is a ratio 'p/q',
-    which goes through Fraction; both round correctly, so either way the
-    float is the exact value rounded once.
+    A float-mode string 'p/q' is int(p) / int(q), which Python rounds
+    correctly; any other string goes through float(), or through Fraction if
+    it holds a '/'. Every way, the float is the exact value rounded once.
     """
     if isinstance(value, bool):
         raise InputError(f"cannot parse scalar {value!r}")
@@ -45,9 +58,14 @@ def parse_scalar(value, mode: str):
             "string (e.g. \"1/3\") to preserve exactness"
         )
     try:
+        ratio = _ratio(value) if isinstance(value, str) else None
         if mode == "exact":
-            return Fraction(value)
-        f = float(Fraction(value) if isinstance(value, str) and "/" in value else value)
+            return Fraction(*ratio) if ratio else Fraction(value)
+        if ratio:
+            f = ratio[0] / ratio[1]
+        else:
+            f = float(Fraction(value) if isinstance(value, str) and "/" in value
+                      else value)
     except (ValueError, ZeroDivisionError, OverflowError) as exc:
         raise InputError(f"cannot parse scalar {value!r}: {exc}") from None
     if not math.isfinite(f):

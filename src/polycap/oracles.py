@@ -9,7 +9,7 @@ the order of every sum is fixed, so results are bit-stable.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import factorial, lcm
+from math import factorial, inf, lcm, nextafter, prod
 
 import numpy as np
 
@@ -66,6 +66,23 @@ def permanent_ryser(matrix, mode: str | None = None):
             f"float permanent refused: n={n} exceeds the cap of {RYSER_FLOAT_CAP}"
         )
     return float(_glynn(np.array(rows, dtype=float).T)) / 2.0 ** (n - 1)
+
+
+def permanent_error_bound(matrix) -> float:
+    """Upper bound on the error of the float ``permanent_ryser(matrix)``, the
+    a-priori bound of its docstring: gamma_k prod_i sum_j |a_ij| over the
+    float entries, with k = 2^(n-1)+n^2, gamma_k = k u / (1 - k u) and
+    u = 2^-53. It is formed in Fractions and rounded up, so it is itself an
+    upper bound; inf past the float range."""
+    rows = [[abs(Fraction(float(v))) for v in r] for r in matrix]
+    n = len(rows)
+    k = (1 << (n - 1)) + n * n
+    bound = Fraction(k, (1 << 53) - k) * prod(sum(r) for r in rows)
+    try:
+        value = float(bound)
+    except OverflowError:
+        return inf
+    return value if value >= bound else nextafter(value, inf)
 
 
 def _glynn(cols):

@@ -16,10 +16,10 @@ All three implement the ``EvaluationOracle`` interface. ``evaluate_batch(X)``
 takes an ``(m, n_vars)`` array of points and returns the ``m`` values, with
 one numpy expression per representation for every dtype of X: float and
 complex rows meet the float view of the data (in float mode the stored array
-itself), object rows (Fractions) the stored scalars, which numpy combines
-exactly. ``evaluate(point)`` is a batch of one row. The call counter counts
-rows, so derived oracles can account for how many underlying evaluations they
-spend.
+itself, in exact mode a float copy made once), object rows (Fractions) the
+stored scalars, which numpy combines exactly. ``evaluate(point)`` is a batch
+of one row. The call counter counts rows, so derived oracles can account for
+how many underlying evaluations they spend.
 
 Each representation also carries its own ``variable_degree(i)``, the rank
 that the rank-ladder bound peels (the largest exponent of x_i for sparse
@@ -80,12 +80,6 @@ def _scalar_array(values, mode):
     return "float", np.array(values, dtype=float)
 
 
-def _view(a, X):
-    """The data ``a`` as the rows X meet it: the stored scalars for object
-    rows, else the float view, which in float mode is ``a`` itself."""
-    return a if X.dtype == object or a.dtype != object else a.astype(float)
-
-
 class EvaluationOracle:
     """Base interface: n_vars, degree, mode, counted evaluation.
 
@@ -97,6 +91,9 @@ class EvaluationOracle:
     n_vars: int
     degree: int
     mode: str
+
+    # An exact representation's float view of its data, built on first use.
+    _floats = None
 
     def __init__(self):
         self._calls = 0
@@ -131,6 +128,16 @@ class EvaluationOracle:
 
     def _evaluate_batch(self, X):
         raise NotImplementedError
+
+    def _view(self, a, X):
+        """The representation's data array ``a`` as the rows X meet it: the
+        stored scalars for object rows, else the float view, which in float
+        mode is ``a`` itself and in exact mode is converted once."""
+        if X.dtype == object or a.dtype != object:
+            return a
+        if self._floats is None:
+            self._floats = a.astype(float)
+        return self._floats
 
     def _row_entries(self):
         """Array entries one row costs in ``_evaluate_batch``."""
@@ -251,7 +258,7 @@ class SparsePolynomial(EvaluationOracle):
         return len(self.terms) * self.n_vars
 
     def _evaluate_batch(self, X):
-        c = _view(self.coefficients, X)
+        c = self._view(self.coefficients, X)
         return np.power(X[:, None, :], self.exponents).prod(axis=2) @ c
 
     def __repr__(self):
@@ -279,7 +286,7 @@ class ProductFormPolynomial(EvaluationOracle):
         self.degree = n
 
     def _evaluate_batch(self, X):
-        return np.prod(X @ _view(self.matrix, X).T, axis=1)
+        return np.prod(X @ self._view(self.matrix, X).T, axis=1)
 
     def _variable_degree(self, i):
         return int((self.matrix[:, i] > 0).sum())
@@ -364,7 +371,7 @@ class DeterminantalPolynomial(EvaluationOracle):
         return self.n_vars ** 2
 
     def _evaluate_batch(self, X):
-        M = np.tensordot(X, _view(self.matrices, X), axes=([1], [0]))
+        M = np.tensordot(X, self._view(self.matrices, X), axes=([1], [0]))
         if X.dtype == object:
             if self.mode == "exact":
                 return np.array([_bareiss_det(m) for m in M.tolist()])

@@ -45,6 +45,15 @@ def run_json(capsys, argv):
     return code, json.loads(out)
 
 
+def run_process(argv):
+    """The CLI in a process of its own: pytest captures the warnings of an
+    in-process main, so only a subprocess shows what reaches stderr."""
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [str(Path(pc.__file__).parents[1]), os.environ.get("PYTHONPATH", "")]))
+    return subprocess.run([sys.executable, "-m", "polycap", *argv],
+                          capture_output=True, text=True, env=env, timeout=60)
+
+
 CAPACITY_FIELDS = {"value", "minimizer", "iterations", "gradient_norm",
                    "stop_reason", "log_value", "status"}
 PROFILE_FIELDS = {"direction", "point", "roots", "max_imag", "all_real",
@@ -69,12 +78,13 @@ class TestReportFields:
          "product_file", {"passed", "checks", "oracle_calls"}),
         (["scale"], "product_file",
          {"row_scalers", "col_scalers", "scaled_matrix", "capacity",
-          "iterations", "max_deviation", "status"}),
+          "log_capacity", "iterations", "max_deviation", "status"}),
         (["permanent", "--mode", "exact"], "product_file", {"permanent"}),
+        (["permanent"], "product_file", {"permanent", "error_bound"}),
         (["mixed-disc", "--mode", "exact"], "determinantal_file",
          {"mixed_discriminant"}),
     ], ids=["capacity", "bound", "approx", "check-hyperbolic", "scale",
-            "permanent", "mixed-disc"])
+            "permanent", "permanent-float", "mixed-disc"])
     def test_result_fields(self, request, capsys, argv, document, fields):
         path = request.getfixturevalue(document)
         code, doc = run_json(capsys, argv[:1] + [path] + argv[1:])
@@ -140,6 +150,8 @@ class TestPermanentCommand:
         code, doc = run_json(capsys, ["permanent", product_file])
         assert code == 0
         assert doc["result"]["permanent"] == pytest.approx(2 / 9, rel=1e-12)
+        # gamma_k with k = 2^2 + 3^2 = 13, times row sums that are all 1.
+        assert 1.4e-15 < doc["result"]["error_bound"] < 1.5e-15
 
     @pytest.mark.parametrize("argv, message", [
         (["permanent"], "permanent needs a 'product' document (the matrix rows)"),
@@ -264,6 +276,21 @@ class TestScaleCommand:
         s = np.array(r["scaled_matrix"])
         assert np.abs(s.sum(axis=0) - 1).max() < 1e-8
         assert np.abs(s.sum(axis=1) - 1).max() < 1e-8
+        assert r["log_capacity"] == pytest.approx(np.log(r["capacity"]),
+                                                  rel=1e-12)
+
+    def test_capacity_past_the_float_range(self, tmp_path):
+        # Capacity e^2156.81 overflows a float; its log is reported, with no
+        # numpy overflow warning.
+        path = tmp_path / "m.json"
+        matrix = np.random.default_rng(0).uniform(0.1, 1.0, (400, 400))
+        path.write_text(json.dumps({"kind": "product",
+                                    "matrix": matrix.tolist()}))
+        proc = run_process(["scale", str(path)])
+        assert proc.returncode == 0 and proc.stderr == ""
+        r = json.loads(proc.stdout)["result"]
+        assert r["capacity"] is None and r["status"] == "converged"
+        assert r["log_capacity"] == pytest.approx(2156.8101550, abs=1e-6)
 
 
 class TestSparseBoundCommand:
@@ -365,15 +392,9 @@ class TestErrorPaths:
     ], ids=["overflowing-pencil", "overflowing-product"])
     def test_overflow_refusal_prints_one_line(self, tmp_path, command, doc,
                                               error):
-        # In a process of its own: pytest captures the warnings of an
-        # in-process main, so only a subprocess shows what reaches stderr.
         path = tmp_path / "doc.json"
         path.write_text(json.dumps(doc))
-        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-            [str(Path(pc.__file__).parents[1]), os.environ.get("PYTHONPATH", "")]))
-        proc = subprocess.run(
-            [sys.executable, "-m", "polycap", command, str(path)],
-            capture_output=True, text=True, env=env, timeout=60)
+        proc = run_process([command, str(path)])
         assert proc.returncode == 3 and proc.stdout == ""
         assert proc.stderr == error
 

@@ -2,6 +2,7 @@
 import json
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 import polycap as pc
@@ -48,6 +49,42 @@ class TestParseScalar:
     def test_non_finite_rejected_in_float_mode(self, text):
         with pytest.raises(pc.InputError, match="not a finite number"):
             pio.parse_scalar(text, "float")
+
+    def test_ratio_matches_fraction_on_random_strings(self):
+        # 'p/q' strings, which skip Fraction's regex, against Fraction itself.
+        rng = np.random.default_rng(0)
+        for _ in range(20000):
+            num, den = ("".join(map(str, rng.integers(0, 10, rng.integers(1, 41))))
+                        for _ in range(2))
+            text = f"{rng.choice(['', '+', '-'])}{num}/{den}"
+            if int(den) == 0:
+                with pytest.raises(pc.InputError, match="Fraction"):
+                    pio.parse_scalar(text, "float")
+                continue
+            assert pio.parse_scalar(text, "float") == float(Fraction(text))
+            assert pio.parse_scalar(text, "exact") == Fraction(text)
+
+    @pytest.mark.parametrize("text", [
+        " 1/2 ", "1_0/3", "\u0661/\u0662", "1 / 2", "1/ 2", "1/-2", "/2", "1/",
+        "\u00b2/3", "1/0", "1" + "0" * 400 + "/1"])
+    @pytest.mark.parametrize("mode", ["float", "exact"])
+    def test_ratio_syntax_is_fractions(self, text, mode):
+        # Whatever Fraction accepts is accepted with its value, and whatever
+        # it refuses is refused with its message.
+        try:
+            value = Fraction(text)
+            expected = value if mode == "exact" else float(value)
+        except (ValueError, ZeroDivisionError, OverflowError) as exc:
+            with pytest.raises(pc.InputError) as info:
+                pio.parse_scalar(text, mode)
+            assert str(info.value) == f"cannot parse scalar {text!r}: {exc}"
+        else:
+            assert pio.parse_scalar(text, mode) == expected
+
+    def test_zero_denominator_message(self):
+        with pytest.raises(pc.InputError) as info:
+            pio.parse_scalar("1/0", "float")
+        assert str(info.value) == "cannot parse scalar '1/0': Fraction(1, 0)"
 
     def test_scalar_to_string_round_trip(self):
         s = pio.scalar_to_string(Fraction(22, 7))
@@ -153,6 +190,17 @@ class TestErrorDiagnostics:
         with pytest.raises(pc.InputError) as info:
             pio.polynomial_from_dict(doc, mode="exact")
         assert str(info.value).startswith(f"{label}: cannot parse scalar 'abc'")
+
+    @pytest.mark.parametrize("mode", ["float", "exact"])
+    def test_bad_entry_deep_in_a_large_matrix_is_named(self, mode):
+        matrix = [[f"{(7 * i + j) % 1000 + 1}/1000" for j in range(150)]
+                  for i in range(150)]
+        matrix[137][91] = "3/0"
+        with pytest.raises(pc.InputError) as info:
+            pio.polynomial_from_dict({"kind": "product", "matrix": matrix},
+                                     mode=mode)
+        assert str(info.value) == \
+            "matrix[137][91]: cannot parse scalar '3/0': Fraction(3, 0)"
 
     @pytest.mark.parametrize("doc, message", [
         ({"kind": "product", "matrix": [1, 2]},

@@ -115,6 +115,27 @@ class TestPermanentRyser:
             assert abs(Fraction(approx) - exact) <= \
                 Fraction(gamma(2 ** (n - 1) + n)) * scale
 
+    def test_error_bound_holds_on_criteria_families(self):
+        # Float entries from the families of suite criteria 1, 3 and 5: the
+        # exact permanent of those same floats is within the reported bound,
+        # which is never below the docstring's bound formed exactly.
+        rng = np.random.default_rng(17)
+        cases = [fixtures.random_doubly_stochastic(n, rng) for n in (3, 7, 10, 14)]
+        cases += [fixtures.random_rational_matrix(n, rng) for n in (2, 5, 8, 13)]
+        cases += [fixtures.random_k_regular_doubly_stochastic(n, k, rng)[0]
+                  for n, k in ((4, 2), (8, 4), (12, 2), (12, 4))]
+        for m in cases:
+            n = len(m)
+            floats = [[float(v) for v in row] for row in m]
+            exact = pc.permanent_ryser([[Fraction(v) for v in row]
+                                        for row in floats], mode="exact")
+            bound = pc.permanent_error_bound(floats)
+            k = 2 ** (n - 1) + n * n
+            assert Fraction(bound) >= Fraction(k, 2 ** 53 - k) * math.prod(
+                sum(abs(Fraction(v)) for v in row) for row in floats)
+            error = Fraction(pc.permanent_ryser(floats, mode="float")) - exact
+            assert abs(error) <= Fraction(bound)
+
     def test_exact_cap(self):
         with pytest.raises(pc.ResourceLimitError):
             pc.permanent_ryser([[1] * 15 for _ in range(15)], mode="exact")
