@@ -12,9 +12,10 @@ and the product of those factors over m = 1..k telescopes to k!/k^k.
 
 This module exposes: the classical factor and its rank-refined ladder, the
 sparse doubly-stochastic permanent bound, the entropic inequality behind the
-peeling step, the repeated-column permanent closed form, the single-variable
-reduction bound, and contraction/monotonicity checks used by the test
-batteries. Checks raise AssertionError when a certified inequality fails.
+peeling step, the contraction check behind the ladder, and the paper's two
+lemmas as library reproductions: the repeated-column permanent closed form
+and the single-variable reduction bound. Checks raise AssertionError when a
+certified inequality fails.
 """
 from __future__ import annotations
 
@@ -63,22 +64,6 @@ def uniform_rank_bound(capacity: float, n: int, k: int) -> float:
     """Lower bound on the mixed partial when each peeled variable has rank
     at most k at its turn: _uniform_factor(n, k) * capacity."""
     return float(_uniform_factor(n, k) * Fraction(capacity))
-
-
-def capacity_upper_bound_check(poly: EvaluationOracle, capacity: float | None = None,
-                               tol: float = 1e-9) -> bool:
-    """Assert the upper half of the sandwich: mixed partial <= Cap(p).
-
-    Uses an exact/structured oracle for the mixed partial; `capacity` may be
-    passed in to reuse a previous minimization.
-    """
-    if capacity is None:
-        capacity = capacity_minimize(poly).value
-    exact = float(exact_mixed_partial(poly))
-    if exact > capacity + tol * max(1.0, abs(capacity)):
-        raise AssertionError(
-            f"mixed partial {exact} exceeds capacity {capacity}")
-    return True
 
 
 def _elementary_symmetric(values) -> list:
@@ -364,20 +349,3 @@ def contraction_capacity_check(q: EvaluationOracle,
     ratio = cap_r.value / cap_q.value
     return cap_q.value, cap_r.value, ratio
 
-
-def derivative_rank_monotone_check(q: EvaluationOracle) -> bool:
-    """After peeling variable 0, each remaining variable's rank is at most
-    min(its rank in q, n-1). Raises AssertionError if violated."""
-    n = q.n_vars
-    if q.degree != n or n < 2:
-        raise InputError("rank monotonicity check needs degree == n_vars >= 2")
-    r = derivative_reduce(q.expand())
-    for i in range(n - 1):
-        before = q.variable_degree(i + 1)
-        after = r.variable_degree(i)
-        limit = min(before, n - 1)
-        if after > limit:
-            raise AssertionError(
-                f"variable {i + 1}: rank rose from {before} to {after} "
-                f"(limit {limit}) after contraction")
-    return True

@@ -3,13 +3,14 @@
 In log coordinates x = e^y the problem is minimizing f(y) = log p(e^y) over
 the hyperplane sum(y) = 0; f is convex for any polynomial with nonnegative
 coefficients (a log-sum-exp of linear forms). The optimizer is a projected
-Newton method with backtracking line search and a projected-gradient fallback,
-with analytic gradients/Hessians for the three structured representations and
-finite differences for generic oracles.
+Newton method with backtracking line search and a projected-gradient fallback.
+Each representation supplies f with its gradient and Hessian
+(``EvaluationOracle.log_objective`` in ``polynomials``): in closed form for
+the three structured representations, by finite differences for generic
+oracles.
 
 Also here: Sinkhorn matrix scaling (matrix capacity as the product of the
-scalers) and a sampled upper estimate of the complex capacity
-inf |p(z)| over Re(z) > 0 with prod Re(z_i) = 1.
+scalers).
 """
 from __future__ import annotations
 
@@ -18,12 +19,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import InputError
-from .polynomials import (
-    DeterminantalPolynomial,
-    EvaluationOracle,
-    ProductFormPolynomial,
-    SparsePolynomial,
-)
+from .polynomials import EvaluationOracle
 
 # f must drop this far below its start, while the gradient stays large,
 # before the run is declared a divergence toward capacity zero.
@@ -69,147 +65,10 @@ class ScalingResult:
     status: str  # "converged" | "iteration-cap"
 
 
-class _SparseObjective:
-    """f(y) = log sum_r c_r exp(<r, y>), gradients via softmax weights."""
-
-    def __init__(self, poly: SparsePolynomial):
-        if (poly.coefficients < 0).any():
-            raise InputError("capacity needs nonnegative coefficients")
-        self.R = poly.exponents.astype(float)
-        self.logc = np.log(np.asarray(poly.coefficients, dtype=float))
-
-    def _weights(self, y):
-        v = self.logc + self.R @ y
-        m = v.max()
-        w = np.exp(v - m)
-        z = w.sum()
-        return v, m, w / z, m + np.log(z)
-
-    def value(self, y):
-        return self._weights(y)[3]
-
-    def gradient(self, y):
-        w = self._weights(y)[2]
-        return self.R.T @ w
-
-    def hessian(self, y):
-        w = self._weights(y)[2]
-        g = self.R.T @ w
-        return (self.R * w[:, None]).T @ self.R - np.outer(g, g)
-
-
-class _ProductObjective:
-    """f(y) = sum_i log (A e^y)_i; each row contributes a softmax distribution."""
-
-    def __init__(self, poly: ProductFormPolynomial):
-        self.A = np.asarray(poly.matrix, dtype=float)
-
-    def value(self, y):
-        u = self.A @ np.exp(y)
-        if np.any(u <= 0) or not np.all(np.isfinite(u)):
-            return np.inf
-        return float(np.log(u).sum())
-
-    def _row_weights(self, y):
-        x = np.exp(y)
-        un = self.A * x[None, :]
-        u = un.sum(axis=1)
-        return un / u[:, None]
-
-    def gradient(self, y):
-        return self._row_weights(y).sum(axis=0)
-
-    def hessian(self, y):
-        W = self._row_weights(y)
-        h = np.diag(W.sum(axis=0))
-        return h - W.T @ W
-
-
-class _DeterminantalObjective:
-    """f(y) = log det(sum_i e^{y_i} A_i) via Cholesky; trace-form derivatives."""
-
-    def __init__(self, poly: DeterminantalPolynomial):
-        self.mats = np.asarray(poly.matrices, dtype=float)
-
-    def _chol(self, y):
-        m = np.tensordot(np.exp(y), self.mats, axes=([0], [0]))
-        return np.linalg.cholesky(m)
-
-    def value(self, y):
-        try:
-            ell = self._chol(y)
-        except np.linalg.LinAlgError:
-            return np.inf
-        return float(2.0 * np.log(np.diag(ell)).sum())
-
-    def _whitened(self, y):
-        ell = self._chol(y)
-        # B_i = L^-1 A_i L^-T, so grad_i = e^{y_i} tr(B_i)
-        half = np.linalg.solve(ell, self.mats.transpose(1, 0, 2).reshape(len(ell), -1))
-        half = half.reshape(len(ell), -1, len(ell)).transpose(1, 0, 2)
-        B = np.linalg.solve(ell, half.transpose(0, 2, 1)).transpose(0, 2, 1)
-        return B
-
-    def gradient(self, y):
-        B = self._whitened(y)
-        return np.exp(y) * np.trace(B, axis1=1, axis2=2)
-
-    def hessian(self, y):
-        B = self._whitened(y)
-        g = np.exp(y) * np.trace(B, axis1=1, axis2=2)
-        cross = np.einsum("iab,jba->ij", B, B)
-        e = np.exp(y)
-        return np.diag(g) - cross * np.outer(e, e)
-
-
-class _OracleObjective:
-    """Finite-difference objective for generic evaluation oracles."""
-
-    _H_GRAD = 1e-5
-    _H_HESS = 3e-4
-
-    def __init__(self, poly: EvaluationOracle):
-        self.poly = poly
-
-    def _values(self, Y):
-        """f at each row of Y: log p(e^y), or inf where p(e^y) is not positive."""
-        v = np.asarray(self.poly.evaluate_batch(np.exp(Y)), dtype=float)
-        out = np.full(len(v), np.inf)
-        ok = np.isfinite(v) & (v > 0)
-        out[ok] = np.log(v[ok])
-        return out
-
-    def value(self, y):
-        return float(self._values(y[None, :])[0])
-
-    def gradient(self, y):
-        h = self._H_GRAD
-        E = h * np.eye(len(y))
-        f = self._values(np.concatenate([y + E, y - E]))
-        return (f[:len(y)] - f[len(y):]) / (2 * h)
-
-    def hessian(self, y):
-        n = len(y)
-        h = self._H_HESS
-        E = h * np.eye(n)
-        i, j = np.triu_indices(n)
-        f = self._values(np.concatenate([
-            y + E[i] + E[j], y + E[i] - E[j], y - E[i] + E[j], y - E[i] - E[j]]))
-        f = f.reshape(4, -1)
-        H = np.empty((n, n))
-        H[i, j] = H[j, i] = (f[0] - f[1] - f[2] + f[3]) / (4 * h * h)
-        return H
-
-
 def log_objective(poly: EvaluationOracle):
-    """The convex objective f(y) = log p(e^y) with gradient/hessian methods."""
-    if isinstance(poly, SparsePolynomial):
-        return _SparseObjective(poly)
-    if isinstance(poly, ProductFormPolynomial):
-        return _ProductObjective(poly)
-    if isinstance(poly, DeterminantalPolynomial):
-        return _DeterminantalObjective(poly)
-    return _OracleObjective(poly)
+    """The convex objective f(y) = log p(e^y) with gradient/hessian methods,
+    as the representation gives it (``EvaluationOracle.log_objective``)."""
+    return poly.log_objective()
 
 
 def _hyperplane_basis(n: int) -> np.ndarray:
@@ -364,27 +223,3 @@ def sinkhorn_scale(matrix, tol: float = 1e-10, max_iter: int = 10000) -> Scaling
     return ScalingResult(tuple(d1), tuple(d2), tuple(map(tuple, B)), capacity,
                          log_capacity, iterations, dev, status)
 
-
-def complex_capacity_sample(poly: EvaluationOracle, samples: int = 2000,
-                            seed: int = 0) -> float:
-    """Sampled upper estimate of inf |p(z)| over Re(z) > 0, prod Re(z_i) = 1.
-
-    A diagnostic, not a certified value: it reports the smallest normalized
-    |p(z)| found over random half-plane points. For polynomials with the
-    half-plane property the true infimum equals Cap(p); for others it can be
-    far below (down to 0).
-    """
-    if samples < 1:
-        raise InputError("samples must be >= 1")
-    rng = np.random.default_rng(seed)
-    n = poly.n_vars
-    Z = np.empty((samples, n), dtype=complex)
-    for z in Z:
-        rho = np.exp(rng.normal(0.0, 0.5, n))
-        theta = rng.uniform(-np.pi / 2 * 0.98, np.pi / 2 * 0.98, n)
-        re = rho * np.cos(theta)
-        # normalize so prod Re(z_i) = 1; |p| is then directly comparable
-        scale = np.exp(np.log(re).mean())
-        z[:] = (rho / scale) * np.exp(1j * theta)
-    # fmin skips NaN values, as the per-sample minimum did.
-    return float(np.fmin.reduce(np.abs(poly.evaluate_batch(Z)), initial=np.inf))

@@ -26,7 +26,7 @@ from .acceptance import run_all
 from .approx import estimate_mixed_partial
 from .bounds import rank_ladder_bound, sparse_permanent_bound
 from .capacity import capacity_minimize, sinkhorn_scale
-from .errors import InputError, NotHyperbolicError, ResourceLimitError
+from .errors import InputError, ResourceLimitError
 from .hyperbolicity import half_plane_sample_check, real_rootedness_check
 from .io import SCHEMA, load_polynomial
 from .oracles import (
@@ -317,7 +317,7 @@ def main(argv=None) -> int:
         if getattr(args, "k", 0) < 0:
             raise InputError("k must be >= 0")
         return args.fn(args)
-    except (InputError, NotHyperbolicError) as exc:
+    except InputError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except ResourceLimitError as exc:

@@ -15,15 +15,6 @@ class InputError(PolycapError):
 
 
 class ResourceLimitError(PolycapError):
-    """Requested size exceeds a hard cap; refused instead of running open-ended."""
+    """Requested size exceeds a hard cap, or a float result leaves the float
+    range; refused instead of running open-ended or reporting inf."""
 
-
-class NotHyperbolicError(PolycapError):
-    """A pencil produced roots incompatible with hyperbolicity.
-
-    Carries the offending roots so diagnostics can report them.
-    """
-
-    def __init__(self, message: str, roots=()):
-        super().__init__(message)
-        self.roots = tuple(roots)

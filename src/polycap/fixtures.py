@@ -1,5 +1,5 @@
 """Deterministic generators for matrices, polynomials, and PSD tuples used by
-the test batteries and the built-in check suite.
+the built-in check suite (and by the tests).
 
 Every random generator takes an explicit ``numpy.random.Generator``; nothing
 here touches global RNG state.
@@ -31,32 +31,12 @@ def uniform_product_polynomial(n: int, mode: str = "exact") -> ProductFormPolyno
     return ProductFormPolynomial(uniform_matrix(n), mode=mode)
 
 
-def equality_family(a, mode: str = "exact") -> ProductFormPolynomial:
-    """p(x) = ((a_1 x_1 + ... + a_n x_n)/n)^n with a > 0: capacity is
-    prod(a_i) and the mixed partial attains the n!/n^n bound exactly."""
-    a = list(a)
-    n = len(a)
-    if n < 1 or any(Fraction(v) <= 0 for v in a):
-        raise InputError("equality_family needs a nonempty positive vector")
-    if mode == "exact":
-        row = tuple(Fraction(v) / n for v in a)
-    else:
-        row = tuple(float(v) / n for v in a)
-    return ProductFormPolynomial(tuple(row for _ in range(n)), mode=mode)
-
-
 def two_per_row_circulant(mode: str = "exact") -> tuple:
     """3x3 doubly stochastic circulant with two nonzeros per row/column;
     its permanent 1/4 meets the sparse-support bound with equality."""
     h = Fraction(1, 2) if mode == "exact" else 0.5
     z = Fraction(0) if mode == "exact" else 0.0
     return ((h, h, z), (z, h, h), (h, z, h))
-
-
-def elementary_product(n: int, mode: str = "exact") -> SparsePolynomial:
-    """p(x) = x_1 * ... * x_n; capacity 1, mixed partial 1."""
-    one = 1 if mode == "exact" else 1.0
-    return SparsePolynomial(n, {tuple([1] * n): one}, mode=mode)
 
 
 def power_sum(n: int, mode: str = "exact") -> SparsePolynomial:
@@ -69,22 +49,6 @@ def power_sum(n: int, mode: str = "exact") -> SparsePolynomial:
         e[i] = n
         terms[tuple(e)] = c
     return SparsePolynomial(n, terms, mode=mode)
-
-
-def lorentz_quadratic(k: int) -> SparsePolynomial:
-    """q(x) = x_0^2 - x_1^2 - ... - x_k^2, the Lorentz form: real-rooted
-    along (1, 0, ..., 0) though its coefficients are signed."""
-    if k < 1:
-        raise InputError("k must be >= 1")
-    terms = {}
-    e0 = [0] * (k + 1)
-    e0[0] = 2
-    terms[tuple(e0)] = 1
-    for i in range(1, k + 1):
-        e = [0] * (k + 1)
-        e[i] = 2
-        terms[tuple(e)] = -1
-    return SparsePolynomial(k + 1, terms, mode="exact", allow_signed=True)
 
 
 def random_positive_matrix(n: int, rng: np.random.Generator,
@@ -147,20 +111,6 @@ def random_k_regular_doubly_stochastic(n: int, k: int, rng: np.random.Generator)
     return tuple(rows), tuple(perms)
 
 
-def random_psd_matrix(n: int, rng: np.random.Generator, rank: int | None = None):
-    """Random symmetric PSD float matrix G G^T with G of shape (n, rank)."""
-    r = n if rank is None else rank
-    if not 1 <= r <= n:
-        raise InputError("need 1 <= rank <= n")
-    g = rng.standard_normal((n, r))
-    return tuple(map(tuple, g @ g.T))
-
-
-def random_psd_tuple(n: int, rng: np.random.Generator):
-    """Tuple of n random full-rank PSD matrices of size n x n."""
-    return tuple(random_psd_matrix(n, rng) for _ in range(n))
-
-
 def diagonal_psd_tuple(matrix):
     """PSD tuple (diag of row 1, ..., diag of row n): its mixed "determinant"
     polynomial det(sum x_i diag(row_i)) is the product form of matrix^T, so
@@ -215,29 +165,6 @@ def multilinear_head_sparse(n: int, k: int, n_terms: int,
         else:
             terms[e] = float(rng.uniform(0.1, 1.0))
     return SparsePolynomial(n, terms, mode=mode)
-
-
-def product_with_sparse_first_column(n: int, k: int,
-                                     rng: np.random.Generator) -> ProductFormPolynomial:
-    """Product-form polynomial whose first variable has rank exactly k: the
-    first column of the matrix has k nonzeros, all other entries positive."""
-    if not 1 <= k <= n:
-        raise InputError("need 1 <= k <= n")
-    A = rng.uniform(0.1, 1.0, (n, n))
-    zero_rows = rng.permutation(n)[: n - k]
-    for i in zero_rows:
-        A[i, 0] = 0.0
-    return ProductFormPolynomial(tuple(map(tuple, A)), mode="float")
-
-
-def univariate_equality_pair(n: int):
-    """(a, b) with a_i = 1/n, b_i = (n-1)/n: the single-variable reduction
-    bound d1 >= ((n-1)/n)^(n-1) * C holds with equality."""
-    if n < 1:
-        raise InputError("n must be >= 1")
-    a = tuple(Fraction(1, n) for _ in range(n))
-    b = tuple(Fraction(n - 1, n) for _ in range(n))
-    return a, b
 
 
 def feasible_entropy_vector(n: int, rng: np.random.Generator):

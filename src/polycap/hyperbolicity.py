@@ -5,10 +5,12 @@ For a homogeneous polynomial p and a direction d with p(d) > 0, the slice
 t -> p(x - t d) is a degree-n univariate polynomial. Stability of p along d
 means every such slice has only real roots; that property, together with
 positivity on the open right half-plane, is what the capacity machinery is
-calibrated against. These diagnostics recover the restricted roots by
-Chebyshev interpolation, validate the window through the root-product
-identity prod(roots) = p(x)/p(d), and sample the half-plane condition
-directly.
+calibrated against. ``root_profile`` recovers the restricted roots of one
+slice by Chebyshev interpolation, validates the window through the
+root-product identity prod(roots) = p(x)/p(d), and classifies the roots as
+real or complex; ``real_rootedness_check`` samples many slices,
+``rank_via_roots`` counts the nonzero roots of one, and
+``half_plane_sample_check`` samples the half-plane condition directly.
 
 Numerical honesty about repeated roots: an m-fold real root computed through
 a degree-n fit splits into a cluster with imaginary parts of order
@@ -27,10 +29,9 @@ from typing import NamedTuple
 import numpy as np
 from numpy.polynomial import chebyshev as cheb
 
-from .errors import InputError, NotHyperbolicError, ResourceLimitError
+from .errors import InputError, ResourceLimitError
 from .polynomials import EvaluationOracle
 
-_VALIDATE_POINTS = (0.5, 1.0, 2.0, 3.0)
 _FIT_NOISE = 1e-14  # relative backward error budget for the Chebyshev fit
 _CLUSTER_SAFETY = 10.0
 _TINY = 1e-300
@@ -92,16 +93,6 @@ def _fit_once(poly, point, direction, M, n):
         return None, lead_abs, vmax
     roots = tuple(complex(r) * M for r in cheb.chebroots(coeffs))
     return roots, lead_abs, vmax
-
-
-def _slice_ends(poly, point, direction):
-    """p(direction) and p(point), in one batch, for a slice fit: refuses a
-    degree past SLICE_DEGREE_CAP first, then values past the float range."""
-    if poly.degree > SLICE_DEGREE_CAP:
-        raise ResourceLimitError(
-            f"slice fit refused: degree {poly.degree} exceeds the cap of "
-            f"{SLICE_DEGREE_CAP}")
-    return _finite_values(poly, np.array([direction, point], dtype=float)).tolist()
 
 
 def _slice_fit(poly, point, direction, expected) -> _SliceFit:
@@ -191,29 +182,23 @@ def _classify_real(fit: _SliceFit):
 
 
 def _checked_slice_fit(poly, point, direction):
-    """(point, direction, fit) for a slice with p(direction) > 0."""
+    """(point, direction, fit) for a slice with p(direction) > 0. A degree
+    past SLICE_DEGREE_CAP is refused before any evaluation, then values past
+    the float range; p(direction) and p(point) are one batch."""
     point = tuple(float(v) for v in point)
     direction = tuple(float(v) for v in direction)
     if len(point) != poly.n_vars or len(direction) != poly.n_vars:
         raise InputError("point and direction must have length n_vars")
-    p_dir, p_point = _slice_ends(poly, point, direction)
+    if poly.degree > SLICE_DEGREE_CAP:
+        raise ResourceLimitError(
+            f"slice fit refused: degree {poly.degree} exceeds the cap of "
+            f"{SLICE_DEGREE_CAP}")
+    p_dir, p_point = _finite_values(
+        poly, np.array([direction, point], dtype=float)).tolist()
     if not p_dir > 0:
         raise InputError(
             f"p(direction) = {p_dir}; root extraction needs a positive value")
     return point, direction, _slice_fit(poly, point, direction, p_point / p_dir)
-
-
-def restricted_roots(poly: EvaluationOracle, point, direction):
-    """Roots (in t) of the univariate slice t -> p(point - t * direction).
-
-    Requires p(direction) > 0 so the slice has full degree n. Returns
-    (roots, residual): roots is a tuple of complex numbers (length = degree,
-    with multiplicity), residual is the relative defect of the root-product
-    identity prod(roots) = p(point)/p(direction) used to validate the
-    interpolation window.
-    """
-    fit = _checked_slice_fit(poly, point, direction)[2]
-    return fit.roots, fit.residual
 
 
 def root_profile(poly: EvaluationOracle, point, direction) -> RootProfile:
@@ -297,69 +282,6 @@ def half_plane_sample_check(poly: EvaluationOracle, samples: int = 500,
         "witness": witness,
     }
     return ok, stats
-
-
-def factorization_check(poly: EvaluationOracle, z, y):
-    """Split p along a nonnegative direction pair: with d = z + y strictly
-    positive, the slice R(t) = p(t z + y) of a stable p factors as
-    prod_i (a_i t + b_i) with a_i, b_i >= 0.
-
-    Computes lambda_i from the roots of s -> p(z - s d), which satisfy
-    R(t) = p(d) * prod(lambda_i t + 1 - lambda_i); raises NotHyperbolicError
-    when a root is materially complex or falls outside [0, 1]. Returns
-    (a, b) sorted by descending a_i.
-    """
-    n = poly.degree
-    z = tuple(float(v) for v in z)
-    y = tuple(float(v) for v in y)
-    if len(z) != poly.n_vars or len(y) != poly.n_vars:
-        raise InputError("z and y must have length n_vars")
-    if any(v < 0 for v in z) or any(v < 0 for v in y):
-        raise InputError("z and y must be entrywise nonnegative")
-    d = tuple(zi + yi for zi, yi in zip(z, y))
-    if any(v <= 0 for v in d):
-        raise InputError("z + y must be entrywise positive")
-
-    p_d, p_z = _slice_ends(poly, z, d)
-    if not p_d > 0:
-        raise InputError(f"p(z + y) = {p_d}; expected a positive value")
-
-    fit = _slice_fit(poly, z, d, p_z / p_d)
-    scale = max(1.0, max((abs(r) for r in fit.roots), default=0.0))
-    lam = []
-    for r in fit.roots:
-        b = abs(r.imag)
-        if (b > _REAL_TOL * scale
-                and b > _cluster_tolerance(fit.roots, r.real, 4.0 * b,
-                                           fit.lead_abs, fit.vmax)):
-            raise NotHyperbolicError(
-                f"slice along z + y has a complex root {r}; the polynomial "
-                "is not stable in this pencil", roots=fit.roots)
-        v = r.real
-        if v < -1e-7 * scale or v > 1.0 + 1e-7 * scale:
-            raise NotHyperbolicError(
-                f"slice root {v} falls outside [0, 1]; no nonnegative "
-                "linear-factor split exists", roots=fit.roots)
-        lam.append(min(max(v, 0.0), 1.0))
-    lam.sort(reverse=True)
-
-    s = p_d ** (1.0 / n)
-    a = tuple(s * v for v in lam)
-    b = tuple(s * (1.0 - v) for v in lam)
-
-    # Confirm R(t) = p(t z + y) matches prod(a_i t + b_i) on a few points.
-    slice_values = np.real(poly.evaluate_batch(np.outer(_VALIDATE_POINTS, z) + y))
-    for t, lhs in zip(_VALIDATE_POINTS, slice_values.tolist()):
-        rhs = 1.0
-        for ai, bi in zip(a, b):
-            rhs *= ai * t + bi
-        denom = max(abs(lhs), abs(rhs), 1e-12)
-        if abs(lhs - rhs) / denom > 1e-5:
-            raise NotHyperbolicError(
-                f"split failed validation at t = {t}: slice {lhs} vs "
-                f"factored {rhs} (root residual {fit.residual:.3g})",
-                roots=fit.roots)
-    return a, b
 
 
 def rank_via_roots(poly: EvaluationOracle, i: int) -> int:

@@ -6,8 +6,9 @@ Files are JSON with a ``kind`` discriminator::
     {"kind": "product", "matrix": [["1/2","1/2","0"], ...]}
     {"kind": "determinantal", "matrices": [[[...], ...], ...]}
 
-Scalars are decimal or rational strings ("0.5", "1/3", "6") so exact inputs
-survive the round trip; plain JSON numbers are accepted in float mode.
+Scalars are decimal or rational strings ("0.5", "1/3", "6"), so exact inputs
+are written without rounding; plain JSON numbers are accepted in float mode.
+The package reads these documents and does not write them.
 """
 from __future__ import annotations
 
@@ -71,13 +72,6 @@ def parse_scalar(value, mode: str):
     if not math.isfinite(f):
         raise InputError(f"cannot parse scalar {value!r}: not a finite number")
     return f
-
-
-def scalar_to_string(value) -> str:
-    """Canonical string form: Fractions as 'p/q' or 'k', floats via repr."""
-    if isinstance(value, Fraction):
-        return str(value)
-    return repr(float(value))
 
 
 def _check_list(value, where: str, of: str):
@@ -156,33 +150,6 @@ def polynomial_from_dict(obj, mode: str = "float"):
     )
 
 
-def polynomial_to_dict(poly) -> dict:
-    if isinstance(poly, SparsePolynomial):
-        return {
-            "kind": "sparse",
-            "n": poly.n_vars,
-            "terms": [
-                {"exp": list(e), "coef": scalar_to_string(c)}
-                for e, c in sorted(poly.terms.items())
-            ],
-        }
-    if isinstance(poly, ProductFormPolynomial):
-        return {
-            "kind": "product",
-            "matrix": [[scalar_to_string(v) for v in row]
-                       for row in poly.matrix.tolist()],
-        }
-    if isinstance(poly, DeterminantalPolynomial):
-        return {
-            "kind": "determinantal",
-            "matrices": [
-                [[scalar_to_string(v) for v in row] for row in m]
-                for m in poly.matrices.tolist()
-            ],
-        }
-    raise InputError(f"cannot serialize {type(poly).__name__}")
-
-
 def load_polynomial(path, mode: str = "float"):
     try:
         with open(path, "r", encoding="utf-8") as fh:
@@ -195,9 +162,3 @@ def load_polynomial(path, mode: str = "float"):
         ) from None
     return polynomial_from_dict(obj, mode=mode)
 
-
-def save_polynomial(path, poly):
-    doc = {"schema": SCHEMA, **polynomial_to_dict(poly)}
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(doc, fh, indent=2, sort_keys=True)
-        fh.write("\n")

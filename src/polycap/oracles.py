@@ -1,15 +1,19 @@
-"""Exact brute-force oracles: permanents, polarized mixed forms, mixed
-discriminants, and Taylor-coefficient extraction.
+"""Exact brute-force oracles: permanents, polarized mixed forms and mixed
+discriminants.
 
 Every bound in the package is validated against these. Permanents (Glynn's
 formula) and mixed forms are signed sums over {-1,1}^k, both built on one
 table, ``_sign_table``. Exact mode stays in ints and Fractions; in float mode
-the order of every sum is fixed, so results are bit-stable.
+the order of every sum is fixed, so results are bit-stable, and a sum that
+leaves the float range is refused with ResourceLimitError, not returned as
+inf or nan. Each representation picks its exact mixed partial itself
+(``mixed_partial`` in ``polynomials``); ``exact_mixed_partial`` checks the
+degree and asks it.
 """
 from __future__ import annotations
 
 from fractions import Fraction
-from math import factorial, inf, lcm, nextafter, prod
+from math import inf, isfinite, lcm, nextafter, prod
 
 import numpy as np
 
@@ -19,8 +23,6 @@ from .polynomials import (
     _EXACT_TYPES,
     DeterminantalPolynomial,
     EvaluationOracle,
-    ProductFormPolynomial,
-    SparsePolynomial,
 )
 
 RYSER_FLOAT_CAP = 20
@@ -28,7 +30,6 @@ RYSER_EXACT_CAP = 14
 POLARIZATION_FLOAT_CAP = 22
 POLARIZATION_EXACT_CAP = 14
 MIXED_DISC_CAP = 12
-TAYLOR_CAP = 10
 # signed_sums and _glynn tabulate this many vectors at once: 2^10 rows.
 _TABLE_BITS = 10
 
@@ -65,7 +66,18 @@ def permanent_ryser(matrix, mode: str | None = None):
         raise ResourceLimitError(
             f"float permanent refused: n={n} exceeds the cap of {RYSER_FLOAT_CAP}"
         )
-    return float(_glynn(np.array(rows, dtype=float).T)) / 2.0 ** (n - 1)
+    with np.errstate(over="ignore", invalid="ignore"):
+        value = float(_glynn(np.array(rows, dtype=float).T)) / 2.0 ** (n - 1)
+    return _finite_sum(value, "permanent")
+
+
+def _finite_sum(value: float, what: str) -> float:
+    """value, or ResourceLimitError if a float sum left the float range."""
+    if not isfinite(value):
+        raise ResourceLimitError(
+            f"float {what} refused: the result overflows the float range; "
+            "rescale the input or use exact mode")
+    return value
 
 
 def permanent_error_bound(matrix) -> float:
@@ -171,10 +183,11 @@ def mixed_form(poly: EvaluationOracle, vectors=None):
             f"({'exact' if exact else 'float'} mode)"
         )
 
-    s = signed_sums(poly, vectors).tolist()[0]
+    with np.errstate(over="ignore", invalid="ignore"):
+        s = signed_sums(poly, vectors).tolist()[0]
     if exact:
         return s * Fraction(1, 1 << n)
-    return s / float(1 << n)
+    return _finite_sum(s / float(1 << n), "polarization")
 
 
 def mixed_discriminant(matrices, mode: str | None = None):
@@ -192,68 +205,16 @@ def mixed_discriminant(matrices, mode: str | None = None):
     return exact_mixed_partial(DeterminantalPolynomial(matrices, mode=mode))
 
 
-def taylor_mixed_form_coefficient(q: SparsePolynomial, r):
-    """Coefficient of prod x_i^{r_i} recovered as M_q(X_r) / prod(r_i!).
-
-    X_r replicates basis vector e_i with multiplicity r_i. Asserts agreement
-    with the stored coefficient (exactly in exact mode, 1e-9 relative in
-    float), then returns the polarization-derived value.
-    """
-    if not isinstance(q, SparsePolynomial):
-        raise InputError("taylor_mixed_form_coefficient takes a SparsePolynomial")
-    r = tuple(r)
-    if len(r) != q.n_vars or any((not isinstance(k, int)) or k < 0 for k in r):
-        raise InputError(f"multiplicity vector {r} must be {q.n_vars} nonnegative integers")
-    if sum(r) != q.degree:
-        raise InputError(f"multiplicities sum to {sum(r)}, degree is {q.degree}")
-    if q.degree > TAYLOR_CAP:
-        raise ResourceLimitError(
-            f"taylor coefficient refused: degree {q.degree} exceeds the cap of {TAYLOR_CAP}"
-        )
-    vectors = []
-    for i, mult in enumerate(r):
-        vectors.extend([tuple(int(j == i) for j in range(q.n_vars))] * mult)
-    denom = 1
-    for k in r:
-        denom *= factorial(k)
-    value = mixed_form(q, vectors)
-    value = value * Fraction(1, denom) if q.mode == "exact" else value / denom
-    stored = q.coefficient(r)
-    if q.mode == "exact":
-        if value != stored:
-            raise AssertionError(
-                f"polarization coefficient {value} != stored coefficient {stored} for {r}"
-            )
-    else:
-        scale = max(abs(float(stored)), abs(float(value)), 1e-300)
-        if abs(float(value) - float(stored)) > 1e-9 * scale:
-            raise AssertionError(
-                f"polarization coefficient {value} differs from stored {stored} for {r}"
-            )
-    return value
-
-
 def exact_mixed_partial(poly):
-    """Structural exact route to d^n p / dx_1..dx_n, one per representation.
-
-    Sparse: direct coefficient lookup. Product form: Glynn permanent.
-    Determinantal: mixed discriminant. These are the cross-checks for the
-    capacity-based bounds.
+    """d^n p / dx_1..dx_n by the representation's exact route
+    (``poly.mixed_partial()``): sparse, the coefficient of x_1...x_n; product
+    form, the Glynn permanent; determinantal, the mixed discriminant. These
+    are the cross-checks for the capacity-based bounds; a plain oracle has
+    none and raises InputError.
     """
     if poly.degree != poly.n_vars:
         raise InputError(
             "mixed partial over all variables needs degree == n_vars "
             f"(got degree {poly.degree}, {poly.n_vars} variables)"
         )
-    if isinstance(poly, SparsePolynomial):
-        return poly.coefficient((1,) * poly.n_vars)
-    if isinstance(poly, ProductFormPolynomial):
-        return permanent_ryser(poly.matrix, mode=poly.mode)
-    if isinstance(poly, DeterminantalPolynomial):
-        if poly.n_vars > MIXED_DISC_CAP:
-            raise ResourceLimitError(
-                f"mixed discriminant refused: n={poly.n_vars} exceeds the cap of "
-                f"{MIXED_DISC_CAP}"
-            )
-        return mixed_form(poly)
-    raise InputError(f"no exact mixed-partial route for {type(poly).__name__}")
+    return poly.mixed_partial()

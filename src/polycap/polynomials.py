@@ -21,11 +21,22 @@ stored scalars, which numpy combines exactly. ``evaluate(point)`` is a batch
 of one row. The call counter counts rows, so derived oracles can account for
 how many underlying evaluations they spend.
 
-Each representation also carries its own ``variable_degree(i)``, the rank
-that the rank-ladder bound peels (the largest exponent of x_i for sparse
-polynomials, the support of column i for product forms, the rank of A_i for
-determinantal ones), and its own ``expand()`` into a ``SparsePolynomial``.
-A plain oracle has neither and raises ``InputError``.
+Each representation also carries the algorithms that depend on it, so no
+other module asks which representation it holds:
+
+* ``variable_degree(i)``, the rank that the rank-ladder bound peels: the
+  largest exponent of x_i for sparse polynomials, the support of column i
+  for product forms, the rank of A_i for determinantal ones;
+* ``expand()`` into a ``SparsePolynomial``;
+* ``log_objective()``, the convex capacity objective f(y) = log p(e^y) with
+  its gradient and Hessian: in closed form for the three representations,
+  by finite differences of evaluations for any other oracle;
+* ``mixed_partial()``, the exact d^n p / dx_1..dx_n: the coefficient of
+  x_1...x_n, the permanent of the matrix, the mixed discriminant of the
+  pencil.
+
+A plain oracle (``FunctionOracle``, ``approx.DerivativeSliceOracle``) keeps
+the finite-difference objective and raises ``InputError`` for the rest.
 """
 from __future__ import annotations
 
@@ -167,6 +178,55 @@ class EvaluationOracle:
     def _expand(self):
         raise InputError(f"expand is undefined for {type(self).__name__}")
 
+    def log_objective(self):
+        """The convex objective f(y) = log p(e^y), with ``value``,
+        ``gradient`` and ``hessian`` methods; here by finite differences."""
+        return _OracleObjective(self)
+
+    def mixed_partial(self):
+        """d^n p / dx_1..dx_n, exactly, by the representation's own route
+        (``oracles.exact_mixed_partial`` checks degree == n_vars first)."""
+        raise InputError(f"no exact mixed-partial route for {type(self).__name__}")
+
+
+class _OracleObjective:
+    """Finite-difference objective for generic evaluation oracles."""
+
+    _H_GRAD = 1e-5
+    _H_HESS = 3e-4
+
+    def __init__(self, poly: EvaluationOracle):
+        self.poly = poly
+
+    def _values(self, Y):
+        """f at each row of Y: log p(e^y), or inf where p(e^y) is not positive."""
+        v = np.asarray(self.poly.evaluate_batch(np.exp(Y)), dtype=float)
+        out = np.full(len(v), np.inf)
+        ok = np.isfinite(v) & (v > 0)
+        out[ok] = np.log(v[ok])
+        return out
+
+    def value(self, y):
+        return float(self._values(y[None, :])[0])
+
+    def gradient(self, y):
+        h = self._H_GRAD
+        E = h * np.eye(len(y))
+        f = self._values(np.concatenate([y + E, y - E]))
+        return (f[:len(y)] - f[len(y):]) / (2 * h)
+
+    def hessian(self, y):
+        n = len(y)
+        h = self._H_HESS
+        E = h * np.eye(n)
+        i, j = np.triu_indices(n)
+        f = self._values(np.concatenate([
+            y + E[i] + E[j], y + E[i] - E[j], y - E[i] + E[j], y - E[i] - E[j]]))
+        f = f.reshape(4, -1)
+        H = np.empty((n, n))
+        H[i, j] = H[j, i] = (f[0] - f[1] - f[2] + f[3]) / (4 * h * h)
+        return H
+
 
 class FunctionOracle(EvaluationOracle):
     """Wrap an arbitrary evaluation function as an oracle."""
@@ -261,9 +321,45 @@ class SparsePolynomial(EvaluationOracle):
         c = self._view(self.coefficients, X)
         return np.power(X[:, None, :], self.exponents).prod(axis=2) @ c
 
+    def log_objective(self):
+        return _SparseObjective(self)
+
+    def mixed_partial(self):
+        """The coefficient of x_1...x_n."""
+        return self.coefficient((1,) * self.n_vars)
+
     def __repr__(self):
         return (f"SparsePolynomial(n_vars={self.n_vars}, degree={self.degree}, "
                 f"terms={len(self.terms)}, mode={self.mode!r})")
+
+
+class _SparseObjective:
+    """f(y) = log sum_r c_r exp(<r, y>), gradients via softmax weights."""
+
+    def __init__(self, poly: SparsePolynomial):
+        if (poly.coefficients < 0).any():
+            raise InputError("capacity needs nonnegative coefficients")
+        self.R = poly.exponents.astype(float)
+        self.logc = np.log(np.asarray(poly.coefficients, dtype=float))
+
+    def _weights(self, y):
+        v = self.logc + self.R @ y
+        m = v.max()
+        w = np.exp(v - m)
+        z = w.sum()
+        return v, m, w / z, m + np.log(z)
+
+    def value(self, y):
+        return self._weights(y)[3]
+
+    def gradient(self, y):
+        w = self._weights(y)[2]
+        return self.R.T @ w
+
+    def hessian(self, y):
+        w = self._weights(y)[2]
+        g = self.R.T @ w
+        return (self.R * w[:, None]).T @ self.R - np.outer(g, g)
 
 
 class ProductFormPolynomial(EvaluationOracle):
@@ -306,8 +402,44 @@ class ProductFormPolynomial(EvaluationOracle):
             cur = nxt
         return SparsePolynomial(n, cur, mode=self.mode)
 
+    def log_objective(self):
+        return _ProductObjective(self)
+
+    def mixed_partial(self):
+        """per(A), by Glynn's formula."""
+        # Looked up per call: oracles imports this module.
+        from .oracles import permanent_ryser
+        return permanent_ryser(self.matrix, mode=self.mode)
+
     def __repr__(self):
         return f"ProductFormPolynomial(n={self.n_vars}, mode={self.mode!r})"
+
+
+class _ProductObjective:
+    """f(y) = sum_i log (A e^y)_i; each row contributes a softmax distribution."""
+
+    def __init__(self, poly: ProductFormPolynomial):
+        self.A = np.asarray(poly.matrix, dtype=float)
+
+    def value(self, y):
+        u = self.A @ np.exp(y)
+        if np.any(u <= 0) or not np.all(np.isfinite(u)):
+            return np.inf
+        return float(np.log(u).sum())
+
+    def _row_weights(self, y):
+        x = np.exp(y)
+        un = self.A * x[None, :]
+        u = un.sum(axis=1)
+        return un / u[:, None]
+
+    def gradient(self, y):
+        return self._row_weights(y).sum(axis=0)
+
+    def hessian(self, y):
+        W = self._row_weights(y)
+        h = np.diag(W.sum(axis=0))
+        return h - W.T @ W
 
 
 def _bareiss_det(m):
@@ -420,8 +552,60 @@ class DeterminantalPolynomial(EvaluationOracle):
             full = {e: c for e, c in full.items() if c != 0}
         return SparsePolynomial(n, full, mode=self.mode, allow_signed=True)
 
+    def log_objective(self):
+        return _DeterminantalObjective(self)
+
+    def mixed_partial(self):
+        """The mixed discriminant D(A_1, ..., A_n), by polarization: 2^n
+        determinants."""
+        # Looked up per call: oracles imports this module.
+        from .oracles import MIXED_DISC_CAP, mixed_form
+        if self.n_vars > MIXED_DISC_CAP:
+            raise ResourceLimitError(
+                f"mixed discriminant refused: n={self.n_vars} exceeds the cap of "
+                f"{MIXED_DISC_CAP}"
+            )
+        return mixed_form(self)
+
     def __repr__(self):
         return f"DeterminantalPolynomial(n={self.n_vars}, mode={self.mode!r})"
+
+
+class _DeterminantalObjective:
+    """f(y) = log det(sum_i e^{y_i} A_i) via Cholesky; trace-form derivatives."""
+
+    def __init__(self, poly: DeterminantalPolynomial):
+        self.mats = np.asarray(poly.matrices, dtype=float)
+
+    def _chol(self, y):
+        m = np.tensordot(np.exp(y), self.mats, axes=([0], [0]))
+        return np.linalg.cholesky(m)
+
+    def value(self, y):
+        try:
+            ell = self._chol(y)
+        except np.linalg.LinAlgError:
+            return np.inf
+        return float(2.0 * np.log(np.diag(ell)).sum())
+
+    def _whitened(self, y):
+        ell = self._chol(y)
+        # B_i = L^-1 A_i L^-T, so grad_i = e^{y_i} tr(B_i)
+        half = np.linalg.solve(ell, self.mats.transpose(1, 0, 2).reshape(len(ell), -1))
+        half = half.reshape(len(ell), -1, len(ell)).transpose(1, 0, 2)
+        B = np.linalg.solve(ell, half.transpose(0, 2, 1)).transpose(0, 2, 1)
+        return B
+
+    def gradient(self, y):
+        B = self._whitened(y)
+        return np.exp(y) * np.trace(B, axis1=1, axis2=2)
+
+    def hessian(self, y):
+        B = self._whitened(y)
+        g = np.exp(y) * np.trace(B, axis1=1, axis2=2)
+        cross = np.einsum("iab,jba->ij", B, B)
+        e = np.exp(y)
+        return np.diag(g) - cross * np.outer(e, e)
 
 
 def derivative_reduce(q: SparsePolynomial) -> SparsePolynomial:

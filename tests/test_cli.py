@@ -10,33 +10,32 @@ import pytest
 
 import polycap as pc
 from polycap import io as pio
-from polycap import fixtures
 from polycap import cli
 from polycap.cli import main
-from test_io import BAD_SPARSE_DOCUMENTS, BAD_SPARSE_IDS
+from test_io import BAD_SPARSE_DOCUMENTS, BAD_SPARSE_IDS, UNIFORM3
+
+
+def write_doc(path, doc) -> str:
+    path.write_text(json.dumps(doc))
+    return str(path)
 
 
 @pytest.fixture
 def product_file(tmp_path):
-    path = tmp_path / "uniform3.json"
-    pio.save_polynomial(path, fixtures.uniform_product_polynomial(3))
-    return str(path)
+    return write_doc(tmp_path / "uniform3.json", UNIFORM3)
 
 
 @pytest.fixture
 def circulant_file(tmp_path):
-    path = tmp_path / "circulant.json"
-    pio.save_polynomial(path, pc.ProductFormPolynomial(
-        fixtures.two_per_row_circulant()))
-    return str(path)
+    return write_doc(tmp_path / "circulant.json", {"kind": "product", "matrix": [
+        ["1/2", "1/2", "0"], ["0", "1/2", "1/2"], ["1/2", "0", "1/2"]]})
 
 
 @pytest.fixture
 def determinantal_file(tmp_path):
-    path = tmp_path / "pencil.json"
-    eye = [[1, 0], [0, 1]]
-    pio.save_polynomial(path, pc.DeterminantalPolynomial([eye, eye], mode="exact"))
-    return str(path)
+    eye = [["1", "0"], ["0", "1"]]
+    return write_doc(tmp_path / "pencil.json",
+                     {"kind": "determinantal", "matrices": [eye, eye]})
 
 
 def run_json(capsys, argv):
@@ -162,9 +161,9 @@ class TestPermanentCommand:
          "sparse-bound needs a 'product' document (the matrix rows)"),
     ], ids=["permanent", "mixed-disc", "scale", "sparse-bound"])
     def test_wrong_kind_exits_2(self, tmp_path, capsys, argv, message):
-        path = tmp_path / "sparse.json"
-        pio.save_polynomial(path, fixtures.elementary_product(3))
-        assert main(argv[:1] + [str(path)] + argv[1:]) == 2
+        path = write_doc(tmp_path / "sparse.json", {
+            "kind": "sparse", "n": 3, "terms": [{"exp": [1, 1, 1], "coef": "1"}]})
+        assert main(argv[:1] + [path] + argv[1:]) == 2
         assert capsys.readouterr().err == f"error: {message}\n"
 
     def test_document_mode_must_match(self, tmp_path, capsys):
@@ -179,10 +178,9 @@ class TestPermanentCommand:
         assert doc["result"]["permanent"] == "1/2"
 
     def test_resource_cap_exits_3(self, tmp_path, capsys):
-        path = tmp_path / "big.json"
-        pio.save_polynomial(path, pc.ProductFormPolynomial(
-            [[1] * 15 for _ in range(15)], mode="exact"))
-        assert main(["permanent", str(path), "--mode", "exact"]) == 3
+        path = write_doc(tmp_path / "big.json",
+                         {"kind": "product", "matrix": [["1"] * 15] * 15})
+        assert main(["permanent", path, "--mode", "exact"]) == 3
         assert "error" in capsys.readouterr().err
 
 
@@ -252,23 +250,23 @@ class TestCheckHyperbolicCommand:
             {"real-rootedness", "half-plane"}
 
     def test_unstable_input_strict_exits_1(self, tmp_path, capsys):
-        path = tmp_path / "psum.json"
-        pio.save_polynomial(path, fixtures.power_sum(3))
-        code, doc = run_json(capsys, ["check-hyperbolic", str(path),
+        # (x_1^3 + x_2^3 + x_3^3)/3
+        path = write_doc(tmp_path / "psum.json", {"kind": "sparse", "n": 3, "terms": [
+            {"exp": e, "coef": "1/3"} for e in ([3, 0, 0], [0, 3, 0], [0, 0, 3])]})
+        code, doc = run_json(capsys, ["check-hyperbolic", path,
                                       "--trials", "5", "--samples", "50"])
         assert code == 0
         assert doc["result"]["passed"] is False
-        assert main(["check-hyperbolic", str(path), "--trials", "5",
+        assert main(["check-hyperbolic", path, "--trials", "5",
                      "--samples", "50", "--strict"]) == 1
 
 
 class TestScaleCommand:
     def test_reports_scalers(self, capsys, tmp_path):
         rng = np.random.default_rng(50)
-        path = tmp_path / "m.json"
-        pio.save_polynomial(path, pc.ProductFormPolynomial(
-            fixtures.random_positive_matrix(3, rng), mode="float"))
-        code, doc = run_json(capsys, ["scale", str(path)])
+        path = write_doc(tmp_path / "m.json", {
+            "kind": "product", "matrix": rng.uniform(0.1, 1.0, (3, 3)).tolist()})
+        code, doc = run_json(capsys, ["scale", path])
         assert code == 0
         r = doc["result"]
         assert r["status"] == "converged"
@@ -389,7 +387,16 @@ class TestErrorPaths:
         ("bound", {"kind": "product", "matrix": [["1e200"] * 2] * 2},
          "error: capacity inf is not finite in float arithmetic; the bounds "
          "cannot be formed\n"),
-    ], ids=["overflowing-pencil", "overflowing-product"])
+        ("permanent", {"kind": "product", "matrix": [["1e200"] * 2] * 2},
+         "error: float permanent refused: the result overflows the float "
+         "range; rescale the input or use exact mode\n"),
+        ("mixed-disc",
+         {"kind": "determinantal",
+          "matrices": [[["1e200", "0"], ["0", "1e200"]]] * 2},
+         "error: float polarization refused: the result overflows the float "
+         "range; rescale the input or use exact mode\n"),
+    ], ids=["overflowing-pencil", "overflowing-product", "overflowing-permanent",
+            "overflowing-mixed-disc"])
     def test_overflow_refusal_prints_one_line(self, tmp_path, command, doc,
                                               error):
         path = tmp_path / "doc.json"

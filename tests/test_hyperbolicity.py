@@ -1,11 +1,11 @@
-"""Real-rootedness of restrictions, stability diagnostics, factorization."""
+"""Real-rootedness of restrictions and stability diagnostics."""
 import numpy as np
 import pytest
 
 import polycap as pc
 from polycap import fixtures
-from polycap.hyperbolicity import (SLICE_DEGREE_CAP, restricted_roots,
-                                   root_profile)
+from polycap.hyperbolicity import SLICE_DEGREE_CAP, root_profile
+from test_bounds import product_with_sparse_first_column
 
 
 def two_squares():
@@ -13,25 +13,32 @@ def two_squares():
     return pc.SparsePolynomial(2, {(2, 0): 1.0, (0, 2): 1.0}, mode="float")
 
 
+def lorentz_quadratic():
+    # x0^2 - x1^2 - x2^2: real-rooted along (1, 0, 0) though its
+    # coefficients are signed
+    return pc.SparsePolynomial(3, {(2, 0, 0): 1, (0, 2, 0): -1, (0, 0, 2): -1},
+                               mode="exact", allow_signed=True)
+
+
 class TestRestrictedRoots:
     def test_root_count_matches_degree(self):
         p = fixtures.uniform_product_polynomial(3, mode="float")
-        roots, residual = restricted_roots(p, (0.3, 1.7, 0.9), (1.0, 1.0, 1.0))
-        assert len(roots) == 3
-        assert residual <= 1e-6
+        prof = root_profile(p, (0.3, 1.7, 0.9), (1.0, 1.0, 1.0))
+        assert len(prof.roots) == 3
+        assert prof.residual <= 1e-6
 
     def test_known_simple_roots(self):
         # eigenvalue convention: roots of t -> p(x - t * e); for p = x1 * x2
         # at x = (2, 3) along e = (1, 1) they sit at 2 and 3
         p = pc.SparsePolynomial(2, {(1, 1): 1.0}, mode="float")
-        roots, _ = restricted_roots(p, (2.0, 3.0), (1.0, 1.0))
+        roots = root_profile(p, (2.0, 3.0), (1.0, 1.0)).roots
         got = sorted(r.real for r in roots)
         assert got == pytest.approx([2.0, 3.0], abs=1e-9)
         assert max(abs(r.imag) for r in roots) < 1e-9
 
     def test_complex_pair_detected(self):
         # x1^2 + x2^2 at (1, 0) along (0, 1): 1 + t^2, roots +-i
-        roots, _ = restricted_roots(two_squares(), (1.0, 0.0), (0.0, 1.0))
+        roots = root_profile(two_squares(), (1.0, 0.0), (0.0, 1.0)).roots
         ims = sorted(r.imag for r in roots)
         assert ims == pytest.approx([-1.0, 1.0], abs=1e-9)
 
@@ -41,28 +48,27 @@ class TestRestrictedRoots:
                                      mode="float")
         for _ in range(5):
             x = tuple(rng.normal(0, 1, 5))
-            _, residual = restricted_roots(p, x, (1.0,) * 5)
-            assert residual <= 1e-6
+            assert root_profile(p, x, (1.0,) * 5).residual <= 1e-6
 
     def test_nonpositive_direction_value_rejected(self):
-        p = fixtures.lorentz_quadratic(2)
+        p = lorentz_quadratic()
         # p(1, 1, 1) = -1: not a valid hyperbolicity direction
         with pytest.raises(pc.InputError):
-            restricted_roots(p, (0.5, 0.1, 0.1), (1.0, 1.0, 1.0))
+            root_profile(p, (0.5, 0.1, 0.1), (1.0, 1.0, 1.0))
         # light-cone direction: p vanishes, the slice degenerates
         with pytest.raises(pc.InputError):
-            restricted_roots(p, (0.5, 0.1, 0.1), (1.0, 1.0, 0.0))
+            root_profile(p, (0.5, 0.1, 0.1), (1.0, 1.0, 0.0))
 
     def test_bad_lengths(self):
         p = fixtures.uniform_product_polynomial(2, mode="float")
         with pytest.raises(pc.InputError):
-            restricted_roots(p, (1.0,), (1.0, 1.0))
+            root_profile(p, (1.0,), (1.0, 1.0))
 
     def test_degree_cap_refused_before_evaluation(self):
         d = SLICE_DEGREE_CAP + 1
         p = pc.SparsePolynomial(2, {(d, 0): 1.0, (0, d): 1.0}, mode="float")
         with pytest.raises(pc.ResourceLimitError, match="exceeds the cap"):
-            restricted_roots(p, (1.0, 0.0), (1.0, 1.0))
+            root_profile(p, (1.0, 0.0), (1.0, 1.0))
         assert p.calls == 0
 
     @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning")
@@ -70,7 +76,7 @@ class TestRestrictedRoots:
         big = [[1e300, 0.0], [0.0, 1e300]]
         p = pc.DeterminantalPolynomial([big, big], mode="float")
         with pytest.raises(pc.ResourceLimitError, match="overflows the float"):
-            restricted_roots(p, (1.0, 0.5), (1.0, 1.0))
+            root_profile(p, (1.0, 0.5), (1.0, 1.0))
 
 
 class TestRootProfile:
@@ -137,7 +143,7 @@ class TestRealRootednessCheck:
         assert worst.max_imag > 0.1
 
     def test_lorentz_along_time_axis(self):
-        p = fixtures.lorentz_quadratic(2)
+        p = lorentz_quadratic()
         ok, worst = pc.real_rootedness_check(p, direction=(1.0, 0.0, 0.0),
                                              trials=25, seed=17)
         assert ok, f"max_imag {worst.max_imag}"
@@ -182,45 +188,6 @@ class TestHalfPlaneSampleCheck:
             pc.half_plane_sample_check(two_squares(), samples=0)
 
 
-class TestFactorization:
-    def test_uniform_two_by_two_splits_evenly(self):
-        p = fixtures.uniform_product_polynomial(2, mode="float")
-        a, b = pc.factorization_check(p, (1.0, 0.0), (0.0, 1.0))
-        assert list(a) == pytest.approx([0.5, 0.5], abs=1e-6)
-        assert list(b) == pytest.approx([0.5, 0.5], abs=1e-6)
-
-    def test_product_form_recovers_row_split(self):
-        # p = (2x + y)(x + 3y): along z = (1,0), y = (0,1) the linear factors
-        # evaluate to (2, 1) and (1, 3) up to scaling and order.
-        p = pc.ProductFormPolynomial([[2.0, 1.0], [1.0, 3.0]], mode="float")
-        a, b = pc.factorization_check(p, (1.0, 0.0), (0.0, 1.0))
-        ratios = sorted(ai / bi for ai, bi in zip(a, b))
-        assert ratios == pytest.approx([1 / 3, 2.0], rel=1e-5)
-
-    def test_reconstruction_at_extra_points(self):
-        rng = np.random.default_rng(35)
-        p = pc.ProductFormPolynomial(fixtures.random_positive_matrix(4, rng),
-                                     mode="float")
-        z = tuple(rng.uniform(0.1, 1.0, 4))
-        y = tuple(rng.uniform(0.1, 1.0, 4))
-        a, b = pc.factorization_check(p, z, y)
-        for t in (0.25, 4.0):
-            lhs = p.evaluate(tuple(t * zi + yi for zi, yi in zip(z, y)))
-            rhs = float(np.prod([ai * t + bi for ai, bi in zip(a, b)]))
-            assert rhs == pytest.approx(lhs, rel=1e-4)
-
-    def test_not_hyperbolic_raises(self):
-        with pytest.raises(pc.NotHyperbolicError):
-            pc.factorization_check(two_squares(), (1.0, 0.0), (0.0, 1.0))
-
-    def test_negative_inputs_rejected(self):
-        p = fixtures.uniform_product_polynomial(2, mode="float")
-        with pytest.raises(pc.InputError):
-            pc.factorization_check(p, (-1.0, 0.0), (0.0, 1.0))
-        with pytest.raises(pc.InputError):
-            pc.factorization_check(p, (1.0, 0.0), (0.0, 0.0))
-
-
 class TestRankViaRoots:
     def test_full_rank_uniform(self):
         p = fixtures.uniform_product_polynomial(3, mode="float")
@@ -233,13 +200,13 @@ class TestRankViaRoots:
             assert pc.rank_via_roots(p, i) == 2
 
     def test_multilinear_rank_one(self):
-        p = fixtures.elementary_product(3, mode="float")
+        p = pc.SparsePolynomial(3, {(1, 1, 1): 1.0}, mode="float")
         assert pc.rank_via_roots(p, 0) == 1
 
     def test_agrees_with_structural_rank(self):
         rng = np.random.default_rng(36)
         for k in (1, 2, 3):
-            p = fixtures.product_with_sparse_first_column(5, k, rng)
+            p = product_with_sparse_first_column(5, k, rng)
             pf = pc.ProductFormPolynomial(p.matrix, mode="float")
             assert pc.rank_via_roots(pf, 0) == pf.variable_degree(0) == k
 

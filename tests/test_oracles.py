@@ -256,23 +256,13 @@ class TestMixedDiscriminant:
 
 class TestTaylorCoefficient:
     def test_binomial_cube(self):
-        # (x + 2y)^3: coefficient of x y^2 is 3 * 2^2 = 12
+        # (x + 2y)^3: the coefficient of x^r y^s is M_q(X) / (r! s!), with
+        # e_1 r times and e_2 s times in X; for x y^2 it is 3 * 2^2 = 12
         q = pc.SparsePolynomial(2, {(3, 0): 1, (2, 1): 6, (1, 2): 12, (0, 3): 8},
                                 mode="exact")
-        assert pc.taylor_mixed_form_coefficient(q, (1, 2)) == 12
-        assert pc.taylor_mixed_form_coefficient(q, (3, 0)) == 1
-
-    def test_multiplicity_validation(self):
-        q = pc.SparsePolynomial(2, {(1, 1): 1}, mode="exact")
-        with pytest.raises(pc.InputError):
-            pc.taylor_mixed_form_coefficient(q, (1, 2))
-        with pytest.raises(pc.InputError):
-            pc.taylor_mixed_form_coefficient(q, (1,))
-
-    def test_degree_cap(self):
-        q = pc.SparsePolynomial(1, {(11,): 1}, mode="exact")
-        with pytest.raises(pc.ResourceLimitError):
-            pc.taylor_mixed_form_coefficient(q, (11,))
+        e1, e2 = (1, 0), (0, 1)
+        assert pc.mixed_form(q, [e1, e2, e2]) == 12 * math.factorial(2)
+        assert pc.mixed_form(q, [e1, e1, e1]) == 1 * math.factorial(3)
 
 
 class TestExactMixedPartial:
@@ -297,3 +287,14 @@ class TestExactMixedPartial:
         p = pc.SparsePolynomial(3, {(2, 0, 0): 1, (0, 1, 1): 1}, mode="exact")
         with pytest.raises(pc.InputError):
             pc.exact_mixed_partial(p)
+
+    @pytest.mark.parametrize("kind", ["function", "derivative-slice"])
+    def test_plain_oracle_refused(self, kind):
+        if kind == "function":
+            poly = pc.FunctionOracle(2, 2, lambda x: x[0] * x[1])
+        else:
+            poly = pc.DerivativeSliceOracle(fixtures.uniform_product_polynomial(3), 1)
+        with pytest.raises(pc.InputError) as info:
+            pc.exact_mixed_partial(poly)
+        assert str(info.value) == (
+            f"no exact mixed-partial route for {type(poly).__name__}")

@@ -8,6 +8,11 @@ import polycap as pc
 from polycap import fixtures
 
 
+def random_psd_tuple(n, rng):
+    """n random full-rank PSD n x n matrices G G^T."""
+    return [g @ g.T for g in rng.standard_normal((n, n, n))]
+
+
 class TestSparsePolynomial:
     def test_mode_inference(self):
         p = pc.SparsePolynomial(2, {(1, 1): Fraction(1, 2), (2, 0): 1})
@@ -126,7 +131,7 @@ class TestDeterminantalPolynomial:
 
     def test_exact_matches_float(self):
         rng = np.random.default_rng(3)
-        mats = fixtures.random_psd_tuple(3, rng)
+        mats = random_psd_tuple(3, rng)
         exact_mats = [[[Fraction(x).limit_denominator(10 ** 6) for x in row]
                        for row in m] for m in mats]
         # re-symmetrize after rounding
@@ -183,7 +188,7 @@ class TestFunctionOracle:
 
 def _batch_cases():
     rng = np.random.default_rng(21)
-    mats = fixtures.random_psd_tuple(3, rng)
+    mats = random_psd_tuple(3, rng)
     return {
         "sparse": pc.SparsePolynomial(3, {(2, 1, 0): 1.5, (1, 1, 1): 2.0,
                                           (0, 0, 3): 0.5}),
