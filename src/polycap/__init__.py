@@ -39,7 +39,6 @@ from .errors import (
 from .hyperbolicity import (
     RootProfile,
     half_plane_sample_check,
-    rank_via_roots,
     real_rootedness_check,
     root_profile,
 )
@@ -96,7 +95,6 @@ __all__ = [
     "permanent_ryser",
     "polynomial_from_dict",
     "rank_ladder_bound",
-    "rank_via_roots",
     "real_rootedness_check",
     "repeated_column_permanent",
     "root_profile",

@@ -243,8 +243,7 @@ def criterion_6_ladder_telescopes() -> CriterionResult:
             if rel > 1e-12:
                 raise AssertionError(f"n={n}: float mismatch rel={rel}")
         report = rank_ladder_bound(
-            fixtures.uniform_product_polynomial(30, mode="float"),
-            include_exact=False)
+            fixtures.uniform_product_polynomial(30, mode="float"))
         target = float(vdw_factor(30)) * report.capacity
         rel = abs(report.lower_bound_rank - target) / max(target, 1e-300)
         if rel > 1e-12:

@@ -5,10 +5,11 @@ coefficients:
 
     (n!/n^n) * Cap(p)  <=  d^n p / dx_1..dx_n  <=  Cap(p)
 
-The left factor improves when variables have small "rank" (degree in a single
-variable, or matrix rank of the pencil slot): peeling variables one at a time
-multiplies factors ((m-1)/m)^(m-1) where m is the effective rank at each step,
-and the product of those factors over m = 1..k telescopes to k!/k^k.
+The left factor improves when variables have small "rank", which each
+representation gives exactly as ``variable_degree`` (the largest exponent, the
+column support, or the matrix rank of the pencil slot): peeling variables one
+at a time multiplies factors ((m-1)/m)^(m-1) where m is the effective rank at
+each step, and the product of those factors over m = 1..k telescopes to k!/k^k.
 
 This module exposes: the classical factor and its rank-refined ladder, the
 sparse doubly-stochastic permanent bound, the entropic inequality behind the
@@ -202,16 +203,16 @@ class BoundReport:
 
 
 def rank_ladder_bound(poly: EvaluationOracle, ordering="as-given",
-                      include_exact="auto", tol: float = 1e-10,
-                      max_iter: int = 200) -> BoundReport:
+                      tol: float = 1e-10, max_iter: int = 200) -> BoundReport:
     """Compute Cap(p) and the certified lower bounds on the full mixed partial.
 
     The ladder peels variables in `ordering` ("as-given", "greedy" =
     ascending rank, or an explicit permutation of 0..n-1); step i (0-based)
     contributes factor phi(G_i) with G_i = min(rank(var), n - i). The report
     also carries the classical n!/n^n bound and, when max rank k < n, the
-    uniform-rank factor; `include_exact` ("auto" | True | False) controls
-    whether a brute-force exact mixed partial is attached for comparison.
+    uniform-rank factor. The brute-force exact mixed partial is attached for
+    comparison where the representation has an exact route within its caps,
+    and is None elsewhere.
     """
     n = poly.n_vars
     if poly.degree != n:
@@ -246,14 +247,10 @@ def rank_ladder_bound(poly: EvaluationOracle, ordering="as-given",
     kmax = max(ranks)
     lower_uniform = uniform_rank_bound(cap.value, n, kmax) if kmax < n else None
 
-    exact_value = None
-    if include_exact is True or include_exact == "auto":
-        try:
-            exact_value = float(exact_mixed_partial(poly))
-        except (ResourceLimitError, InputError):
-            if include_exact is True:
-                raise
-            exact_value = None
+    try:
+        exact_value = float(exact_mixed_partial(poly))
+    except (ResourceLimitError, InputError):
+        exact_value = None
 
     provenance = {
         "capacity": "interior-point minimum of p over the slice prod(x)=1",

@@ -81,8 +81,8 @@ def _hyperplane_basis(n: int) -> np.ndarray:
 
 
 def capacity_minimize(poly: EvaluationOracle, tol: float = 1e-10,
-                      max_iter: int = 200, x0=None) -> CapacityResult:
-    """Minimize p over the positive slice prod(x) = 1.
+                      max_iter: int = 200) -> CapacityResult:
+    """Minimize p over the positive slice prod(x) = 1, from y = 0.
 
     Returns an upper estimate of Cap(p) and f = log p at the minimizer. The
     stop reason says why the run ended, and the status follows from it:
@@ -105,15 +105,7 @@ def capacity_minimize(poly: EvaluationOracle, tol: float = 1e-10,
         raise InputError(f"p(1,...,1) = {ones_value}; capacity needs a positive value")
 
     obj = log_objective(poly)
-    if x0 is None:
-        y = np.zeros(n)
-    else:
-        x0 = np.array([float(v) for v in x0])
-        if len(x0) != n or np.any(x0 <= 0):
-            raise InputError("x0 must be a positive vector of length n_vars")
-        y = np.log(x0)
-        y -= y.mean()
-
+    y = np.zeros(n)
     U = _hyperplane_basis(n)
     f = obj.value(y)
     if not np.isfinite(f):

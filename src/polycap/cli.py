@@ -76,8 +76,11 @@ def _emit(args, inputs: dict, result) -> str:
     text = json.dumps(report, indent=2, sort_keys=True, default=_encode,
                       allow_nan=False)
     if args.output:
-        with open(args.output, "w", encoding="utf-8") as fh:
-            fh.write(text + "\n")
+        try:
+            with open(args.output, "w", encoding="utf-8") as fh:
+                fh.write(text + "\n")
+        except OSError as exc:
+            raise InputError(f"cannot write {args.output}: {exc}") from None
     else:
         print(text)
     return text
@@ -114,7 +117,7 @@ def _cmd_permanent(args) -> int:
 def _cmd_mixed_disc(args) -> int:
     poly = _load(args, DeterminantalPolynomial,
                  "'determinantal' document (the PSD tuple)")
-    value = mixed_discriminant(poly, mode=args.mode)
+    value = mixed_discriminant(poly)
     _emit(args, {"path": args.input, "n": poly.n_vars},
           {"mixed_discriminant": value})
     return 0
@@ -130,8 +133,7 @@ def _cmd_bound(args) -> int:
             raise InputError(
                 "ordering must be 'as-given', 'greedy', or a comma-separated "
                 "permutation of 0..n-1") from None
-    report = rank_ladder_bound(poly, ordering=ordering,
-                               include_exact="auto", tol=args.tol,
+    report = rank_ladder_bound(poly, ordering=ordering, tol=args.tol,
                                max_iter=args.max_iter)
     result = _encode(report)
     if report.exact_value is not None:
@@ -186,8 +188,7 @@ def _cmd_check_hyperbolic(args) -> int:
 
 def _cmd_scale(args) -> int:
     poly = _load(args, ProductFormPolynomial, "'product' document (the matrix rows)")
-    res = sinkhorn_scale(poly.matrix, tol=args.tol,
-                         max_iter=max(args.max_iter, 10000))
+    res = sinkhorn_scale(poly.matrix, tol=args.tol, max_iter=args.max_iter)
     _emit(args, {"path": args.input, "n": poly.n_vars}, res)
     return 0
 
@@ -232,15 +233,16 @@ def build_parser() -> argparse.ArgumentParser:
                         version=f"polycap {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, needs_input=True):
+    def common(p, needs_input=True, max_iter=200):
         if needs_input:
             p.add_argument("input", help="polynomial JSON file")
         p.add_argument("--mode", choices=("exact", "float"), default="float",
                        help="arithmetic mode (default float)")
         p.add_argument("--tol", type=float, default=1e-10,
                        help="convergence tolerance (default 1e-10)")
-        p.add_argument("--max-iter", dest="max_iter", type=int, default=200,
-                       help="iteration cap (default 200)")
+        p.add_argument("--max-iter", dest="max_iter", type=int,
+                       default=max_iter,
+                       help=f"iteration cap (default {max_iter})")
         p.add_argument("--seed", type=int, default=0,
                        help="seed for sampled checks (default 0)")
         p.add_argument("--output", help="write the JSON report here instead of stdout")
@@ -285,7 +287,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(fn=_cmd_check_hyperbolic)
 
     p = sub.add_parser("scale", help="Sinkhorn-balance a product matrix")
-    common(p)
+    common(p, max_iter=10000)
     p.set_defaults(fn=_cmd_scale)
 
     p = sub.add_parser("sparse-bound",

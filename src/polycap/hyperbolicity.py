@@ -8,9 +8,9 @@ positivity on the open right half-plane, is what the capacity machinery is
 calibrated against. ``root_profile`` recovers the restricted roots of one
 slice by Chebyshev interpolation, validates the window through the
 root-product identity prod(roots) = p(x)/p(d), and classifies the roots as
-real or complex; ``real_rootedness_check`` samples many slices,
-``rank_via_roots`` counts the nonzero roots of one, and
-``half_plane_sample_check`` samples the half-plane condition directly.
+real or complex; ``real_rootedness_check`` samples many slices along the
+all-ones direction, and ``half_plane_sample_check`` samples the half-plane
+condition directly.
 
 Numerical honesty about repeated roots: an m-fold real root computed through
 a degree-n fit splits into a cluster with imaginary parts of order
@@ -22,7 +22,6 @@ matrices, equality families) classify as real while genuinely complex pairs
 """
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -37,8 +36,6 @@ _CLUSTER_SAFETY = 10.0
 _TINY = 1e-300
 _REAL_TOL = 1e-6    # |imag| / root scale below which a root is real
 _MARGIN_TOL = 1e-9  # how far the margin |p(z)|/p(Re z) - 1 may fall below 0
-_ZERO_TOL = 1e-7    # rank_via_roots: |root| / root scale that counts as zero
-_WARN_TOL = 1e-9    # ... and above which such a root draws a RuntimeWarning
 # Slice fits refuse a degree past this. One fit plus its companion-matrix
 # roots takes 0.05 s at degree 200, 0.2 s at 400 and 1.3 s at 800 (2 vCPUs,
 # one BLAS thread), and check-hyperbolic fits at least two slices per trial.
@@ -181,10 +178,11 @@ def _classify_real(fit: _SliceFit):
     return all_real, float(max_imag)
 
 
-def _checked_slice_fit(poly, point, direction):
-    """(point, direction, fit) for a slice with p(direction) > 0. A degree
-    past SLICE_DEGREE_CAP is refused before any evaluation, then values past
-    the float range; p(direction) and p(point) are one batch."""
+def root_profile(poly: EvaluationOracle, point, direction) -> RootProfile:
+    """Restricted roots plus a real/complex classification for one slice,
+    which needs p(direction) > 0. A degree past SLICE_DEGREE_CAP is refused
+    before any evaluation, then values past the float range; p(direction)
+    and p(point) are one batch."""
     point = tuple(float(v) for v in point)
     direction = tuple(float(v) for v in direction)
     if len(point) != poly.n_vars or len(direction) != poly.n_vars:
@@ -198,12 +196,7 @@ def _checked_slice_fit(poly, point, direction):
     if not p_dir > 0:
         raise InputError(
             f"p(direction) = {p_dir}; root extraction needs a positive value")
-    return point, direction, _slice_fit(poly, point, direction, p_point / p_dir)
-
-
-def root_profile(poly: EvaluationOracle, point, direction) -> RootProfile:
-    """Restricted roots plus a real/complex classification for one slice."""
-    point, direction, fit = _checked_slice_fit(poly, point, direction)
+    fit = _slice_fit(poly, point, direction, p_point / p_dir)
     all_real, max_imag = _classify_real(fit)
     return RootProfile(
         direction=direction,
@@ -215,10 +208,10 @@ def root_profile(poly: EvaluationOracle, point, direction) -> RootProfile:
     )
 
 
-def real_rootedness_check(poly: EvaluationOracle, direction=None,
-                          trials: int = 50, seed: int = 0):
+def real_rootedness_check(poly: EvaluationOracle, trials: int = 50,
+                          seed: int = 0):
     """Sample random slice points and test that every restricted polynomial
-    is real-rooted along `direction` (default: the all-ones direction).
+    is real-rooted along the all-ones direction.
 
     Returns (ok, worst_profile): ok is True iff all trials were real-rooted;
     worst_profile is the failing slice with the largest imaginary part, or,
@@ -227,8 +220,7 @@ def real_rootedness_check(poly: EvaluationOracle, direction=None,
     if trials < 1:
         raise InputError("trials must be >= 1")
     n = poly.n_vars
-    if direction is None:
-        direction = tuple([1.0] * n)
+    direction = (1.0,) * n
     worst = None
     ok = True
     children = np.random.SeedSequence(seed).spawn(trials)
@@ -282,40 +274,3 @@ def half_plane_sample_check(poly: EvaluationOracle, samples: int = 500,
         "witness": witness,
     }
     return ok, stats
-
-
-def rank_via_roots(poly: EvaluationOracle, i: int) -> int:
-    """Count the nonzero roots of t -> p(e_i - t * ones): for stable p this
-    equals the effective rank of variable i.
-
-    A root counts as zero when its magnitude is below _ZERO_TOL relative to
-    the root scale, or when its whole cluster sits within the backward-error
-    radius of a repeated root at the origin (a double zero root, for
-    instance, is recovered with magnitude ~ sqrt(fit noise), well above any
-    fixed tolerance). Borderline roots (between _WARN_TOL and _ZERO_TOL
-    relative to the root scale) trigger a RuntimeWarning since the count may
-    be off by one.
-    """
-    n = poly.n_vars
-    if not 0 <= i < n:
-        raise InputError(f"variable index {i} out of range for {n} variables")
-    point = tuple(1.0 if j == i else 0.0 for j in range(n))
-    direction = tuple([1.0] * n)
-    fit = _checked_slice_fit(poly, point, direction)[2]
-    roots = fit.roots
-    scale = max(1.0, max((abs(r) for r in roots), default=0.0))
-    count = 0
-    for r in roots:
-        mag = abs(r)
-        if _WARN_TOL * scale <= mag <= _ZERO_TOL * scale:
-            warnings.warn(
-                f"root of magnitude {mag:.3g} is borderline between zero and "
-                f"nonzero at scale {scale:.3g}; rank count may be unstable",
-                RuntimeWarning, stacklevel=2)
-        if mag <= _ZERO_TOL * scale:
-            continue
-        if mag <= _cluster_tolerance(roots, 0.0, 4.0 * mag, fit.lead_abs,
-                                     fit.vmax):
-            continue
-        count += 1
-    return count

@@ -23,6 +23,7 @@ from .polynomials import (
     _EXACT_TYPES,
     DeterminantalPolynomial,
     EvaluationOracle,
+    _scalar_array,
 )
 
 RYSER_FLOAT_CAP = 20
@@ -37,9 +38,11 @@ _TABLE_BITS = 10
 def permanent_ryser(matrix, mode: str | None = None):
     """Permanent by Glynn's formula: 2^-(n-1) times the sum over d in {-1,1}^n
     with d_1 = 1 of prod(d) prod_i sum_j d_j a_ij, half of Ryser's 2^n terms
-    (the name predates the switch). Exact (Fraction) when all entries are
-    rational and mode is not forced to float, summing integer numerators over
-    their common denominator; caps: n <= 14 exact, n <= 20 float.
+    (the name predates the switch). The entries are read as the
+    representations read them (``_scalar_array``): exact (Fraction) when all
+    are ints or Fractions and mode is not float, summing integer numerators
+    over their common denominator; exact mode refuses other entries with
+    InputError. Caps: n <= 14 exact, n <= 20 float.
 
     Float error <= gamma_k prod_i sum_j |a_ij| (Higham) with k = 2^(n-1)+n^2,
     or 2^(n-1)+n if every +-1 sum is exact (small dyadic entries). For A >= 0
@@ -49,17 +52,14 @@ def permanent_ryser(matrix, mode: str | None = None):
     n = len(rows)
     if n < 1 or any(len(r) != n for r in rows):
         raise InputError("permanent needs a nonempty square matrix")
-    flat = [v for r in rows for v in r]
-    if mode is None:
-        mode = "exact" if all(isinstance(v, _EXACT_TYPES) for v in flat) else "float"
+    mode, a = _scalar_array(rows, mode)
     if mode == "exact":
         if n > RYSER_EXACT_CAP:
             raise ResourceLimitError(
                 f"exact permanent refused: n={n} exceeds the cap of {RYSER_EXACT_CAP}"
             )
-        rows = [[Fraction(v) for v in r] for r in rows]
-        den = lcm(*(v.denominator for r in rows for v in r))
-        nums = [[v.numerator * (den // v.denominator) for v in r] for r in rows]
+        den = lcm(*(v.denominator for v in a.flat))
+        nums = [[v.numerator * (den // v.denominator) for v in r] for r in a]
         return Fraction(_glynn(np.array(nums, dtype=object).T),
                         den ** n << (n - 1))
     if n > RYSER_FLOAT_CAP:
@@ -67,7 +67,7 @@ def permanent_ryser(matrix, mode: str | None = None):
             f"float permanent refused: n={n} exceeds the cap of {RYSER_FLOAT_CAP}"
         )
     with np.errstate(over="ignore", invalid="ignore"):
-        value = float(_glynn(np.array(rows, dtype=float).T)) / 2.0 ** (n - 1)
+        value = float(_glynn(a.T)) / 2.0 ** (n - 1)
     return _finite_sum(value, "permanent")
 
 
@@ -196,13 +196,15 @@ def mixed_discriminant(matrices, mode: str | None = None):
     Computed as the polarized mixed partial of the determinantal polynomial:
     2^n determinant evaluations. Cap n <= 12. ``matrices`` may be that
     DeterminantalPolynomial itself; it is used as is, its evaluations counted
-    in its ``calls``, unless ``mode`` asks for the other mode.
+    in its ``calls``, and a ``mode`` other than its own raises InputError.
     """
-    if isinstance(matrices, DeterminantalPolynomial):
-        if mode in (None, matrices.mode):
-            return exact_mixed_partial(matrices)
-        matrices = matrices.matrices
-    return exact_mixed_partial(DeterminantalPolynomial(matrices, mode=mode))
+    if not isinstance(matrices, DeterminantalPolynomial):
+        matrices = DeterminantalPolynomial(matrices, mode=mode)
+    elif mode not in (None, matrices.mode):
+        raise InputError(
+            f"mode {mode!r} does not match the polynomial's mode "
+            f"{matrices.mode!r}")
+    return exact_mixed_partial(matrices)
 
 
 def exact_mixed_partial(poly):

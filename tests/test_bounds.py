@@ -121,21 +121,11 @@ class TestRankLadderReport:
             assert rep.exact_value is not None
             assert rep_is_sandwich(rep, rep.exact_value)
 
-    def test_include_exact_false(self):
-        rep = pc.rank_ladder_bound(fixtures.uniform_product_polynomial(3),
-                                   include_exact=False)
-        assert rep.exact_value is None
-
     def test_include_exact_auto_survives_large_n(self):
         p = pc.ProductFormPolynomial(np.full((21, 21), 1.0 / 21), mode="float")
-        rep = pc.rank_ladder_bound(p, include_exact="auto")
+        rep = pc.rank_ladder_bound(p)
         assert rep.exact_value is None  # brute force refused, bound still valid
         assert rep.lower_bound_rank > 0
-
-    def test_include_exact_true_raises_past_cap(self):
-        p = pc.ProductFormPolynomial(np.full((21, 21), 1.0 / 21), mode="float")
-        with pytest.raises(pc.ResourceLimitError):
-            pc.rank_ladder_bound(p, include_exact=True)
 
 
 def rep_is_sandwich(rep, exact, tol=1e-7):

@@ -144,6 +144,38 @@ class TestInvariances:
         assert c_sparse == pytest.approx(c_prod, rel=1e-8)
         assert c_det == pytest.approx(c_trans, rel=1e-8)
 
+    @pytest.mark.parametrize("kind", ["product", "determinantal", "sparse"])
+    def test_permuting_the_variables(self, kind):
+        # q(x) = p(Px): variable j of q is variable perm[j] of p, so Cap(q) =
+        # Cap(p) and the ranks come back permuted the same way.
+        rng = np.random.default_rng(5)
+        n = 5
+        perm = rng.permutation(n)
+        if kind == "determinantal":
+            # Scalable, so the minimum is attained (a random Gram tuple with a
+            # rank-1 slot has its minimizer at infinity and stops at the cap).
+            d = rng.uniform(0.5, 2.0, n)
+            mats = _doubly_stochastic_pencil(rng, n, (2, 3, 4, 5, 2))
+            mats = mats * d[:, None, None]
+            p = pc.DeterminantalPolynomial(mats, mode="float")
+            q = pc.DeterminantalPolynomial(mats[perm], mode="float")
+        else:
+            m = rng.uniform(0.1, 1.0, (n, n))
+            for j in range(n - 1):
+                m[rng.permutation(n)[: n - 1 - j], j] = 0.0  # rank j + 1
+            p = pc.ProductFormPolynomial(m, mode="float")
+            q = pc.ProductFormPolynomial(m[:, perm], mode="float")
+            if kind == "sparse":
+                p = p.expand()
+                q = pc.SparsePolynomial(n, {tuple(np.array(e)[perm].tolist()): c
+                                            for e, c in p.terms.items()})
+        rep_p = pc.rank_ladder_bound(p)
+        rep_q = pc.rank_ladder_bound(q)
+        assert rep_p.capacity_status == rep_q.capacity_status == "converged"
+        assert rep_q.capacity == pytest.approx(rep_p.capacity, rel=1e-9)
+        assert rep_q.ranks == tuple(rep_p.ranks[i] for i in perm)
+        assert len(set(rep_p.ranks)) > 2
+
 
 def _doubly_stochastic_pencil(rng, n, ranks):
     """PSD matrices of the given ranks with sum I and unit traces, by
@@ -248,19 +280,6 @@ class TestStatusesAndValidation:
         p = fixtures.uniform_product_polynomial(2)
         with pytest.raises(pc.InputError):
             pc.capacity_minimize(p, tol=0.0)
-
-    def test_bad_x0(self):
-        p = fixtures.uniform_product_polynomial(2)
-        with pytest.raises(pc.InputError):
-            pc.capacity_minimize(p, x0=(1.0, -1.0))
-        with pytest.raises(pc.InputError):
-            pc.capacity_minimize(p, x0=(1.0,))
-
-    def test_x0_start_converges_to_same_value(self):
-        p = pc.ProductFormPolynomial([[5.0, 0.1], [0.1, 3.0]], mode="float")
-        r0 = pc.capacity_minimize(p)
-        r1 = pc.capacity_minimize(p, x0=(2.0, 0.5))
-        assert r1.value == pytest.approx(r0.value, rel=1e-10)
 
 
 class TestSinkhorn:

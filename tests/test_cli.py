@@ -134,8 +134,8 @@ class TestCapacityCommand:
         f1, f2 = str(tmp_path / "a.json"), str(tmp_path / "b.json")
         assert main(["capacity", product_file, "--no-meta", "--output", f1]) == 0
         assert main(["capacity", product_file, "--no-meta", "--output", f2]) == 0
-        b1 = open(f1, "rb").read()
-        assert b1 == open(f2, "rb").read()
+        b1 = Path(f1).read_bytes()
+        assert b1 == Path(f2).read_bytes()
         assert b1.strip()
 
 
@@ -277,6 +277,16 @@ class TestScaleCommand:
         assert r["log_capacity"] == pytest.approx(np.log(r["capacity"]),
                                                   rel=1e-12)
 
+    def test_max_iter_caps_the_sweeps(self, capsys, tmp_path):
+        rng = np.random.default_rng(50)
+        path = write_doc(tmp_path / "m.json", {
+            "kind": "product", "matrix": rng.uniform(0.1, 1.0, (3, 3)).tolist()})
+        code, doc = run_json(capsys, ["scale", path, "--max-iter", "3"])
+        assert code == 0
+        assert doc["result"]["iterations"] == 3
+        assert doc["result"]["status"] == "iteration-cap"
+        assert cli.build_parser().parse_args(["scale", path]).max_iter == 10000
+
     def test_capacity_past_the_float_range(self, tmp_path):
         # Capacity e^2156.81 overflows a float; its log is reported, with no
         # numpy overflow warning.
@@ -321,6 +331,13 @@ class TestErrorPaths:
     def test_missing_file_exits_2(self, capsys):
         assert main(["capacity", "/nonexistent/poly.json"]) == 2
         assert "error" in capsys.readouterr().err
+
+    def test_unwritable_output_exits_2(self, tmp_path, capsys, product_file):
+        out = tmp_path / "missing" / "x.json"
+        assert main(["capacity", product_file, "--output", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: cannot write {out}: ")
+        assert err.count("\n") == 1
 
     def test_malformed_json_exits_2(self, tmp_path, capsys):
         path = tmp_path / "bad.json"

@@ -148,6 +148,11 @@ class TestPermanentRyser:
         with pytest.raises(pc.InputError):
             pc.permanent_ryser([[1, 2, 3], [4, 5, 6]])
 
+    def test_exact_mode_refuses_floats(self):
+        # As ProductFormPolynomial(..., mode="exact") does.
+        with pytest.raises(pc.InputError, match="exact mode"):
+            pc.permanent_ryser([[0.5, 1], [1, 1]], mode="exact")
+
 
 class TestPolarization:
     def test_all_odd_exponents_contribute(self):
@@ -247,11 +252,9 @@ class TestMixedDiscriminant:
             assert pc.mixed_discriminant(poly, mode=mode) == \
                 pc.permanent_ryser(m, mode="exact")
             assert poly.calls - before == 2 ** 4
-        # The other mode builds its own polynomial from the matrices.
-        before = poly.calls
-        assert pc.mixed_discriminant(poly, mode="float") == pytest.approx(
-            float(pc.permanent_ryser(m, mode="exact")), rel=1e-12)
-        assert poly.calls == before
+        # The representation decides exact or float; another mode is refused.
+        with pytest.raises(pc.InputError, match="mode"):
+            pc.mixed_discriminant(poly, mode="float")
 
 
 class TestTaylorCoefficient:

@@ -6,6 +6,7 @@ import pytest
 
 import polycap as pc
 from polycap import fixtures
+from test_bounds import product_with_sparse_first_column
 
 
 def random_psd_tuple(n, rng):
@@ -278,6 +279,12 @@ class TestVariableDegree:
                                             [Fraction(1, 2), 0, Fraction(1, 2)]])
         p = pc.DeterminantalPolynomial(mats, mode="exact")
         assert [p.variable_degree(i) for i in range(3)] == [2, 2, 2]
+
+    def test_agrees_with_structural_rank(self):
+        rng = np.random.default_rng(36)
+        for k in (1, 2, 3):
+            p = product_with_sparse_first_column(5, k, rng)
+            assert p.variable_degree(0) == k
 
     def test_out_of_range(self):
         p = pc.SparsePolynomial(2, {(1, 1): 1})
