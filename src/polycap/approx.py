@@ -49,7 +49,9 @@ class DerivativeSliceOracle(EvaluationOracle):
         g(eps) = 2^-k sum_{b in {-1,1}^k} p(eps * b, tail) * prod(b)
     which equals eps^k * h(eps^2) with h(0) = p_k(tail) (only even powers of
     eps survive the sign symmetry), and extrapolates h to 0 by Lagrange
-    interpolation over the nodes t_j = eps_j^2, eps_j = 2^-j. Exact inputs
+    interpolation over the nodes t_j = eps_j^2, eps_j = 2^-j. The sums are
+    ``oracles.signed_sums`` at offsets (0, tail), scales eps_j, over all 2^k
+    patterns: b and -b do not pair, as the tail keeps its sign. Exact inputs
     make this algebraically exact; float inputs report a condition number
     for the last row of the most recent batch in `last_condition`.
     """
@@ -82,7 +84,8 @@ class DerivativeSliceOracle(EvaluationOracle):
         eps = np.array(self.eps, dtype=dtype)
         offsets = np.zeros((len(X), self.m, self.base.n_vars), dtype=dtype)
         offsets[:, :, self.k:] = X[:, None, :]
-        sums = signed_sums(self.base, np.eye(self.k, self.base.n_vars, dtype=int),
+        sums = signed_sums(self.base.evaluate_batch,
+                           np.eye(self.k, self.base.n_vars, dtype=int),
                            offsets.reshape(-1, self.base.n_vars), np.tile(eps, len(X)))
         h = sums.reshape(len(X), self.m) / (2 ** self.k * eps ** self.k)
         terms = h * np.array(self.weights, dtype=dtype)

@@ -319,12 +319,10 @@ def sparse_permanent_bound(matrix, k: int, transpose: bool = False) -> float:
     return bound
 
 
-def contraction_capacity_check(q: EvaluationOracle,
-                               use_first_variable_rank: bool = False,
-                               tol: float = 1e-7) -> tuple:
+def contraction_capacity_check(q: EvaluationOracle, tol: float = 1e-7) -> tuple:
     """Peel the first variable: with r = d/dx_0 q(0, x_1, ..), capacity obeys
-    Cap(r) >= ((m-1)/m)^(m-1) * Cap(q), m = n (generic) or the rank of
-    variable 0 (use_first_variable_rank=True).
+    Cap(r) >= ((m-1)/m)^(m-1) * Cap(q), m the rank of variable 0. As m <= n
+    and the factor falls as m grows, this implies the generic m = n bound.
 
     Returns (cap_q, cap_r, ratio); a degenerate-zero q returns
     (0.0, None, None) since the inequality is vacuous at Cap(q) = 0.
@@ -337,7 +335,7 @@ def contraction_capacity_check(q: EvaluationOracle,
         return 0.0, None, None
     r = derivative_reduce(q.expand())
     cap_r = capacity_minimize(r)
-    m = q.variable_degree(0) if use_first_variable_rank else n
+    m = q.variable_degree(0)
     factor = float(_phi(max(m, 1)))
     if cap_r.value < factor * cap_q.value - tol * max(1.0, cap_q.value):
         raise AssertionError(

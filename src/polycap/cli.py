@@ -233,9 +233,8 @@ def build_parser() -> argparse.ArgumentParser:
                         version=f"polycap {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, needs_input=True, max_iter=200):
-        if needs_input:
-            p.add_argument("input", help="polynomial JSON file")
+    def common(p, max_iter=200):
+        p.add_argument("input", help="polynomial JSON file")
         p.add_argument("--mode", choices=("exact", "float"), default="float",
                        help="arithmetic mode (default float)")
         p.add_argument("--tol", type=float, default=1e-10,
@@ -300,7 +299,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(fn=_cmd_sparse_bound)
 
     p = sub.add_parser("suite", help="run the built-in check suite")
-    common(p, needs_input=False)
     p.add_argument("--only", default=None,
                    help="comma-separated criterion numbers (1..10)")
     p.set_defaults(fn=_cmd_suite)
@@ -312,11 +310,12 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        if not args.tol > 0:
+        # Each command is checked only for the options it has.
+        if "tol" in args and not args.tol > 0:
             raise InputError("tol must be positive")
-        if args.max_iter < 1:
+        if "max_iter" in args and args.max_iter < 1:
             raise InputError("max-iter must be >= 1")
-        if getattr(args, "k", 0) < 0:
+        if "k" in args and args.k < 0:
             raise InputError("k must be >= 0")
         return args.fn(args)
     except InputError as exc:

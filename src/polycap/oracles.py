@@ -1,14 +1,17 @@
 """Exact brute-force oracles: permanents, polarized mixed forms and mixed
 discriminants.
 
-Every bound in the package is validated against these. Permanents (Glynn's
-formula) and mixed forms are signed sums over {-1,1}^k, both built on one
-table, ``_sign_table``. Exact mode stays in ints and Fractions; in float mode
-the order of every sum is fixed, so results are bit-stable, and a sum that
-leaves the float range is refused with ResourceLimitError, not returned as
-inf or nan. Each representation picks its exact mixed partial itself
-(``mixed_partial`` in ``polynomials``); ``exact_mixed_partial`` checks the
-degree and asks it.
+Every bound in the package is validated against these. All are one signed
+sum, ``signed_sums``: a form of degree n polarized along n vectors with the
+first sign fixed, 2^(n-1) terms, as homogeneity pairs each sign pattern with
+its negation. Glynn's permanent polarizes x_1...x_n along the columns; a
+mixed form polarizes the polynomial along the canonical basis (for a
+determinantal polynomial, its mixed discriminant). Exact mode stays in ints
+and Fractions; in float mode the order of every sum is fixed, so results are
+bit-stable, and a sum that leaves the float range is refused with
+ResourceLimitError, not returned as inf or nan. Each representation picks
+its exact mixed partial itself (``mixed_partial`` in ``polynomials``);
+``exact_mixed_partial`` checks the degree and asks it.
 """
 from __future__ import annotations
 
@@ -20,7 +23,6 @@ import numpy as np
 from .errors import InputError, ResourceLimitError
 from .polynomials import (
     _BATCH_ENTRIES,
-    _EXACT_TYPES,
     DeterminantalPolynomial,
     EvaluationOracle,
     _scalar_array,
@@ -31,7 +33,7 @@ RYSER_EXACT_CAP = 14
 POLARIZATION_FLOAT_CAP = 22
 POLARIZATION_EXACT_CAP = 14
 MIXED_DISC_CAP = 12
-# signed_sums and _glynn tabulate this many vectors at once: 2^10 rows.
+# signed_sums tabulates this many vectors at once: 2^10 rows.
 _TABLE_BITS = 10
 
 
@@ -59,16 +61,19 @@ def permanent_ryser(matrix, mode: str | None = None):
                 f"exact permanent refused: n={n} exceeds the cap of {RYSER_EXACT_CAP}"
             )
         den = lcm(*(v.denominator for v in a.flat))
-        nums = [[v.numerator * (den // v.denominator) for v in r] for r in a]
-        return Fraction(_glynn(np.array(nums, dtype=object).T),
-                        den ** n << (n - 1))
-    if n > RYSER_FLOAT_CAP:
+        a = np.array([[v.numerator * (den // v.denominator) for v in r]
+                      for r in a], dtype=object)
+    elif n > RYSER_FLOAT_CAP:
         raise ResourceLimitError(
             f"float permanent refused: n={n} exceeds the cap of {RYSER_FLOAT_CAP}"
         )
+    # The polarization of x_1...x_n along the columns, with d_1 fixed to 1.
     with np.errstate(over="ignore", invalid="ignore"):
-        value = float(_glynn(a.T)) / 2.0 ** (n - 1)
-    return _finite_sum(value, "permanent")
+        total = signed_sums(lambda rows: np.prod(rows, axis=1),
+                            a.T[1:], a.T[:1]).tolist()[0]
+    if mode == "exact":
+        return Fraction(total, den ** n << (n - 1))
+    return _finite_sum(total / 2.0 ** (n - 1), "permanent")
 
 
 def _finite_sum(value: float, what: str) -> float:
@@ -97,19 +102,6 @@ def permanent_error_bound(matrix) -> float:
     return value if value >= bound else nextafter(value, inf)
 
 
-def _glynn(cols):
-    """2^(n-1) per(A) from the columns of A, the rows of ``cols``: columns
-    2 to 1 + ``_TABLE_BITS`` are tabulated once, and each sign pattern of the
-    rest, shifted by column 1, shifts the table. Object arrays stay exact."""
-    table, signs = _sign_table(cols[1:1 + _TABLE_BITS])
-    shifts, shift_signs = _sign_table(cols[1 + _TABLE_BITS:])
-    total = 0
-    # Python int signs: an np.int64 times an int past 2^63 overflows.
-    for shift, sign in zip(shifts + cols[0], shift_signs.tolist()):
-        total += sign * (np.prod(table + shift, axis=1) @ signs)
-    return total
-
-
 def _sign_table(vectors):
     """All 2^k sums of +-v_i over the rows v_i of ``vectors``, by doubling,
     with the product of the signs of each sum."""
@@ -121,89 +113,78 @@ def _sign_table(vectors):
     return table, signs
 
 
-def signed_sums(poly: EvaluationOracle, vectors, offsets=None, scales=None):
-    """sum over b in {-1,1}^k of prod(b) * p(offset_t + scale_t * sum_i b_i v_i)
+def signed_sums(f, vectors, offsets, scales=None):
+    """sum over b in {-1,1}^k of prod(b) * f(offset_t + scale_t * sum_i b_i v_i)
     for each row t of ``offsets``, as an array.
 
-    ``vectors`` is a (k, n_vars) array. Without ``offsets`` there is one sum,
-    at offset 0 and scale 1. The first ``_TABLE_BITS`` vectors are tabulated
-    once and each sign pattern of the rest shifts the table, so every point is
-    a fresh sum: float sums do not drift. Object (Fraction) arrays stay exact.
+    ``f`` maps an array of points, one per row, to their values.
+    ``vectors`` is a (k, d) array and ``offsets`` a (T, d) one; without
+    ``scales`` every scale is 1 and a point is ``table + (shift + offset)``.
+    The first ``_TABLE_BITS`` vectors are tabulated once and each sign
+    pattern of the rest shifts the table, so every point is a fresh sum:
+    float sums do not drift. Object (Fraction) arrays stay exact.
     """
-    vectors = np.asarray(vectors)
     table, signs = _sign_table(vectors[:_TABLE_BITS])
     shifts, shift_signs = _sign_table(vectors[_TABLE_BITS:])
     per_call = max(1, _BATCH_ENTRIES // table.size)
     out = []
-    for i in range(0, 1 if offsets is None else len(offsets), per_call):
+    for i in range(0, len(offsets), per_call):
+        block = offsets[i:i + per_call, None, :]
         sums = 0
-        for shift, sign in zip(shifts, shift_signs):
-            points = table + shift
-            if offsets is not None:
-                points = (offsets[i:i + per_call, None, :]
-                          + scales[i:i + per_call, None, None] * points)
-            values = poly.evaluate_batch(points.reshape(-1, poly.n_vars))
+        # Python int signs: an np.int64 times an int past 2^63 overflows.
+        for shift, sign in zip(shifts, shift_signs.tolist()):
+            if scales is None:
+                points = table + (shift + block)
+            else:
+                points = block + scales[i:i + per_call, None, None] * (table + shift)
+            values = f(points.reshape(-1, table.shape[1]))
             sums = sums + sign * (values.reshape(-1, len(table)) @ signs)
         out.append(sums)
     return np.concatenate(out)
 
 
-def mixed_form(poly: EvaluationOracle, vectors=None):
-    """Polarized mixed form: 2^-n sum over sign patterns b of p(sum b_i v_i) prod(b_i).
+def mixed_form(poly: EvaluationOracle):
+    """The coefficient of x_1...x_n in a form p of degree n in n variables,
+    by polarization along the canonical basis:
+    2^-(n-1) sum over b in {-1,1}^n with b_1 = 1 of prod(b) p(sum_i b_i e_i).
 
-    ``vectors`` defaults to the canonical basis, in which case this equals the
-    coefficient of x_1...x_n (for degree-n polynomials in n variables, the
-    only surviving exponent pattern is all-ones). Deterministic: the points
-    and the order of the sum depend only on the inputs.
+    p must be homogeneous: p(-x) = (-1)^n p(x), so the patterns b and -b
+    add the same term, and fixing b_1 = +1 halves the 2^n evaluations to
+    2^(n-1). Deterministic: the points and the order of the sum depend only
+    on the inputs.
     """
     n = poly.degree
-    if vectors is None:
-        if poly.n_vars != n:
-            raise InputError(
-                "canonical mixed form needs degree == n_vars "
-                f"(got degree {n}, {poly.n_vars} variables)"
-            )
-        vectors = np.eye(n, dtype=int)
-        exact = poly.mode == "exact"
-    else:
-        vectors = np.array([tuple(v) for v in vectors], dtype=object)
-        if vectors.shape != (n, poly.n_vars):
-            raise InputError(
-                f"mixed form needs one vector of length {poly.n_vars} per "
-                f"degree ({n}); got an array of shape {vectors.shape}")
-        exact = poly.mode == "exact" and all(
-            isinstance(c, _EXACT_TYPES) for c in vectors.flat)
-        if not exact:
-            vectors = np.array(vectors.tolist())
-
+    if poly.n_vars != n:
+        raise InputError(
+            "canonical mixed form needs degree == n_vars "
+            f"(got degree {n}, {poly.n_vars} variables)"
+        )
+    exact = poly.mode == "exact"
     cap = POLARIZATION_EXACT_CAP if exact else POLARIZATION_FLOAT_CAP
     if n > cap:
         raise ResourceLimitError(
             f"polarization refused: degree {n} exceeds the cap of {cap} "
             f"({'exact' if exact else 'float'} mode)"
         )
-
+    basis = np.eye(n, dtype=int)
     with np.errstate(over="ignore", invalid="ignore"):
-        s = signed_sums(poly, vectors).tolist()[0]
+        s = signed_sums(poly.evaluate_batch, basis[1:], basis[:1]).tolist()[0]
     if exact:
-        return s * Fraction(1, 1 << n)
-    return _finite_sum(s / float(1 << n), "polarization")
+        return s * Fraction(1, 1 << (n - 1))
+    return _finite_sum(s / float(1 << (n - 1)), "polarization")
 
 
-def mixed_discriminant(matrices, mode: str | None = None):
+def mixed_discriminant(matrices):
     """Mixed discriminant of n symmetric PSD n x n matrices.
 
     Computed as the polarized mixed partial of the determinantal polynomial:
-    2^n determinant evaluations. Cap n <= 12. ``matrices`` may be that
-    DeterminantalPolynomial itself; it is used as is, its evaluations counted
-    in its ``calls``, and a ``mode`` other than its own raises InputError.
+    2^(n-1) determinant evaluations. Cap n <= 12. ``matrices`` may be that
+    DeterminantalPolynomial itself; it is used as is, its mode decides exact
+    or float and its evaluations are counted in its ``calls``. A list of
+    matrices is read in the mode its entries imply.
     """
     if not isinstance(matrices, DeterminantalPolynomial):
-        matrices = DeterminantalPolynomial(matrices, mode=mode)
-    elif mode not in (None, matrices.mode):
-        raise InputError(
-            f"mode {mode!r} does not match the polynomial's mode "
-            f"{matrices.mode!r}")
+        matrices = DeterminantalPolynomial(matrices)
     return exact_mixed_partial(matrices)
 
 

@@ -556,7 +556,7 @@ class DeterminantalPolynomial(EvaluationOracle):
         return _DeterminantalObjective(self)
 
     def mixed_partial(self):
-        """The mixed discriminant D(A_1, ..., A_n), by polarization: 2^n
+        """The mixed discriminant D(A_1, ..., A_n), by polarization: 2^(n-1)
         determinants."""
         # Looked up per call: oracles imports this module.
         from .oracles import MIXED_DISC_CAP, mixed_form

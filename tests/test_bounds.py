@@ -285,8 +285,7 @@ class TestContraction:
     def test_rank_refinement_on_sparse_first_column(self):
         rng = np.random.default_rng(25)
         q = product_with_sparse_first_column(5, 2, rng)
-        cap_q, cap_r, ratio = pc.contraction_capacity_check(
-            q, use_first_variable_rank=True)
+        cap_q, cap_r, ratio = pc.contraction_capacity_check(q)
         assert ratio >= float(_phi(2)) - 1e-7
 
     def test_degenerate_returns_vacuous(self):

@@ -326,6 +326,16 @@ class TestSuiteCommand:
         assert main(["suite", "--only", "99"]) == 2
         assert main(["suite", "--only", "six"]) == 2
 
+    @pytest.mark.parametrize("option", ["--output", "--max-iter"])
+    def test_report_options_are_refused(self, tmp_path, capsys, option):
+        # suite prints criterion lines, not a report: it takes only --only.
+        path = tmp_path / "x"
+        with pytest.raises(SystemExit) as exc:
+            main(["suite", "--only", "6", option, str(path)])
+        assert exc.value.code == 2
+        assert not path.exists()
+        assert capsys.readouterr().out == ""
+
 
 class TestErrorPaths:
     def test_missing_file_exits_2(self, capsys):

@@ -176,11 +176,23 @@ class TestPolarization:
         p = fixtures.uniform_product_polynomial(3)
         assert pc.mixed_form(p) == Fraction(2, 9)
 
-    def test_call_count_is_2_to_n(self):
+    def test_call_count_is_2_to_n_minus_1(self):
+        # Homogeneity pairs b with -b: b_1 = +1 is fixed.
         p = fixtures.uniform_product_polynomial(5)
         p.reset_calls()
         pc.mixed_form(p)
-        assert p.calls == 2 ** 5
+        assert p.calls == 2 ** 4
+
+    @pytest.mark.parametrize("n, k", [(4, 1), (5, 2), (6, 3)])
+    def test_derivative_slice_matches_permanent(self, n, k):
+        # The slice oracle is a form of degree n - k, so the halving holds
+        # for it too; its mixed partial is that of p, the permanent.
+        rng = np.random.default_rng(60 + n)
+        m = fixtures.random_rational_matrix(n, rng)
+        p = pc.ProductFormPolynomial(m, mode="exact")
+        value = pc.mixed_form(pc.DerivativeSliceOracle(p, k))
+        assert isinstance(value, Fraction)
+        assert value == pc.permanent_ryser(m, mode="exact")
 
     def test_float_past_the_table_matches_ryser(self):
         # n = 13: the first 10 vectors make a table of 1,024 sums, and the
@@ -217,55 +229,31 @@ class TestPolarization:
         with pytest.raises(pc.ResourceLimitError):
             pc.mixed_form(p)
 
-    def test_explicit_vectors_validation(self):
-        p = fixtures.uniform_product_polynomial(3)
-        with pytest.raises(pc.InputError):
-            pc.mixed_form(p, vectors=[(1, 0, 0), (0, 1, 0)])
-        with pytest.raises(pc.InputError):
-            pc.mixed_form(p, vectors=[(1, 0), (0, 1), (0, 0)])
-
 
 class TestMixedDiscriminant:
     def test_identity_pair(self):
         eye = [[1, 0], [0, 1]]
-        assert pc.mixed_discriminant([eye, eye], mode="exact") == 2
+        assert pc.mixed_discriminant([eye, eye]) == 2
 
     def test_diagonal_tuple_equals_permanent(self):
         rng = np.random.default_rng(10)
         m = fixtures.random_rational_matrix(4, rng)
         mats = fixtures.diagonal_psd_tuple(m)
-        assert pc.mixed_discriminant(mats, mode="exact") == \
+        assert pc.mixed_discriminant(mats) == \
             pc.permanent_ryser(m, mode="exact")
 
     def test_cap(self):
         n = 13
         mats = [np.eye(n).tolist() for _ in range(n)]
         with pytest.raises(pc.ResourceLimitError):
-            pc.mixed_discriminant(mats, mode="float")
+            pc.mixed_discriminant(mats)
 
     def test_polynomial_is_used_as_is(self):
         rng = np.random.default_rng(10)
         m = fixtures.random_rational_matrix(4, rng)
         poly = pc.DeterminantalPolynomial(fixtures.diagonal_psd_tuple(m))
-        for mode in (None, "exact"):
-            before = poly.calls
-            assert pc.mixed_discriminant(poly, mode=mode) == \
-                pc.permanent_ryser(m, mode="exact")
-            assert poly.calls - before == 2 ** 4
-        # The representation decides exact or float; another mode is refused.
-        with pytest.raises(pc.InputError, match="mode"):
-            pc.mixed_discriminant(poly, mode="float")
-
-
-class TestTaylorCoefficient:
-    def test_binomial_cube(self):
-        # (x + 2y)^3: the coefficient of x^r y^s is M_q(X) / (r! s!), with
-        # e_1 r times and e_2 s times in X; for x y^2 it is 3 * 2^2 = 12
-        q = pc.SparsePolynomial(2, {(3, 0): 1, (2, 1): 6, (1, 2): 12, (0, 3): 8},
-                                mode="exact")
-        e1, e2 = (1, 0), (0, 1)
-        assert pc.mixed_form(q, [e1, e2, e2]) == 12 * math.factorial(2)
-        assert pc.mixed_form(q, [e1, e1, e1]) == 1 * math.factorial(3)
+        assert pc.mixed_discriminant(poly) == pc.permanent_ryser(m, mode="exact")
+        assert poly.calls == 2 ** 3
 
 
 class TestExactMixedPartial:
@@ -284,7 +272,7 @@ class TestExactMixedPartial:
         mats = fixtures.doubly_stochastic_psd_tuple(3, rng)
         p = pc.DeterminantalPolynomial(mats, mode="float")
         assert pc.exact_mixed_partial(p) == pytest.approx(
-            pc.mixed_discriminant(mats, mode="float"), rel=1e-12)
+            pc.mixed_discriminant(mats), rel=1e-12)
 
     def test_degree_mismatch(self):
         p = pc.SparsePolynomial(3, {(2, 0, 0): 1, (0, 1, 1): 1}, mode="exact")
