@@ -17,6 +17,7 @@ from .bounds import (
     contraction_capacity_check,
     entropic_inequality_check,
     rank_ladder_bound,
+    SparseBoundReport,
     repeated_column_permanent,
     sparse_permanent_bound,
     uniform_rank_bound,
@@ -78,6 +79,7 @@ __all__ = [
     "RootProfile",
     "SCHEMA",
     "ScalingResult",
+    "SparseBoundReport",
     "SparsePolynomial",
     "capacity_minimize",
     "contraction_capacity_check",

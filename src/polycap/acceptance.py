@@ -157,7 +157,7 @@ def criterion_4_contraction() -> CriterionResult:
         for i in range(100):
             n = 2 + i % 7
             poly = fixtures.random_product_polynomial(n, rng)
-            cap_q, cap_r, ratio = contraction_capacity_check(poly, tol=1e-7)
+            cap_q, cap_r, ratio = contraction_capacity_check(poly)
             if cap_r is None:
                 continue
             factor = float(_phi(n))
@@ -181,7 +181,7 @@ def criterion_5_sparse_support() -> CriterionResult:
         per = permanent_ryser(circ)
         if per != Fraction(1, 4):
             raise AssertionError(f"circulant permanent {per} != 1/4")
-        bound = sparse_permanent_bound(circ, k=2)
+        bound = sparse_permanent_bound(circ, k=2).bound
         if abs(bound - 0.25) > 1e-12 or abs(float(per) - bound) > 1e-12:
             raise AssertionError(
                 f"circulant: bound {bound} and permanent {float(per)} "
@@ -196,7 +196,7 @@ def criterion_5_sparse_support() -> CriterionResult:
                     m, perms = fixtures.random_k_regular_doubly_stochastic(
                         n, k, rng)
                     per_exact = permanent_ryser(m)
-                    b = sparse_permanent_bound(m, k=k)
+                    b = sparse_permanent_bound(m, k=k).bound
                     slack = float(per_exact) - b
                     worst = min(worst, slack)
                     if slack < -1e-9:
@@ -297,7 +297,7 @@ def criterion_8_entropic() -> CriterionResult:
         for i in range(10000):
             n = 2 + i % 19
             c = fixtures.feasible_entropy_vector(n, rng)
-            lhs, rhs = entropic_inequality_check(c, tol=1e-12)
+            lhs, rhs = entropic_inequality_check(c)
             worst = min(worst, lhs - rhs)
         for n in range(2, 21):
             c = [(n - 1) / n] * n

@@ -149,9 +149,8 @@ def estimate_mixed_partial(poly: EvaluationOracle, k: int = 0,
     oracle_calls = poly.calls - calls_before
 
     condition = target.last_condition if k > 0 else None
-    estimate = 0.0 if cap.status == "degenerate-zero" else cap.value
     return ApproxResult(
-        estimate=float(estimate),
+        estimate=float(cap.value),
         guarantee_factor=guarantee_factor(n, k),
         oracle_calls=oracle_calls,
         k_used=k,

@@ -12,11 +12,11 @@ at a time multiplies factors ((m-1)/m)^(m-1) where m is the effective rank at
 each step, and the product of those factors over m = 1..k telescopes to k!/k^k.
 
 This module exposes: the classical factor and its rank-refined ladder, the
-sparse doubly-stochastic permanent bound, the entropic inequality behind the
-peeling step, the contraction check behind the ladder, and the paper's two
-lemmas as library reproductions: the repeated-column permanent closed form
-and the single-variable reduction bound. Checks raise AssertionError when a
-certified inequality fails.
+sparse doubly-stochastic permanent bound (reported with the permanent it is
+checked on), the entropic inequality behind the peeling step, the contraction
+check behind the ladder, and the paper's two lemmas: the repeated-column
+permanent closed form and the single-variable reduction bound. Checks raise
+AssertionError when a certified inequality fails past a fixed tolerance.
 """
 from __future__ import annotations
 
@@ -77,11 +77,11 @@ def _elementary_symmetric(values) -> list:
     return e
 
 
-def entropic_inequality_check(c, tol: float = 1e-12) -> tuple:
+def entropic_inequality_check(c) -> tuple:
     """For c in [0,1]^n with sum(c) = n-1, the elementary symmetric functions
     satisfy e_{n-1}(c) - n * e_n(c) >= exp(sum_i c_i log c_i) (0 log 0 := 0).
 
-    Returns (lhs, rhs) after asserting lhs >= rhs - tol.
+    Returns (lhs, rhs) after asserting lhs >= rhs - 1e-12.
     """
     c = [float(v) for v in c]
     n = len(c)
@@ -98,7 +98,7 @@ def entropic_inequality_check(c, tol: float = 1e-12) -> tuple:
     e = _elementary_symmetric(c)
     lhs = e[n - 1] - n * e[n]
     rhs = math.exp(sum(v * math.log(v) for v in c if v > 0))
-    if lhs < rhs - tol:
+    if lhs < rhs - 1e-12:
         raise AssertionError(
             f"entropic inequality violated: lhs {lhs} < rhs {rhs}")
     return lhs, rhs
@@ -135,13 +135,13 @@ def repeated_column_permanent(a) -> Fraction:
     return value
 
 
-def univariate_linear_bound_check(a, b, tol: float = 1e-10) -> tuple:
+def univariate_linear_bound_check(a, b) -> tuple:
     """For R(t) = prod_i (a_i t + b_i) with a_i, b_i >= 0, the linear
     coefficient d1 = R'(0) satisfies
 
         d1 >= ((n-1)/n)^(n-1) * C,   C = inf_{t>0} R(t)/t.
 
-    Returns (d1, C, bound) after asserting the inequality.
+    Returns (d1, C, bound) after asserting the inequality to 1e-10 relative.
     """
     a = [Fraction(v) if not isinstance(v, Fraction) else v for v in a]
     b = [Fraction(v) if not isinstance(v, Fraction) else v for v in b]
@@ -181,7 +181,7 @@ def univariate_linear_bound_check(a, b, tol: float = 1e-10) -> tuple:
         C = math.exp(val) if val > -700 else 0.0
 
     bound = float(_phi(n)) * C
-    if float(d1) < bound - tol * max(1.0, bound):
+    if float(d1) < bound - 1e-10 * max(1.0, bound):
         raise AssertionError(
             f"single-variable bound violated: d1 {float(d1)} < bound {bound}")
     return float(d1), C, bound
@@ -276,14 +276,25 @@ def rank_ladder_bound(poly: EvaluationOracle, ordering="as-given",
     )
 
 
-def sparse_permanent_bound(matrix, k: int, transpose: bool = False) -> float:
+@dataclass
+class SparseBoundReport:
+    bound: float
+    k: int
+    transpose: bool
+    permanent: float | None
+
+
+def sparse_permanent_bound(matrix, k: int,
+                           transpose: bool = False) -> SparseBoundReport:
     """Lower bound for the permanent of a doubly stochastic matrix whose
     first n-k columns each have at most k nonzero entries:
 
         per(A) >= ((k-1)/k)^((k-1)(n-k)) * k!/k^k.
 
-    Set transpose=True to apply the row-wise variant. At n <= 14 the bound is
-    verified against the exact permanent before being returned.
+    Set transpose=True to apply the row-wise variant. A matrix within 1e-4 of
+    doubly stochastic is renormalized first. Where the float permanent is
+    within its cap (n <= 20), the bound is verified against it and the
+    report carries it; past the cap ``permanent`` is None.
     """
     A = np.asarray(matrix, dtype=float)
     if A.ndim != 2 or A.shape[0] != A.shape[1]:
@@ -311,21 +322,24 @@ def sparse_permanent_bound(matrix, k: int, transpose: bool = False) -> float:
                 f"{axis} {j} has {support} nonzero entries, more than k = {k}")
 
     bound = float(_uniform_factor(n, k))
-    if n <= 14:
-        per = float(permanent_ryser(A))
-        if per < bound - 1e-9:
-            raise AssertionError(
-                f"permanent {per} fell below the certified bound {bound}")
-    return bound
+    try:
+        per = permanent_ryser(A)
+    except ResourceLimitError:
+        per = None
+    if per is not None and per < bound - 1e-9:
+        raise AssertionError(
+            f"permanent {per} fell below the certified bound {bound}")
+    return SparseBoundReport(bound, k, bool(transpose), per)
 
 
-def contraction_capacity_check(q: EvaluationOracle, tol: float = 1e-7) -> tuple:
+def contraction_capacity_check(q: EvaluationOracle) -> tuple:
     """Peel the first variable: with r = d/dx_0 q(0, x_1, ..), capacity obeys
     Cap(r) >= ((m-1)/m)^(m-1) * Cap(q), m the rank of variable 0. As m <= n
     and the factor falls as m grows, this implies the generic m = n bound.
 
-    Returns (cap_q, cap_r, ratio); a degenerate-zero q returns
-    (0.0, None, None) since the inequality is vacuous at Cap(q) = 0.
+    Returns (cap_q, cap_r, ratio) after asserting the inequality to 1e-7
+    relative; a degenerate-zero q returns (0.0, None, None) since the
+    inequality is vacuous at Cap(q) = 0.
     """
     n = q.n_vars
     if q.degree != n or n < 2:
@@ -337,7 +351,7 @@ def contraction_capacity_check(q: EvaluationOracle, tol: float = 1e-7) -> tuple:
     cap_r = capacity_minimize(r)
     m = q.variable_degree(0)
     factor = float(_phi(max(m, 1)))
-    if cap_r.value < factor * cap_q.value - tol * max(1.0, cap_q.value):
+    if cap_r.value < factor * cap_q.value - 1e-7 * max(1.0, cap_q.value):
         raise AssertionError(
             f"contraction bound violated: Cap(r) {cap_r.value} < "
             f"{factor} * Cap(q) {factor * cap_q.value}")

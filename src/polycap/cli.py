@@ -195,12 +195,9 @@ def _cmd_scale(args) -> int:
 
 def _cmd_sparse_bound(args) -> int:
     poly = _load(args, ProductFormPolynomial, "'product' document (the matrix rows)")
-    bound = sparse_permanent_bound(poly.matrix, k=args.k,
-                                   transpose=args.transpose)
-    result = {"bound": bound, "k": args.k, "transpose": bool(args.transpose)}
-    if poly.n_vars <= 14:
-        result["permanent"] = float(permanent_ryser(poly.matrix, mode="float"))
-    _emit(args, {"path": args.input, "n": poly.n_vars}, result)
+    report = sparse_permanent_bound(poly.matrix, k=args.k,
+                                    transpose=args.transpose)
+    _emit(args, {"path": args.input, "n": poly.n_vars}, report)
     return 0
 
 
@@ -233,23 +230,23 @@ def build_parser() -> argparse.ArgumentParser:
                         version=f"polycap {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, max_iter=200):
+    def common(p, max_iter=None):
+        # Every document command's options; the solvers' also --tol, --max-iter.
         p.add_argument("input", help="polynomial JSON file")
         p.add_argument("--mode", choices=("exact", "float"), default="float",
                        help="arithmetic mode (default float)")
-        p.add_argument("--tol", type=float, default=1e-10,
-                       help="convergence tolerance (default 1e-10)")
-        p.add_argument("--max-iter", dest="max_iter", type=int,
-                       default=max_iter,
-                       help=f"iteration cap (default {max_iter})")
-        p.add_argument("--seed", type=int, default=0,
-                       help="seed for sampled checks (default 0)")
+        if max_iter is not None:
+            p.add_argument("--tol", type=float, default=1e-10,
+                           help="convergence tolerance (default 1e-10)")
+            p.add_argument("--max-iter", dest="max_iter", type=int,
+                           default=max_iter,
+                           help=f"iteration cap (default {max_iter})")
         p.add_argument("--output", help="write the JSON report here instead of stdout")
         p.add_argument("--no-meta", dest="no_meta", action="store_true",
                        help="omit the meta block (byte-stable reports)")
 
     p = sub.add_parser("capacity", help="minimize p over the slice prod(x)=1")
-    common(p)
+    common(p, max_iter=200)
     p.set_defaults(fn=_cmd_capacity)
 
     p = sub.add_parser("permanent", help="exact/float permanent of a product matrix")
@@ -262,14 +259,14 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("bound",
                        help="capacity lower bounds on the full mixed partial")
-    common(p)
+    common(p, max_iter=200)
     p.add_argument("--ordering", default="as-given",
                    help="'as-given', 'greedy', or comma-separated permutation")
     p.set_defaults(fn=_cmd_bound)
 
     p = sub.add_parser("approx",
                        help="estimate the mixed partial with a guarantee factor")
-    common(p)
+    common(p, max_iter=200)
     p.add_argument("--k", type=int, default=0,
                    help="head variables to differentiate out (default 0)")
     p.set_defaults(fn=_cmd_approx)
@@ -277,6 +274,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("check-hyperbolic",
                        help="real-rootedness and half-plane diagnostics")
     common(p)
+    p.add_argument("--seed", type=int, default=0,
+                   help="seed for the sampled checks (default 0)")
     p.add_argument("--trials", type=int, default=50,
                    help="random slice directions (default 50)")
     p.add_argument("--samples", type=int, default=500,

@@ -51,25 +51,19 @@ def power_sum(n: int, mode: str = "exact") -> SparsePolynomial:
     return SparsePolynomial(n, terms, mode=mode)
 
 
-def random_positive_matrix(n: int, rng: np.random.Generator,
-                           low: float = 0.1, high: float = 1.0):
-    """Square float matrix with entries uniform in [low, high] > 0."""
-    if not 0 < low <= high:
-        raise InputError("need 0 < low <= high")
-    return tuple(map(tuple, rng.uniform(low, high, (n, n))))
+def random_positive_matrix(n: int, rng: np.random.Generator):
+    """Square float matrix with entries uniform in [0.1, 1]."""
+    return tuple(map(tuple, rng.uniform(0.1, 1.0, (n, n))))
 
 
-def random_product_polynomial(n: int, rng: np.random.Generator,
-                              low: float = 0.1, high: float = 1.0) -> ProductFormPolynomial:
+def random_product_polynomial(n: int, rng: np.random.Generator) -> ProductFormPolynomial:
     """Product-form polynomial over a random strictly positive matrix."""
-    return ProductFormPolynomial(random_positive_matrix(n, rng, low, high),
-                                 mode="float")
+    return ProductFormPolynomial(random_positive_matrix(n, rng), mode="float")
 
 
-def random_doubly_stochastic(n: int, rng: np.random.Generator,
-                             tol: float = 1e-12):
-    """Random doubly stochastic matrix: positive start, Sinkhorn-balanced."""
-    result = sinkhorn_scale(random_positive_matrix(n, rng), tol=tol,
+def random_doubly_stochastic(n: int, rng: np.random.Generator):
+    """Random doubly stochastic matrix: positive start, Sinkhorn to 1e-12."""
+    result = sinkhorn_scale(random_positive_matrix(n, rng), tol=1e-12,
                             max_iter=20000)
     return result.scaled_matrix
 

@@ -27,7 +27,8 @@ other module asks which representation it holds:
 * ``variable_degree(i)``, the rank that the rank-ladder bound peels: the
   largest exponent of x_i for sparse polynomials, the support of column i
   for product forms, the rank of A_i for determinantal ones;
-* ``expand()`` into a ``SparsePolynomial``;
+* ``expand()`` into a ``SparsePolynomial``, for sparse polynomials and
+  product forms (a pencil raises ``InputError``);
 * ``log_objective()``, the convex capacity objective f(y) = log p(e^y) with
   its gradient and Hessian: in closed form for the three representations,
   by finite differences of evaluations for any other oracle;
@@ -509,48 +510,6 @@ class DeterminantalPolynomial(EvaluationOracle):
                 return np.array([_bareiss_det(m) for m in M.tolist()])
             M = M.astype(float)
         return np.linalg.det(M)
-
-    def _expand(self):
-        n = self.n_vars
-        mats = self.matrices.tolist()  # Fractions or floats, as the mode says
-        zero_exp = (0,) * n
-        one = Fraction(1) if self.mode == "exact" else 1.0
-
-        # Laplace expansion along rows with memoization over column subsets:
-        # level[mask] = det of the submatrix on rows 0..popcount(mask)-1 and the
-        # columns in mask, held as a term dict. Only two popcount levels are live.
-        level = {0: {zero_exp: one}}
-        for size in range(1, n + 1):
-            nxt = {}
-            masks = [m for m in range(1 << n) if bin(m).count("1") == size]
-            r = size - 1
-            for mask in masks:
-                acc = {}
-                pos = 0
-                for j in range(n):
-                    if not mask & (1 << j):
-                        continue
-                    sub = level[mask ^ (1 << j)]
-                    sgn = 1 if (r + pos) % 2 == 0 else -1
-                    for v in range(n):
-                        a = mats[v][r][j]
-                        if a == 0:
-                            continue
-                        coef = a if sgn == 1 else -a
-                        for exp, c in sub.items():
-                            e2 = exp[:v] + (exp[v] + 1,) + exp[v + 1:]
-                            acc[e2] = acc.get(e2, 0) + coef * c
-                    pos += 1
-                nxt[mask] = acc
-            level = nxt
-        full = level[(1 << n) - 1]
-
-        if self.mode == "float":
-            scale = max((abs(c) for c in full.values()), default=0.0)
-            full = {e: c for e, c in full.items() if abs(c) > 1e-12 * scale}
-        else:
-            full = {e: c for e, c in full.items() if c != 0}
-        return SparsePolynomial(n, full, mode=self.mode, allow_signed=True)
 
     def log_objective(self):
         return _DeterminantalObjective(self)

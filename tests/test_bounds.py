@@ -141,7 +141,7 @@ def rep_is_sandwich(rep, exact, tol=1e-7):
 class TestSparsePermanentBound:
     def test_circulant_equality(self):
         m = [[0.5, 0.5, 0.0], [0.0, 0.5, 0.5], [0.5, 0.0, 0.5]]
-        bound = pc.sparse_permanent_bound(m, k=2)
+        bound = pc.sparse_permanent_bound(m, k=2).bound
         assert bound == pytest.approx(0.25, rel=1e-12)
         assert float(pc.permanent_ryser(m, mode="float")) == pytest.approx(
             0.25, rel=1e-12)
@@ -151,7 +151,7 @@ class TestSparsePermanentBound:
         for n in (4, 6, 8):
             m, _ = fixtures.random_k_regular_doubly_stochastic(n, 2, rng)
             rows = [[float(v) for v in row] for row in m]
-            bound = pc.sparse_permanent_bound(rows, k=2)
+            bound = pc.sparse_permanent_bound(rows, k=2).bound
             per = float(pc.permanent_ryser(rows, mode="float"))
             assert per >= bound - 1e-9
 
@@ -173,9 +173,20 @@ class TestSparsePermanentBound:
         # rows 0 and 1 are 2-sparse but column 1 is not
         with pytest.raises(pc.InputError, match="column"):
             pc.sparse_permanent_bound(m, k=2)
-        bound = pc.sparse_permanent_bound(m, k=2, transpose=True)
+        bound = pc.sparse_permanent_bound(m, k=2, transpose=True).bound
         per = float(pc.permanent_ryser(m, mode="float"))
         assert per >= bound - 1e-9
+
+    def test_permanent_reported_up_to_the_float_cap(self):
+        # I + P over 2 for the cyclic shift P: per = 2^-(n-1), the bound.
+        for n, reported in ((20, True), (21, False)):
+            m = (np.eye(n) + np.roll(np.eye(n), 1, axis=1)) / 2
+            report = pc.sparse_permanent_bound(m, k=2)
+            assert report.bound == 2.0 ** (1 - n)
+            assert (report.permanent is not None) == reported
+            if reported:
+                assert report.permanent == pytest.approx(2.0 ** (1 - n),
+                                                         rel=1e-12)
 
 
 class TestRepeatedColumnPermanent:

@@ -1,4 +1,5 @@
 """Command-line interface: JSON reports, exit codes, determinism."""
+import argparse
 import json
 import os
 import subprocess
@@ -9,8 +10,8 @@ import numpy as np
 import pytest
 
 import polycap as pc
+from polycap import bounds, cli
 from polycap import io as pio
-from polycap import cli
 from polycap.cli import main
 from test_io import BAD_SPARSE_DOCUMENTS, BAD_SPARSE_IDS, UNIFORM3
 
@@ -100,6 +101,66 @@ class TestReportFields:
             assert len(worst["roots"]) == 3
             assert all(len(r) == 2 and all(isinstance(v, float) for v in r)
                        for r in worst["roots"])
+
+
+class ReadRecorder(argparse.Namespace):
+    """Parsed options that remember which of them were read."""
+
+    def __init__(self, options):
+        object.__setattr__(self, "_reads", set())
+        super().__init__(**options)
+
+    def __getattribute__(self, name):
+        if not name.startswith("_"):
+            object.__getattribute__(self, "_reads").add(name)
+        return object.__getattribute__(self, name)
+
+
+# Each document command, run on a small document.
+DOCUMENT_COMMANDS = [
+    (["capacity"], "product_file"),
+    (["permanent"], "product_file"),
+    (["mixed-disc"], "determinantal_file"),
+    (["bound"], "product_file"),
+    (["approx", "--k", "1"], "product_file"),
+    (["check-hyperbolic", "--trials", "5", "--samples", "50"], "product_file"),
+    (["scale"], "product_file"),
+    (["sparse-bound", "--k", "2"], "circulant_file"),
+]
+# Options that only the solver commands and check-hyperbolic take.
+REFUSED_OPTIONS = [
+    ("capacity", "--seed"), ("bound", "--seed"), ("approx", "--seed"),
+    ("scale", "--seed"), ("check-hyperbolic", "--tol"),
+    ("check-hyperbolic", "--max-iter"),
+] + [(command, option) for command in ("permanent", "mixed-disc", "sparse-bound")
+     for option in ("--tol", "--max-iter", "--seed")]
+
+
+class TestOptions:
+    @pytest.mark.parametrize("argv, document", DOCUMENT_COMMANDS,
+                             ids=[argv[0] for argv, _ in DOCUMENT_COMMANDS])
+    def test_every_option_is_read(self, request, capsys, argv, document):
+        path = request.getfixturevalue(document)
+        args = cli.build_parser().parse_args(argv[:1] + [path] + argv[1:])
+        recorder = ReadRecorder(vars(args))
+        assert args.fn(recorder) == 0
+        capsys.readouterr()
+        assert set(vars(args)) - {"fn"} - recorder._reads == set()
+
+    @pytest.mark.parametrize("command, option", REFUSED_OPTIONS,
+                             ids=[" ".join(pair) for pair in REFUSED_OPTIONS])
+    def test_unread_options_are_refused(self, tmp_path, capsys,
+                                        circulant_file, command, option):
+        path = tmp_path / "report.json"
+        required = ["--k", "2"] if command == "sparse-bound" else []
+        with pytest.raises(SystemExit) as exc:
+            main([command, circulant_file, *required, "--output", str(path),
+                  option, "1"])
+        assert exc.value.code == 2
+        assert not path.exists()
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.endswith(f"unrecognized arguments: {option} 1\n")
 
 
 class TestRunConfig:
@@ -312,6 +373,28 @@ class TestSparseBoundCommand:
     def test_k_required(self, capsys, circulant_file):
         with pytest.raises(SystemExit):
             main(["sparse-bound", circulant_file])
+
+    def test_one_permanent_reported_at_n16(self, tmp_path, capsys, monkeypatch):
+        # I + P over 2 for the cyclic shift P: per = 2^-15, the bound at k = 2.
+        n = 16
+        matrix = [["1/2" if j in (i, (i + 1) % n) else "0" for j in range(n)]
+                  for i in range(n)]
+        path = write_doc(tmp_path / "cycle16.json",
+                         {"kind": "product", "matrix": matrix})
+        calls = []
+
+        def counted(*args, **kwargs):
+            calls.append(args)
+            return pc.permanent_ryser(*args, **kwargs)
+
+        monkeypatch.setattr(bounds, "permanent_ryser", counted)
+        monkeypatch.setattr(cli, "permanent_ryser", counted)
+        code, doc = run_json(capsys, ["sparse-bound", path, "--k", "2"])
+        assert code == 0 and len(calls) == 1
+        r = doc["result"]
+        assert set(r) == {"bound", "k", "transpose", "permanent"}
+        assert r["bound"] == 2.0 ** -15 and r["k"] == 2 and r["transpose"] is False
+        assert r["permanent"] == pytest.approx(2.0 ** -15, rel=1e-12)
 
 
 class TestSuiteCommand:

@@ -303,13 +303,11 @@ class TestExpand:
         assert s.terms == {(2, 0): Fraction(1, 4), (1, 1): Fraction(1, 2),
                            (0, 2): Fraction(1, 4)}
 
-    def test_determinantal_expansion(self):
+    def test_undefined_for_pencil(self):
         mats = fixtures.diagonal_psd_tuple([[Fraction(1, 2), Fraction(1, 2)],
                                             [Fraction(1, 2), Fraction(1, 2)]])
-        s = pc.DeterminantalPolynomial(mats, mode="exact").expand()
-        # det(diag pencil) = prod over rows of the pencil diagonal
-        assert s.terms == {(2, 0): Fraction(1, 4), (1, 1): Fraction(1, 2),
-                           (0, 2): Fraction(1, 4)}
+        with pytest.raises(pc.InputError, match="DeterminantalPolynomial"):
+            pc.DeterminantalPolynomial(mats, mode="exact").expand()
 
     def test_sparse_passthrough(self):
         p = pc.SparsePolynomial(2, {(1, 1): 1})
