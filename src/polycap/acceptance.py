@@ -175,13 +175,14 @@ def criterion_4_contraction() -> CriterionResult:
 
 def criterion_5_sparse_support() -> CriterionResult:
     """Two-per-row circulant: permanent = bound = 1/4 exactly (1e-12); random
-    k-regular matrices (k in 2..3, n <= 12): permanent >= bound - 1e-9."""
+    k-regular matrices (k in 2..3, n <= 12): the k read off the support is at
+    most k, and permanent >= bound - 1e-9."""
     def body():
         circ = fixtures.two_per_row_circulant()
         per = permanent_ryser(circ)
         if per != Fraction(1, 4):
             raise AssertionError(f"circulant permanent {per} != 1/4")
-        bound = sparse_permanent_bound(circ, k=2).bound
+        bound = sparse_permanent_bound(circ).bound
         if abs(bound - 0.25) > 1e-12 or abs(float(per) - bound) > 1e-12:
             raise AssertionError(
                 f"circulant: bound {bound} and permanent {float(per)} "
@@ -196,7 +197,11 @@ def criterion_5_sparse_support() -> CriterionResult:
                     m, perms = fixtures.random_k_regular_doubly_stochastic(
                         n, k, rng)
                     per_exact = permanent_ryser(m)
-                    b = sparse_permanent_bound(m, k=k).bound
+                    report = sparse_permanent_bound(m)
+                    if report.k > k:
+                        raise AssertionError(
+                            f"n={n}: support gives k = {report.k} > {k}")
+                    b = report.bound
                     slack = float(per_exact) - b
                     worst = min(worst, slack)
                     if slack < -1e-9:

@@ -8,15 +8,17 @@ coefficients:
 The left factor improves when variables have small "rank", which each
 representation gives exactly as ``variable_degree`` (the largest exponent, the
 column support, or the matrix rank of the pencil slot): peeling variables one
-at a time multiplies factors ((m-1)/m)^(m-1) where m is the effective rank at
-each step, and the product of those factors over m = 1..k telescopes to k!/k^k.
+at a time, in ascending rank, multiplies factors ((m-1)/m)^(m-1) where m is
+the effective rank at each step, and the product of those factors over
+m = 1..k telescopes to k!/k^k.
 
 This module exposes: the classical factor and its rank-refined ladder, the
-sparse doubly-stochastic permanent bound (reported with the permanent it is
-checked on), the entropic inequality behind the peeling step, the contraction
-check behind the ladder, and the paper's two lemmas: the repeated-column
-permanent closed form and the single-variable reduction bound. Checks raise
-AssertionError when a certified inequality fails past a fixed tolerance.
+sparse doubly-stochastic permanent bound (its k read off the support, and
+reported with the permanent it is checked on), the entropic inequality behind
+the peeling step, the contraction check behind the ladder, and the paper's two
+lemmas: the repeated-column permanent closed form and the single-variable
+reduction bound. Checks raise AssertionError when a certified inequality
+fails past a fixed tolerance.
 """
 from __future__ import annotations
 
@@ -202,17 +204,18 @@ class BoundReport:
     provenance: dict = field(default_factory=dict)
 
 
-def rank_ladder_bound(poly: EvaluationOracle, ordering="as-given",
-                      tol: float = 1e-10, max_iter: int = 200) -> BoundReport:
+def rank_ladder_bound(poly: EvaluationOracle, tol: float = 1e-10,
+                      max_iter: int = 200) -> BoundReport:
     """Compute Cap(p) and the certified lower bounds on the full mixed partial.
 
-    The ladder peels variables in `ordering` ("as-given", "greedy" =
-    ascending rank, or an explicit permutation of 0..n-1); step i (0-based)
-    contributes factor phi(G_i) with G_i = min(rank(var), n - i). The report
-    also carries the classical n!/n^n bound and, when max rank k < n, the
-    uniform-rank factor. The brute-force exact mixed partial is attached for
-    comparison where the representation has an exact route within its caps,
-    and is None elsewhere.
+    The ladder peels variables in ascending rank, ties by index; step i
+    (0-based) contributes factor phi(G_i) with G_i = min(rank(var), n - i).
+    No order does better: for ranks a <= b at caps c_i > c_j the pair
+    {min(a, c_i), min(b, c_j)} is pointwise no larger than the swapped pair,
+    and phi(m) = ((m-1)/m)^(m-1) decreases. The report also carries the
+    classical n!/n^n bound and, when max rank k < n, the uniform-rank factor.
+    The brute-force exact mixed partial is attached for comparison where the
+    representation has an exact route within its caps, and is None elsewhere.
     """
     n = poly.n_vars
     if poly.degree != n:
@@ -223,14 +226,7 @@ def rank_ladder_bound(poly: EvaluationOracle, ordering="as-given",
     if 0 in ranks:
         raise InputError(
             f"variable {ranks.index(0)} does not occur in p (rank 0)")
-    if ordering == "as-given":
-        perm = tuple(range(n))
-    elif ordering == "greedy":
-        perm = tuple(sorted(range(n), key=lambda i: (ranks[i], i)))
-    else:
-        perm = tuple(int(i) for i in ordering)
-        if sorted(perm) != list(range(n)):
-            raise InputError("ordering must be a permutation of 0..n-1")
+    perm = tuple(sorted(range(n), key=lambda i: (ranks[i], i)))
 
     G = tuple(min(ranks[perm[i]], n - i) for i in range(n))
     ladder = Fraction(1)
@@ -284,24 +280,24 @@ class SparseBoundReport:
     permanent: float | None
 
 
-def sparse_permanent_bound(matrix, k: int,
-                           transpose: bool = False) -> SparseBoundReport:
-    """Lower bound for the permanent of a doubly stochastic matrix whose
-    first n-k columns each have at most k nonzero entries:
+def sparse_permanent_bound(matrix) -> SparseBoundReport:
+    """Lower bound for the permanent of a doubly stochastic matrix with k the
+    least value for which some n-k columns, or rows, have at most k nonzero
+    entries each (per(A) is unchanged by permuting or transposing A):
 
         per(A) >= ((k-1)/k)^((k-1)(n-k)) * k!/k^k.
 
-    Set transpose=True to apply the row-wise variant. A matrix within 1e-4 of
-    doubly stochastic is renormalized first. Where the float permanent is
-    within its cap (n <= 20), the bound is verified against it and the
-    report carries it; past the cap ``permanent`` is None.
+    The bound falls as k grows, so the least k gives the largest; a dense
+    matrix gets k = n and n!/n^n. ``transpose`` is True when the rows give the
+    strictly smaller k. A matrix within 1e-4 of doubly stochastic is
+    renormalized first. Where the float permanent is within its cap
+    (n <= 20), the bound is verified against it and the report carries it;
+    past the cap ``permanent`` is None.
     """
     A = np.asarray(matrix, dtype=float)
-    if A.ndim != 2 or A.shape[0] != A.shape[1]:
-        raise InputError("matrix must be square")
+    if A.ndim != 2 or A.shape[0] != A.shape[1] or A.size == 0:
+        raise InputError("matrix must be square and nonempty")
     n = A.shape[0]
-    if not 1 <= k <= n:
-        raise InputError("need 1 <= k <= n")
     if np.any(A < 0):
         raise InputError("matrix entries must be nonnegative")
     dev = max(float(np.abs(A.sum(axis=1) - 1).max()),
@@ -313,14 +309,11 @@ def sparse_permanent_bound(matrix, k: int,
         A = A / A.sum(axis=1)[:, None]
         A = A / A.sum(axis=0)[None, :]
 
-    B = A.T if transpose else A
-    for j in range(n - k):
-        support = int(np.count_nonzero(B[:, j]))
-        if support > k:
-            axis = "row" if transpose else "column"
-            raise InputError(
-                f"{axis} {j} has {support} nonzero entries, more than k = {k}")
-
+    k_columns, k_rows = (
+        min(k for k in range(1, n + 1) if np.sum(support <= k) >= n - k)
+        for support in (np.count_nonzero(A, axis=0),
+                        np.count_nonzero(A, axis=1)))
+    k = min(k_columns, k_rows)
     bound = float(_uniform_factor(n, k))
     try:
         per = permanent_ryser(A)
@@ -329,7 +322,7 @@ def sparse_permanent_bound(matrix, k: int,
     if per is not None and per < bound - 1e-9:
         raise AssertionError(
             f"permanent {per} fell below the certified bound {bound}")
-    return SparseBoundReport(bound, k, bool(transpose), per)
+    return SparseBoundReport(bound, k, k_rows < k_columns, per)
 
 
 def contraction_capacity_check(q: EvaluationOracle) -> tuple:

@@ -125,16 +125,7 @@ def _cmd_mixed_disc(args) -> int:
 
 def _cmd_bound(args) -> int:
     poly = _load(args)
-    ordering = args.ordering
-    if ordering not in ("as-given", "greedy"):
-        try:
-            ordering = tuple(int(s) for s in ordering.split(","))
-        except ValueError:
-            raise InputError(
-                "ordering must be 'as-given', 'greedy', or a comma-separated "
-                "permutation of 0..n-1") from None
-    report = rank_ladder_bound(poly, ordering=ordering, tol=args.tol,
-                               max_iter=args.max_iter)
+    report = rank_ladder_bound(poly, tol=args.tol, max_iter=args.max_iter)
     result = _encode(report)
     if report.exact_value is not None:
         scale = max(1.0, abs(report.exact_value))
@@ -195,8 +186,7 @@ def _cmd_scale(args) -> int:
 
 def _cmd_sparse_bound(args) -> int:
     poly = _load(args, ProductFormPolynomial, "'product' document (the matrix rows)")
-    report = sparse_permanent_bound(poly.matrix, k=args.k,
-                                    transpose=args.transpose)
+    report = sparse_permanent_bound(poly.matrix)
     _emit(args, {"path": args.input, "n": poly.n_vars}, report)
     return 0
 
@@ -260,8 +250,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("bound",
                        help="capacity lower bounds on the full mixed partial")
     common(p, max_iter=200)
-    p.add_argument("--ordering", default="as-given",
-                   help="'as-given', 'greedy', or comma-separated permutation")
     p.set_defaults(fn=_cmd_bound)
 
     p = sub.add_parser("approx",
@@ -291,10 +279,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("sparse-bound",
                        help="support-sparsity permanent lower bound")
     common(p)
-    p.add_argument("--k", type=int, required=True,
-                   help="support size (nonzeros per column among the first n-k)")
-    p.add_argument("--transpose", action="store_true",
-                   help="apply the row-wise variant")
     p.set_defaults(fn=_cmd_sparse_bound)
 
     p = sub.add_parser("suite", help="run the built-in check suite")
@@ -307,15 +291,18 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     parser = build_parser()
-    args = parser.parse_args(argv)
+    args, unknown = parser.parse_known_args(argv)
+    if unknown:
+        # The subcommand's own usage, not the top-level one.
+        commands = next(a for a in parser._actions if a.dest == "command")
+        commands.choices[args.command].error(
+            f"unrecognized arguments: {' '.join(unknown)}")
     try:
         # Each command is checked only for the options it has.
         if "tol" in args and not args.tol > 0:
             raise InputError("tol must be positive")
         if "max_iter" in args and args.max_iter < 1:
             raise InputError("max-iter must be >= 1")
-        if "k" in args and args.k < 0:
-            raise InputError("k must be >= 0")
         return args.fn(args)
     except InputError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -1,4 +1,5 @@
 """Certified lower bounds: ladder factors, sparse-support bounds, inequalities."""
+import itertools
 import math
 from fractions import Fraction
 
@@ -85,28 +86,34 @@ class TestRankLadderReport:
         q = Fraction(1, 4)
         m = [[q, 3 * q, 0], [h, h, 0], [q, q, h]]
         p = pc.ProductFormPolynomial(m)  # ranks (3, 3, 1)
-        as_given = pc.rank_ladder_bound(p, ordering="as-given")
-        greedy = pc.rank_ladder_bound(p, ordering="greedy")
-        explicit = pc.rank_ladder_bound(p, ordering=(2, 0, 1))
-        assert as_given.ranks == (3, 3, 1)
-        assert as_given.G == (3, 2, 1)
-        assert greedy.ordering_used == (2, 0, 1)
-        assert greedy.G == (1, 2, 1)
-        # greedy ladder = 1/2 beats as-given = 2/9, relative to capacity
-        cap = as_given.capacity
-        assert as_given.lower_bound_rank == pytest.approx(cap * 2 / 9, rel=1e-9)
-        assert greedy.lower_bound_rank == pytest.approx(cap * 1 / 2, rel=1e-9)
-        assert explicit.lower_bound_rank == pytest.approx(
-            greedy.lower_bound_rank, rel=1e-12)
-        # both are genuine lower bounds on the permanent
+        rep = pc.rank_ladder_bound(p)
+        assert rep.ranks == (3, 3, 1)
+        assert rep.ordering_used == (2, 0, 1)
+        assert rep.G == (1, 2, 1)
+        # the ascending ladder 1/2 beats index order's (3, 2, 1), 2/9
+        cap = rep.capacity
+        assert rep.lower_bound_rank == pytest.approx(cap * 1 / 2, rel=1e-9)
+        assert _phi(3) * _phi(2) * _phi(1) == Fraction(2, 9)
         per = float(pc.permanent_ryser(m, mode="exact"))
-        assert per >= greedy.lower_bound_rank - 1e-9
-        assert rep_is_sandwich(greedy, per)
+        assert per >= rep.lower_bound_rank - 1e-9
+        assert rep_is_sandwich(rep, per)
 
-    def test_invalid_ordering(self):
-        p = fixtures.uniform_product_polynomial(3)
-        with pytest.raises(pc.InputError):
-            pc.rank_ladder_bound(p, ordering=(0, 0, 1))
+    def test_ascending_order_is_never_beaten(self):
+        # Random sparse product forms, n <= 6: the reported ladder factor is
+        # at least the factor of every peeling order of the same ranks.
+        rng = np.random.default_rng(2024)
+        for trial in range(40):
+            n = int(rng.integers(2, 7))
+            A = rng.uniform(0.1, 1.0, (n, n)) * (rng.random((n, n)) < 0.5)
+            A[np.arange(n), rng.permutation(n)] = 1.0  # per(A) > 0
+            rep = pc.rank_ladder_bound(pc.ProductFormPolynomial(A, mode="float"))
+            assert rep.G == tuple(min(rep.ranks[v], n - i)
+                                  for i, v in enumerate(rep.ordering_used))
+            reported = math.prod(_phi(g) for g in rep.G)
+            for order in itertools.permutations(rep.ranks):
+                other = math.prod(_phi(min(r, n - i))
+                                  for i, r in enumerate(order))
+                assert reported >= other
 
     def test_degree_mismatch(self):
         p = pc.SparsePolynomial(2, {(3, 0): 1, (0, 3): 1}, mode="exact")
@@ -141,8 +148,9 @@ def rep_is_sandwich(rep, exact, tol=1e-7):
 class TestSparsePermanentBound:
     def test_circulant_equality(self):
         m = [[0.5, 0.5, 0.0], [0.0, 0.5, 0.5], [0.5, 0.0, 0.5]]
-        bound = pc.sparse_permanent_bound(m, k=2).bound
-        assert bound == pytest.approx(0.25, rel=1e-12)
+        report = pc.sparse_permanent_bound(m)
+        assert report.k == 2 and report.transpose is False
+        assert report.bound == pytest.approx(0.25, rel=1e-12)
         assert float(pc.permanent_ryser(m, mode="float")) == pytest.approx(
             0.25, rel=1e-12)
 
@@ -151,37 +159,66 @@ class TestSparsePermanentBound:
         for n in (4, 6, 8):
             m, _ = fixtures.random_k_regular_doubly_stochastic(n, 2, rng)
             rows = [[float(v) for v in row] for row in m]
-            bound = pc.sparse_permanent_bound(rows, k=2).bound
+            report = pc.sparse_permanent_bound(rows)
             per = float(pc.permanent_ryser(rows, mode="float"))
-            assert per >= bound - 1e-9
+            assert report.k <= 2
+            assert per >= report.bound - 1e-9
 
     def test_not_doubly_stochastic(self):
         with pytest.raises(pc.InputError, match="doubly stochastic"):
-            pc.sparse_permanent_bound([[0.9, 0.0], [0.0, 0.9]], k=1)
+            pc.sparse_permanent_bound([[0.9, 0.0], [0.0, 0.9]])
 
-    def test_support_violation_names_column(self):
-        m = fixtures.uniform_matrix(4)
-        rows = [[float(v) for v in row] for row in m]
-        with pytest.raises(pc.InputError, match="column 0"):
-            pc.sparse_permanent_bound(rows, k=2)
+    def test_empty_matrix_refused(self):
+        with pytest.raises(pc.InputError, match="nonempty"):
+            pc.sparse_permanent_bound(np.zeros((0, 0)))
+
+    def test_dense_matrix_gets_k_equals_n(self):
+        rows = [[float(v) for v in row] for row in fixtures.uniform_matrix(4)]
+        report = pc.sparse_permanent_bound(rows)
+        assert report.k == 4 and report.transpose is False
+        assert report.bound == float(Fraction(3, 32))
 
     def test_transpose_variant(self):
         m = [[0.5, 0.5, 0.0, 0.0],
-             [0.5, 0.0, 0.5, 0.0],
-             [0.0, 0.25, 0.25, 0.5],
-             [0.0, 0.25, 0.25, 0.5]]
-        # rows 0 and 1 are 2-sparse but column 1 is not
-        with pytest.raises(pc.InputError, match="column"):
-            pc.sparse_permanent_bound(m, k=2)
-        bound = pc.sparse_permanent_bound(m, k=2, transpose=True).bound
+             [0.0, 0.0, 0.5, 0.5],
+             [0.25, 0.25, 0.25, 0.25],
+             [0.25, 0.25, 0.25, 0.25]]
+        # rows 0 and 1 have two nonzeros each (k = 2); every column has
+        # three (k = 3)
+        report = pc.sparse_permanent_bound(m)
+        assert report.k == 2 and report.transpose is True
+        assert report.bound == float(_uniform_factor(4, 2))
+        assert pc.sparse_permanent_bound(np.transpose(m)).transpose is False
+        # any n - k rows count, not only the first
+        flipped = pc.sparse_permanent_bound(m[::-1])
+        assert (flipped.k, flipped.transpose) == (2, True)
         per = float(pc.permanent_ryser(m, mode="float"))
-        assert per >= bound - 1e-9
+        assert per >= report.bound - 1e-9
+
+    def test_convex_combinations_of_permutations(self):
+        # sum_i w_i P_i over m permutation matrices: at most m nonzeros in
+        # every column, so the least k is at most m.
+        rng = np.random.default_rng(23)
+        for trial in range(30):
+            n = int(rng.integers(2, 9))
+            m = int(rng.integers(1, n + 1))
+            w = rng.dirichlet(np.ones(m))
+            A = sum(wi * np.eye(n)[rng.permutation(n)] for wi in w)
+            report = pc.sparse_permanent_bound(A)
+            assert report.k <= m
+            assert report.permanent >= report.bound - 1e-9
+
+    def test_least_k_gives_the_largest_bound(self):
+        for n in range(1, 16):
+            for k in range(1, n):
+                assert _uniform_factor(n, k + 1) <= _uniform_factor(n, k)
 
     def test_permanent_reported_up_to_the_float_cap(self):
         # I + P over 2 for the cyclic shift P: per = 2^-(n-1), the bound.
         for n, reported in ((20, True), (21, False)):
             m = (np.eye(n) + np.roll(np.eye(n), 1, axis=1)) / 2
-            report = pc.sparse_permanent_bound(m, k=2)
+            report = pc.sparse_permanent_bound(m)
+            assert report.k == 2
             assert report.bound == 2.0 ** (1 - n)
             assert (report.permanent is not None) == reported
             if reported:

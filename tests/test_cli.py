@@ -125,13 +125,15 @@ DOCUMENT_COMMANDS = [
     (["approx", "--k", "1"], "product_file"),
     (["check-hyperbolic", "--trials", "5", "--samples", "50"], "product_file"),
     (["scale"], "product_file"),
-    (["sparse-bound", "--k", "2"], "circulant_file"),
+    (["sparse-bound"], "circulant_file"),
 ]
-# Options that only the solver commands and check-hyperbolic take.
+# Options that only the solver commands and check-hyperbolic take, and the
+# parameters that the bounds work out for themselves.
 REFUSED_OPTIONS = [
     ("capacity", "--seed"), ("bound", "--seed"), ("approx", "--seed"),
     ("scale", "--seed"), ("check-hyperbolic", "--tol"),
-    ("check-hyperbolic", "--max-iter"),
+    ("check-hyperbolic", "--max-iter"), ("bound", "--ordering"),
+    ("sparse-bound", "--k"), ("sparse-bound", "--transpose"),
 ] + [(command, option) for command in ("permanent", "mixed-disc", "sparse-bound")
      for option in ("--tol", "--max-iter", "--seed")]
 
@@ -152,15 +154,15 @@ class TestOptions:
     def test_unread_options_are_refused(self, tmp_path, capsys,
                                         circulant_file, command, option):
         path = tmp_path / "report.json"
-        required = ["--k", "2"] if command == "sparse-bound" else []
         with pytest.raises(SystemExit) as exc:
-            main([command, circulant_file, *required, "--output", str(path),
-                  option, "1"])
+            main([command, circulant_file, "--output", str(path), option, "1"])
         assert exc.value.code == 2
         assert not path.exists()
         captured = capsys.readouterr()
         assert captured.out == ""
-        assert captured.err.endswith(f"unrecognized arguments: {option} 1\n")
+        assert captured.err.startswith(f"usage: polycap {command} ")
+        assert captured.err.endswith(
+            f"polycap {command}: error: unrecognized arguments: {option} 1\n")
 
 
 class TestRunConfig:
@@ -218,7 +220,7 @@ class TestPermanentCommand:
         (["mixed-disc"],
          "mixed-disc needs a 'determinantal' document (the PSD tuple)"),
         (["scale"], "scale needs a 'product' document (the matrix rows)"),
-        (["sparse-bound", "--k", "1"],
+        (["sparse-bound"],
          "sparse-bound needs a 'product' document (the matrix rows)"),
     ], ids=["permanent", "mixed-disc", "scale", "sparse-bound"])
     def test_wrong_kind_exits_2(self, tmp_path, capsys, argv, message):
@@ -263,14 +265,22 @@ class TestBoundCommand:
         assert r["equality_vdw"] is False
         assert r["lower_bound_rank"] == pytest.approx(0.25, rel=1e-9)
 
-    def test_explicit_ordering(self, capsys, circulant_file):
-        code, doc = run_json(capsys, ["bound", circulant_file,
-                                      "--ordering", "2,1,0"])
+    def test_ordering_is_ascending_rank(self, tmp_path, capsys):
+        path = write_doc(tmp_path / "ranks331.json", {"kind": "product", "matrix": [
+            ["1/4", "3/4", "0"], ["1/2", "1/2", "0"], ["1/4", "1/4", "1/2"]]})
+        code, doc = run_json(capsys, ["bound", path])
         assert code == 0
-        assert doc["result"]["ordering_used"] == [2, 1, 0]
+        r = doc["result"]
+        assert r["ranks"] == [3, 3, 1]
+        assert r["ordering_used"] == [2, 0, 1] and r["G"] == [1, 2, 1]
 
-    def test_bad_ordering_exits_2(self, capsys, circulant_file):
-        assert main(["bound", circulant_file, "--ordering", "bogus"]) == 2
+    def test_bad_ordering_exits_2(self, circulant_file):
+        # The order is no longer an option; the refusal names the subcommand.
+        proc = run_process(["bound", circulant_file, "--ordering", "greedy"])
+        assert proc.returncode == 2 and proc.stdout == ""
+        assert proc.stderr.startswith("usage: polycap bound ")
+        assert proc.stderr.endswith(
+            "polycap bound: error: unrecognized arguments: --ordering greedy\n")
 
     def test_rank_zero_variable_exits_2(self, tmp_path, capsys):
         path = tmp_path / "zero_column.json"
@@ -364,15 +374,24 @@ class TestScaleCommand:
 
 class TestSparseBoundCommand:
     def test_circulant(self, capsys, circulant_file):
-        code, doc = run_json(capsys, ["sparse-bound", circulant_file, "--k", "2"])
+        code, doc = run_json(capsys, ["sparse-bound", circulant_file])
         assert code == 0
         r = doc["result"]
+        assert r["k"] == 2 and r["transpose"] is False
         assert r["bound"] == pytest.approx(0.25, rel=1e-12)
         assert r["permanent"] == pytest.approx(0.25, rel=1e-12)
 
-    def test_k_required(self, capsys, circulant_file):
-        with pytest.raises(SystemExit):
-            main(["sparse-bound", circulant_file])
+    def test_k_and_side_read_off_the_matrix(self, tmp_path, capsys):
+        # Two rows with two nonzeros each (k = 2); every column has three.
+        path = write_doc(tmp_path / "rows.json", {"kind": "product", "matrix": [
+            ["1/2", "1/2", "0", "0"], ["0", "0", "1/2", "1/2"],
+            ["1/4"] * 4, ["1/4"] * 4]})
+        code, doc = run_json(capsys, ["sparse-bound", path])
+        assert code == 0
+        r = doc["result"]
+        assert r["k"] == 2 and r["transpose"] is True
+        assert r["bound"] == pytest.approx(1 / 8, rel=1e-12)
+        assert r["permanent"] >= r["bound"]
 
     def test_one_permanent_reported_at_n16(self, tmp_path, capsys, monkeypatch):
         # I + P over 2 for the cyclic shift P: per = 2^-15, the bound at k = 2.
@@ -389,7 +408,7 @@ class TestSparseBoundCommand:
 
         monkeypatch.setattr(bounds, "permanent_ryser", counted)
         monkeypatch.setattr(cli, "permanent_ryser", counted)
-        code, doc = run_json(capsys, ["sparse-bound", path, "--k", "2"])
+        code, doc = run_json(capsys, ["sparse-bound", path])
         assert code == 0 and len(calls) == 1
         r = doc["result"]
         assert set(r) == {"bound", "k", "transpose", "permanent"}
