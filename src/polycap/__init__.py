@@ -20,10 +20,8 @@ from .bounds import (
     SparseBoundReport,
     repeated_column_permanent,
     sparse_permanent_bound,
-    uniform_rank_bound,
     univariate_linear_bound_check,
     vdw_factor,
-    vdw_lower_bound,
 )
 from .capacity import (
     CapacityResult,
@@ -102,8 +100,6 @@ __all__ = [
     "root_profile",
     "sinkhorn_scale",
     "sparse_permanent_bound",
-    "uniform_rank_bound",
     "univariate_linear_bound_check",
     "vdw_factor",
-    "vdw_lower_bound",
 ]

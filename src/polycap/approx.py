@@ -22,6 +22,7 @@ from fractions import Fraction
 
 import numpy as np
 
+from .bounds import vdw_factor
 from .capacity import CapacityResult, capacity_minimize
 from .errors import InputError
 from .oracles import signed_sums
@@ -32,14 +33,11 @@ _TINY = 1e-300
 
 def guarantee_factor(n: int, k: int = 0) -> float:
     """Worst-case ratio (upper estimate / true value) after fixing k
-    variables: (n-k)^(n-k) / (n-k)!. Decreases strictly in k; equals 1 at
-    k = n-1 (and n = 1)."""
-    if n < 1:
-        raise InputError("n must be >= 1")
+    variables: 1/vdw_factor(n-k) = (n-k)^(n-k) / (n-k)!. Decreases strictly
+    in k; equals 1 at k = n-1 (and n = 1)."""
     if not 0 <= k <= n - 1:
         raise InputError("need 0 <= k <= n-1")
-    m = n - k
-    return float(Fraction(m ** m, math.factorial(m)))
+    return float(1 / vdw_factor(n - k))
 
 
 class DerivativeSliceOracle(EvaluationOracle):

@@ -10,15 +10,14 @@ representation gives exactly as ``variable_degree`` (the largest exponent, the
 column support, or the matrix rank of the pencil slot): peeling variables one
 at a time, in ascending rank, multiplies factors ((m-1)/m)^(m-1) where m is
 the effective rank at each step, and the product of those factors over
-m = 1..k telescopes to k!/k^k.
+m = 1..k telescopes to k!/k^k. One ladder, ``_ladder``, serves both bounds:
+``rank_ladder_bound`` multiplies it by Cap(p), and ``sparse_permanent_bound``
+takes it for a doubly stochastic matrix, whose product form has Cap = 1.
 
-This module exposes: the classical factor and its rank-refined ladder, the
-sparse doubly-stochastic permanent bound (its k read off the support, and
-reported with the permanent it is checked on), the entropic inequality behind
-the peeling step, the contraction check behind the ladder, and the paper's two
-lemmas: the repeated-column permanent closed form and the single-variable
-reduction bound. Checks raise AssertionError when a certified inequality
-fails past a fixed tolerance.
+Also here: the entropic inequality behind the peeling step, the contraction
+check behind the ladder, and the paper's two lemmas: the repeated-column
+permanent closed form and the single-variable reduction bound. Checks raise
+AssertionError when a certified inequality fails past a fixed tolerance.
 """
 from __future__ import annotations
 
@@ -41,11 +40,6 @@ def vdw_factor(n: int) -> Fraction:
     return Fraction(math.factorial(n), n ** n)
 
 
-def vdw_lower_bound(capacity: float, n: int) -> float:
-    """Certified lower bound (n!/n^n) * capacity on the mixed partial."""
-    return float(vdw_factor(n) * Fraction(capacity))
-
-
 def _phi(m: int) -> Fraction:
     """Single peeling factor ((m-1)/m)^(m-1); phi(1) = 1."""
     if m < 1:
@@ -57,16 +51,23 @@ def _phi(m: int) -> Fraction:
 
 def _uniform_factor(n: int, k: int) -> Fraction:
     """Ladder factor when every step has rank at most k:
-    ((k-1)/k)^((k-1)(n-k)) * k!/k^k. Equals the generic n!/n^n at k = n."""
-    if not 1 <= k <= n:
-        raise InputError("need 1 <= k <= n")
+    ((k-1)/k)^((k-1)(n-k)) * k!/k^k, for 1 <= k <= n; n!/n^n at k = n."""
     return _phi(k) ** (n - k) * Fraction(math.factorial(k), k ** k)
 
 
-def uniform_rank_bound(capacity: float, n: int, k: int) -> float:
-    """Lower bound on the mixed partial when each peeled variable has rank
-    at most k at its turn: _uniform_factor(n, k) * capacity."""
-    return float(_uniform_factor(n, k) * Fraction(capacity))
+def _ladder(ranks) -> tuple:
+    """Peel the variables in ascending rank, ties by index: returns
+    (ordering, G, factor). Step i (0-based) has rank G_i = min(rank, n - i),
+    as i variables are gone, and contributes phi(G_i) to the factor.
+
+    No order does better: for ranks a <= b at caps c_i > c_j the pair
+    {min(a, c_i), min(b, c_j)} is pointwise no larger than the swapped pair,
+    and phi(m) = ((m-1)/m)^(m-1) decreases.
+    """
+    n = len(ranks)
+    ordering = tuple(sorted(range(n), key=lambda i: (ranks[i], i)))
+    G = tuple(min(ranks[v], n - i) for i, v in enumerate(ordering))
+    return ordering, G, math.prod(map(_phi, G), start=Fraction(1))
 
 
 def _elementary_symmetric(values) -> list:
@@ -208,14 +209,11 @@ def rank_ladder_bound(poly: EvaluationOracle, tol: float = 1e-10,
                       max_iter: int = 200) -> BoundReport:
     """Compute Cap(p) and the certified lower bounds on the full mixed partial.
 
-    The ladder peels variables in ascending rank, ties by index; step i
-    (0-based) contributes factor phi(G_i) with G_i = min(rank(var), n - i).
-    No order does better: for ranks a <= b at caps c_i > c_j the pair
-    {min(a, c_i), min(b, c_j)} is pointwise no larger than the swapped pair,
-    and phi(m) = ((m-1)/m)^(m-1) decreases. The report also carries the
-    classical n!/n^n bound and, when max rank k < n, the uniform-rank factor.
-    The brute-force exact mixed partial is attached for comparison where the
-    representation has an exact route within its caps, and is None elsewhere.
+    Each bound is a factor times Cap(p): the rank ladder (``_ladder``), the
+    classical n!/n^n and, when max rank k < n, the uniform-rank factor, which
+    the ladder never falls below. The brute-force exact mixed partial is
+    attached for comparison where the representation has an exact route
+    within its caps, and is None elsewhere.
     """
     n = poly.n_vars
     if poly.degree != n:
@@ -226,22 +224,18 @@ def rank_ladder_bound(poly: EvaluationOracle, tol: float = 1e-10,
     if 0 in ranks:
         raise InputError(
             f"variable {ranks.index(0)} does not occur in p (rank 0)")
-    perm = tuple(sorted(range(n), key=lambda i: (ranks[i], i)))
-
-    G = tuple(min(ranks[perm[i]], n - i) for i in range(n))
-    ladder = Fraction(1)
-    for g in G:
-        ladder *= _phi(g)
+    ordering, G, ladder = _ladder(ranks)
 
     cap = capacity_minimize(poly, tol=tol, max_iter=max_iter)
     if not math.isfinite(cap.value):
         raise ResourceLimitError(
             f"capacity {cap.value} is not finite in float arithmetic; "
             "the bounds cannot be formed")
-    lower_vdw = vdw_lower_bound(cap.value, n)
-    lower_rank = float(ladder * Fraction(cap.value))
     kmax = max(ranks)
-    lower_uniform = uniform_rank_bound(cap.value, n, kmax) if kmax < n else None
+    uniform = _uniform_factor(n, kmax) if kmax < n else None
+    lower_vdw, lower_rank, lower_uniform = (
+        None if factor is None else float(factor * Fraction(cap.value))
+        for factor in (vdw_factor(n), ladder, uniform))
 
     try:
         exact_value = float(exact_mixed_partial(poly))
@@ -266,7 +260,7 @@ def rank_ladder_bound(poly: EvaluationOracle, tol: float = 1e-10,
         exact_value=exact_value,
         ranks=ranks,
         G=G,
-        ordering_used=perm,
+        ordering_used=ordering,
         capacity_status=cap.status,
         provenance=provenance,
     )
@@ -275,29 +269,32 @@ def rank_ladder_bound(poly: EvaluationOracle, tol: float = 1e-10,
 @dataclass
 class SparseBoundReport:
     bound: float
-    k: int
+    ranks: tuple
+    G: tuple
     transpose: bool
     permanent: float | None
 
 
 def sparse_permanent_bound(matrix) -> SparseBoundReport:
-    """Lower bound for the permanent of a doubly stochastic matrix with k the
-    least value for which some n-k columns, or rows, have at most k nonzero
-    entries each (per(A) is unchanged by permuting or transposing A):
+    """Lower bound for the permanent of a doubly stochastic matrix A: the rank
+    ladder with Cap = 1. By weighted AM-GM, p_A(x) = prod_i sum_j a_ij x_j
+    >= prod_j x_j^(sum_i a_ij) = prod_j x_j, equal at x = 1, so Cap(p_A) = 1
+    and per(A) >= ``_ladder``'s factor on the ranks of p_A, the nonzero
+    counts of A's columns. The rows give a second ladder (per(A) = per(A^T));
+    the report keeps the larger, with the ``ranks`` and ``G`` of its side
+    and ``transpose`` True when that is the rows.
 
-        per(A) >= ((k-1)/k)^((k-1)(n-k)) * k!/k^k.
+    Corollary: if some n-k columns have at most k nonzeros each, then
+    per(A) >= ((k-1)/k)^((k-1)(n-k)) * k!/k^k, since those come first with
+    G <= k and the last k steps have G <= k, ..., 1; a dense A gets n!/n^n.
 
-    The bound falls as k grows, so the least k gives the largest; a dense
-    matrix gets k = n and n!/n^n. ``transpose`` is True when the rows give the
-    strictly smaller k. A matrix within 1e-4 of doubly stochastic is
-    renormalized first. Where the float permanent is within its cap
-    (n <= 20), the bound is verified against it and the report carries it;
-    past the cap ``permanent`` is None.
+    A matrix within 1e-4 of doubly stochastic is renormalized first. Where
+    the float permanent is within its cap (n <= 20), the bound is verified
+    against it and the report carries it; past the cap ``permanent`` is None.
     """
     A = np.asarray(matrix, dtype=float)
     if A.ndim != 2 or A.shape[0] != A.shape[1] or A.size == 0:
         raise InputError("matrix must be square and nonempty")
-    n = A.shape[0]
     if np.any(A < 0):
         raise InputError("matrix entries must be nonnegative")
     dev = max(float(np.abs(A.sum(axis=1) - 1).max()),
@@ -309,12 +306,15 @@ def sparse_permanent_bound(matrix) -> SparseBoundReport:
         A = A / A.sum(axis=1)[:, None]
         A = A / A.sum(axis=0)[None, :]
 
-    k_columns, k_rows = (
-        min(k for k in range(1, n + 1) if np.sum(support <= k) >= n - k)
-        for support in (np.count_nonzero(A, axis=0),
-                        np.count_nonzero(A, axis=1)))
-    k = min(k_columns, k_rows)
-    bound = float(_uniform_factor(n, k))
+    columns, rows = (tuple(np.count_nonzero(A, axis=axis).tolist())
+                     for axis in (0, 1))
+    _, G, factor = _ladder(columns)
+    transpose = False
+    if sorted(rows) != sorted(columns):
+        _, G_rows, factor_rows = _ladder(rows)
+        if factor_rows > factor:
+            G, factor, transpose = G_rows, factor_rows, True
+    bound = float(factor)
     try:
         per = permanent_ryser(A)
     except ResourceLimitError:
@@ -322,7 +322,8 @@ def sparse_permanent_bound(matrix) -> SparseBoundReport:
     if per is not None and per < bound - 1e-9:
         raise AssertionError(
             f"permanent {per} fell below the certified bound {bound}")
-    return SparseBoundReport(bound, k, k_rows < k_columns, per)
+    return SparseBoundReport(bound, rows if transpose else columns, G,
+                             transpose, per)
 
 
 def contraction_capacity_check(q: EvaluationOracle) -> tuple:

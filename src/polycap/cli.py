@@ -277,7 +277,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(fn=_cmd_scale)
 
     p = sub.add_parser("sparse-bound",
-                       help="support-sparsity permanent lower bound")
+                       help="doubly stochastic permanent lower bound")
     common(p)
     p.set_defaults(fn=_cmd_sparse_bound)
 

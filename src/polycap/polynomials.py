@@ -443,27 +443,29 @@ class _ProductObjective:
         return h - W.T @ W
 
 
-def _bareiss_det(m):
-    """Exact determinant by Bareiss elimination over integer numerators."""
+def _bareiss(m) -> tuple:
+    """(rank, determinant) of a square Fraction matrix, exactly, by Bareiss
+    elimination over integer numerators. A column with no pivot is skipped,
+    which keeps every division exact and leaves one pivot per unit of rank."""
     den = lcm(*(v.denominator for row in m for v in row))
     a = [[v.numerator * (den // v.denominator) for v in row] for row in m]
     n = len(a)
-    sign = 1
-    prev = 1
-    for k in range(n - 1):
-        if a[k][k] == 0:
-            for i in range(k + 1, n):
-                if a[i][k] != 0:
-                    a[k], a[i] = a[i], a[k]
+    sign, prev, r = 1, 1, 0
+    for c in range(n):
+        if a[r][c] == 0:
+            for i in range(r + 1, n):
+                if a[i][c] != 0:
+                    a[r], a[i] = a[i], a[r]
                     sign = -sign
                     break
             else:
-                return Fraction(0)
-        for i in range(k + 1, n):
-            for j in range(k + 1, n):
-                a[i][j] = (a[i][j] * a[k][k] - a[i][k] * a[k][j]) // prev
-        prev = a[k][k]
-    return Fraction(sign * a[n - 1][n - 1], den ** n)
+                continue
+        for i in range(r + 1, n):
+            for j in range(c + 1, n):
+                a[i][j] = (a[i][j] * a[r][c] - a[i][c] * a[r][j]) // prev
+        prev = a[r][c]
+        r += 1
+    return r, Fraction(sign * prev, den ** n) if r == n else Fraction(0)
 
 
 class DeterminantalPolynomial(EvaluationOracle):
@@ -496,6 +498,9 @@ class DeterminantalPolynomial(EvaluationOracle):
         self.degree = n
 
     def _variable_degree(self, i):
+        # Exact data gets its exact rank; float data its numerical rank.
+        if self.mode == "exact":
+            return _bareiss(self.matrices[i].tolist())[0]
         eig = np.linalg.eigvalsh(np.asarray(self.matrices[i], dtype=float))
         scale = max(1.0, float(eig.max(initial=0.0)))
         return int((eig > 1e-9 * scale).sum())
@@ -507,7 +512,7 @@ class DeterminantalPolynomial(EvaluationOracle):
         M = np.tensordot(X, self._view(self.matrices, X), axes=([1], [0]))
         if X.dtype == object:
             if self.mode == "exact":
-                return np.array([_bareiss_det(m) for m in M.tolist()])
+                return np.array([_bareiss(m)[1] for m in M.tolist()])
             M = M.astype(float)
         return np.linalg.det(M)
 

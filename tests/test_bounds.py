@@ -57,10 +57,6 @@ class TestFactors:
                 prod *= _phi(n - i)
             assert prod == pc.vdw_factor(n)
 
-    def test_bound_helpers_scale_capacity(self):
-        assert pc.vdw_lower_bound(3.0, 3) == pytest.approx(2 / 3)
-        assert pc.uniform_rank_bound(4.0, 3, 2) == pytest.approx(1.0)
-
 
 class TestRankLadderReport:
     def test_two_per_row_circulant_hand_values(self):
@@ -149,7 +145,8 @@ class TestSparsePermanentBound:
     def test_circulant_equality(self):
         m = [[0.5, 0.5, 0.0], [0.0, 0.5, 0.5], [0.5, 0.0, 0.5]]
         report = pc.sparse_permanent_bound(m)
-        assert report.k == 2 and report.transpose is False
+        assert report.ranks == (2, 2, 2) and report.G == (2, 2, 1)
+        assert report.transpose is False
         assert report.bound == pytest.approx(0.25, rel=1e-12)
         assert float(pc.permanent_ryser(m, mode="float")) == pytest.approx(
             0.25, rel=1e-12)
@@ -161,7 +158,8 @@ class TestSparsePermanentBound:
             rows = [[float(v) for v in row] for row in m]
             report = pc.sparse_permanent_bound(rows)
             per = float(pc.permanent_ryser(rows, mode="float"))
-            assert report.k <= 2
+            assert max(report.ranks) <= 2
+            assert report.bound >= float(_uniform_factor(n, 2))
             assert per >= report.bound - 1e-9
 
     def test_not_doubly_stochastic(self):
@@ -175,7 +173,8 @@ class TestSparsePermanentBound:
     def test_dense_matrix_gets_k_equals_n(self):
         rows = [[float(v) for v in row] for row in fixtures.uniform_matrix(4)]
         report = pc.sparse_permanent_bound(rows)
-        assert report.k == 4 and report.transpose is False
+        assert report.ranks == (4, 4, 4, 4) and report.G == (4, 3, 2, 1)
+        assert report.transpose is False
         assert report.bound == float(Fraction(3, 32))
 
     def test_transpose_variant(self):
@@ -183,21 +182,25 @@ class TestSparsePermanentBound:
              [0.0, 0.0, 0.5, 0.5],
              [0.25, 0.25, 0.25, 0.25],
              [0.25, 0.25, 0.25, 0.25]]
-        # rows 0 and 1 have two nonzeros each (k = 2); every column has
-        # three (k = 3)
+        # rows 0 and 1 have two nonzeros each, rows 2 and 3 four: the row
+        # ladder (2, 2, 2, 1) gives 1/8; every column has three, and the
+        # column ladder (3, 3, 2, 1) gives 8/81
         report = pc.sparse_permanent_bound(m)
-        assert report.k == 2 and report.transpose is True
-        assert report.bound == float(_uniform_factor(4, 2))
+        assert report.ranks == (2, 2, 4, 4) and report.G == (2, 2, 2, 1)
+        assert report.transpose is True
+        assert report.bound == float(_uniform_factor(4, 2)) == 1 / 8
         assert pc.sparse_permanent_bound(np.transpose(m)).transpose is False
-        # any n - k rows count, not only the first
+        # the ladder sorts the rows, so their order does not matter
         flipped = pc.sparse_permanent_bound(m[::-1])
-        assert (flipped.k, flipped.transpose) == (2, True)
+        assert (flipped.ranks, flipped.G, flipped.transpose) == (
+            (4, 4, 2, 2), (2, 2, 2, 1), True)
+        assert flipped.bound == report.bound
         per = float(pc.permanent_ryser(m, mode="float"))
         assert per >= report.bound - 1e-9
 
     def test_convex_combinations_of_permutations(self):
         # sum_i w_i P_i over m permutation matrices: at most m nonzeros in
-        # every column, so the least k is at most m.
+        # every column, so the bound is at least the closed form at k = m.
         rng = np.random.default_rng(23)
         for trial in range(30):
             n = int(rng.integers(2, 9))
@@ -205,8 +208,32 @@ class TestSparsePermanentBound:
             w = rng.dirichlet(np.ones(m))
             A = sum(wi * np.eye(n)[rng.permutation(n)] for wi in w)
             report = pc.sparse_permanent_bound(A)
-            assert report.k <= m
+            assert max(report.ranks) <= m
+            assert report.bound >= float(_uniform_factor(n, m))
             assert report.permanent >= report.bound - 1e-9
+
+    def test_ladder_never_below_the_closed_form_at_the_least_k(self):
+        # The closed form phi(k)^(n-k) k!/k^k at the least k for which n-k
+        # columns, or rows, have at most k nonzeros each, recomputed here.
+        def least_k(counts):
+            n = len(counts)
+            return min(k for k in range(1, n + 1)
+                       if sum(c <= k for c in counts) >= n - k)
+
+        rng = np.random.default_rng(1998)
+        higher = 0
+        for trial in range(200):
+            n = int(rng.integers(6, 15))
+            m = int(rng.integers(1, n + 1))
+            w = rng.dirichlet(np.ones(m))
+            A = sum(wi * np.eye(n)[rng.permutation(n)] for wi in w)
+            report = pc.sparse_permanent_bound(A)
+            k = min(least_k(np.count_nonzero(A, axis=axis)) for axis in (0, 1))
+            closed_form = float(_uniform_factor(n, k))
+            assert report.bound >= closed_form
+            assert report.bound <= report.permanent + 1e-9
+            higher += report.bound > closed_form
+        assert higher > 100
 
     def test_least_k_gives_the_largest_bound(self):
         for n in range(1, 16):
@@ -218,7 +245,7 @@ class TestSparsePermanentBound:
         for n, reported in ((20, True), (21, False)):
             m = (np.eye(n) + np.roll(np.eye(n), 1, axis=1)) / 2
             report = pc.sparse_permanent_bound(m)
-            assert report.k == 2
+            assert report.ranks == (2,) * n and report.G == (2,) * (n - 1) + (1,)
             assert report.bound == 2.0 ** (1 - n)
             assert (report.permanent is not None) == reported
             if reported:

@@ -282,6 +282,22 @@ class TestBoundCommand:
         assert proc.stderr.endswith(
             "polycap bound: error: unrecognized arguments: --ordering greedy\n")
 
+    def test_exact_pencil_ranks_are_exact(self, tmp_path, capsys):
+        # The eigenvalue 9e-10 falls under the float rank threshold 1e-9. The
+        # numerical rank 1 gives G = [1, 1] and a bound above the exact
+        # value; exact mode counts it.
+        path = write_doc(tmp_path / "pencil.json", {
+            "kind": "determinantal",
+            "matrices": [[["1", "0"], ["0", "9/10000000000"]],
+                         [["1", "0"], ["0", "1"]]]})
+        code, doc = run_json(capsys, ["bound", path, "--mode", "exact"])
+        assert code == 0
+        r = doc["result"]
+        assert r["ranks"] == [2, 2] and r["G"] == [2, 1]
+        assert r["lower_bound_rank"] <= r["exact_value"]
+        code, doc = run_json(capsys, ["bound", path])
+        assert code == 0 and doc["result"]["ranks"] == [1, 2]
+
     def test_rank_zero_variable_exits_2(self, tmp_path, capsys):
         path = tmp_path / "zero_column.json"
         path.write_text(json.dumps({
@@ -377,24 +393,27 @@ class TestSparseBoundCommand:
         code, doc = run_json(capsys, ["sparse-bound", circulant_file])
         assert code == 0
         r = doc["result"]
-        assert r["k"] == 2 and r["transpose"] is False
+        assert r["ranks"] == [2, 2, 2] and r["G"] == [2, 2, 1]
+        assert r["transpose"] is False
         assert r["bound"] == pytest.approx(0.25, rel=1e-12)
         assert r["permanent"] == pytest.approx(0.25, rel=1e-12)
 
-    def test_k_and_side_read_off_the_matrix(self, tmp_path, capsys):
-        # Two rows with two nonzeros each (k = 2); every column has three.
+    def test_ladder_and_side_read_off_the_matrix(self, tmp_path, capsys):
+        # Row ladder (2, 2, 2, 1), 1/8; every column has three nonzeros, and
+        # the column ladder (3, 3, 2, 1) gives 8/81.
         path = write_doc(tmp_path / "rows.json", {"kind": "product", "matrix": [
             ["1/2", "1/2", "0", "0"], ["0", "0", "1/2", "1/2"],
             ["1/4"] * 4, ["1/4"] * 4]})
         code, doc = run_json(capsys, ["sparse-bound", path])
         assert code == 0
         r = doc["result"]
-        assert r["k"] == 2 and r["transpose"] is True
+        assert r["ranks"] == [2, 2, 4, 4] and r["G"] == [2, 2, 2, 1]
+        assert r["transpose"] is True
         assert r["bound"] == pytest.approx(1 / 8, rel=1e-12)
         assert r["permanent"] >= r["bound"]
 
     def test_one_permanent_reported_at_n16(self, tmp_path, capsys, monkeypatch):
-        # I + P over 2 for the cyclic shift P: per = 2^-15, the bound at k = 2.
+        # I + P over 2 for the cyclic shift P: per = 2^-15, the ladder's bound.
         n = 16
         matrix = [["1/2" if j in (i, (i + 1) % n) else "0" for j in range(n)]
                   for i in range(n)]
@@ -411,8 +430,9 @@ class TestSparseBoundCommand:
         code, doc = run_json(capsys, ["sparse-bound", path])
         assert code == 0 and len(calls) == 1
         r = doc["result"]
-        assert set(r) == {"bound", "k", "transpose", "permanent"}
-        assert r["bound"] == 2.0 ** -15 and r["k"] == 2 and r["transpose"] is False
+        assert set(r) == {"bound", "ranks", "G", "transpose", "permanent"}
+        assert r["bound"] == 2.0 ** -15 and r["transpose"] is False
+        assert r["ranks"] == [2] * n and r["G"] == [2] * (n - 1) + [1]
         assert r["permanent"] == pytest.approx(2.0 ** -15, rel=1e-12)
 
 

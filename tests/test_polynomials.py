@@ -6,6 +6,7 @@ import pytest
 
 import polycap as pc
 from polycap import fixtures
+from polycap.polynomials import _bareiss
 from test_bounds import product_with_sparse_first_column
 
 
@@ -279,6 +280,20 @@ class TestVariableDegree:
                                             [Fraction(1, 2), 0, Fraction(1, 2)]])
         p = pc.DeterminantalPolynomial(mats, mode="exact")
         assert [p.variable_degree(i) for i in range(3)] == [2, 2, 2]
+
+    def test_bareiss_rank_and_determinant(self):
+        # Products B C of integer n x r and r x n factors have rank r (checked
+        # against numpy on these small integers) and determinant 0 for r < n;
+        # zero leading columns make the elimination skip a column.
+        rng = np.random.default_rng(37)
+        for trial in range(40):
+            n = int(rng.integers(1, 7))
+            r = int(rng.integers(0, n + 1))
+            m = rng.integers(-3, 4, (n, r)) @ rng.integers(-3, 4, (r, n))
+            m[:, : int(rng.integers(0, 2))] = 0
+            rank, det = _bareiss([[Fraction(int(v), 7) for v in row] for row in m])
+            assert rank == np.linalg.matrix_rank(m)
+            assert det == Fraction(round(np.linalg.det(m)), 7 ** n)
 
     def test_agrees_with_structural_rank(self):
         rng = np.random.default_rng(36)

@@ -1,10 +1,14 @@
-"""The README's Quick start runs and gives the values its comments state."""
+"""The README's Quick start runs and gives the values its comments state,
+and its CLI examples print the result blocks it shows."""
 import ast
+import json
 import re
 from fractions import Fraction
 from pathlib import Path
 
 import pytest
+
+from polycap.cli import main
 
 README = Path(__file__).resolve().parents[1] / "README.md"
 # A commented value: a Fraction literal or a decimal, "..." when truncated.
@@ -51,3 +55,27 @@ def test_quick_start_values():
     ]
     cap = namespace["cap"]
     assert cap.status == "converged" and cap.value == pytest.approx(1.0)
+
+
+# "(`polycap <command> circ.json <options>`, `result` block):" then the block.
+_CLI_EXAMPLE = re.compile(
+    r"\(`polycap (\S+) circ\.json([^`]*)`, `result` block\):\s*```json\n(.*?)```",
+    re.DOTALL)
+# The Quick start's circulant, as a document.
+CIRCULANT = {"kind": "product", "matrix": [
+    ["1/2", "1/2", "0"], ["0", "1/2", "1/2"], ["1/2", "0", "1/2"]]}
+
+
+def test_cli_examples(tmp_path, capsys):
+    path = tmp_path / "circ.json"
+    path.write_text(json.dumps(CIRCULANT))
+    examples = _CLI_EXAMPLE.findall(README.read_text(encoding="utf-8"))
+    assert [(command, options) for command, options, _ in examples] == [
+        ("sparse-bound", " --no-meta"), ("bound", " --mode exact --no-meta")]
+    for command, options, block in examples:
+        assert main([command, str(path), *options.split()]) == 0
+        result = json.loads(capsys.readouterr().out)["result"]
+        stated = json.loads(block)
+        for fields in (result, stated):
+            fields.pop("provenance", None)
+        assert result == stated, command
