@@ -36,10 +36,13 @@ _CLUSTER_SAFETY = 10.0
 _TINY = 1e-300
 _REAL_TOL = 1e-6    # |imag| / root scale below which a root is real
 _MARGIN_TOL = 1e-9  # how far the margin |p(z)|/p(Re z) - 1 may fall below 0
-# Slice fits refuse a degree past this. One fit plus its companion-matrix
-# roots takes 0.05 s at degree 200, 0.2 s at 400 and 1.3 s at 800 (2 vCPUs,
-# one BLAS thread), and check-hyperbolic fits at least two slices per trial.
-SLICE_DEGREE_CAP = 400
+# Slice fits refuse a degree past this. The fit rejects a window whose
+# leading Chebyshev coefficient is at most 1e-13 of the largest one; that
+# coefficient shrinks like 2^(1-n) with the degree n, and from degree 47 on
+# every window failed the test on the uniform form, random product forms and
+# pencils alike. One fit plus its companion-matrix roots takes about 1 ms at
+# degree 46 (2 vCPUs, one BLAS thread).
+SLICE_DEGREE_CAP = 46
 
 
 @dataclass
@@ -99,27 +102,18 @@ def _slice_fit(poly, point, direction, expected) -> _SliceFit:
 
     x_norm = max((abs(v) for v in point), default=0.0)
     d_norm = max(max(abs(v) for v in direction), _TINY)
-    M = 8.0 * (1.0 + x_norm / d_norm)
+    # For a stable p with nonnegative coefficients the positive orthant lies
+    # in the hyperbolicity cone (Garding), so along d = 1 every root of the
+    # slice lies in [min x, max x], inside [-M, M]. Other directions, and
+    # inputs that are not stable, grow the window on the residual test.
+    M = 1.0 + x_norm / d_norm
 
     best = None
-    rescaled = False
     for _ in range(5):
         roots, lead_abs, vmax = _fit_once(poly, point, direction, M, n)
         if roots is None:
             M *= 4.0
             continue
-        if not rescaled:
-            # Second pass on a window matched to the actual root magnitudes:
-            # conditioning of clustered roots degrades with oversized windows.
-            rescaled = True
-            r_max = max((abs(r) for r in roots), default=0.0)
-            M_opt = min(max(4.0 * r_max, 1e-2), M)
-            if M_opt < 0.5 * M:
-                M = M_opt
-                roots, lead_abs, vmax = _fit_once(poly, point, direction, M, n)
-                if roots is None:
-                    M *= 4.0
-                    continue
         prod = complex(np.prod(roots)) if roots else complex(1.0)
         # Noise floor: prod(roots) = +-q(0)/lead, and q(0) carries absolute
         # interpolation noise ~ eps * vmax, so differences below
@@ -251,23 +245,24 @@ def half_plane_sample_check(poly: EvaluationOracle, samples: int = 500,
         raise InputError("samples must be >= 1")
     n = poly.n_vars
     rng = np.random.default_rng(seed)
-    worst_margin = np.inf
-    witness = None
-    ok = True
     draws = rng.standard_normal((samples, 2, n))
     xs = np.exp(draws[:, 0])
     ys = xs * draws[:, 1]
-    vals = np.abs(poly.evaluate_batch(xs + 1j * ys)).tolist()
-    bases = np.real(poly.evaluate_batch(xs)).tolist()
-    for x, y, val, base in zip(xs, ys, vals, bases):
-        margin = val / base - 1.0 if base > 0 else -1.0
-        failed = val == 0.0 or margin < -_MARGIN_TOL
-        if margin < worst_margin:
-            worst_margin = margin
-            if failed:
-                witness = [[float(a), float(b)] for a, b in zip(x, y)]
-        if failed:
-            ok = False
+    vals = np.abs(poly.evaluate_batch(xs + 1j * ys))
+    bases = np.real(poly.evaluate_batch(xs))
+    # A base that is not positive scores -1 without dividing; a NaN margin
+    # neither fails nor becomes the worst.
+    positive = bases > 0
+    with np.errstate(over="ignore", invalid="ignore"):
+        margins = np.where(positive, vals / np.where(positive, bases, 1.0) - 1.0,
+                           -1.0)
+    failed = (vals == 0.0) | (margins < -_MARGIN_TOL)
+    ok = not failed.any()
+    ranked = np.where(np.isnan(margins), np.inf, margins)
+    i = int(np.argmin(ranked))
+    worst_margin = ranked[i]
+    witness = (np.stack((xs[i], ys[i]), axis=1).tolist() if failed[i]
+               else None)
     stats = {
         "samples": samples,
         "worst_margin": float(worst_margin),

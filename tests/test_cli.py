@@ -13,6 +13,7 @@ import polycap as pc
 from polycap import bounds, cli
 from polycap import io as pio
 from polycap.cli import main
+from polycap.hyperbolicity import SLICE_DEGREE_CAP
 from test_io import BAD_SPARSE_DOCUMENTS, BAD_SPARSE_IDS, UNIFORM3
 
 
@@ -517,8 +518,12 @@ class TestErrorPaths:
         ({"kind": "sparse", "n": 2,
           "terms": [{"exp": [1 << 62, 0], "coef": "1"},
                     {"exp": [0, 1 << 62], "coef": "1"}]},
-         f"error: slice fit refused: degree {1 << 62} exceeds the cap of 400"),
-    ], ids=["overflowing-pencil", "huge-exponents"])
+         f"error: slice fit refused: degree {1 << 62} exceeds the cap of "
+         f"{SLICE_DEGREE_CAP}"),
+        ({"kind": "product", "matrix": [["1"] * 50] * 50},
+         f"error: slice fit refused: degree 50 exceeds the cap of "
+         f"{SLICE_DEGREE_CAP}"),
+    ], ids=["overflowing-pencil", "huge-exponents", "uniform-50"])
     def test_refused_slice_exits_3(self, tmp_path, capsys, doc, error):
         path = tmp_path / "doc.json"
         path.write_text(json.dumps(doc))

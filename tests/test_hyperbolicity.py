@@ -81,12 +81,12 @@ class TestRestrictedRoots:
 class TestRootProfile:
     def test_calls_per_slice(self):
         # p(direction) and p(point) in one batch, then n + 1 = 5 nodes for
-        # the first window and 5 for the rescaled one: p(direction) once.
+        # the one window: p(direction) once.
         rng = np.random.default_rng(37)
         p = pc.ProductFormPolynomial(fixtures.random_positive_matrix(4, rng),
                                      mode="float")
         root_profile(p, (0.3, -1.2, 0.8, 2.0), (1.0, 1.0, 1.0, 1.0))
-        assert p.calls == 12
+        assert p.calls == 7
 
     def test_repeated_root_classified_real(self):
         # ((x1+..+x4)/4)^4 has a quadruple root on every slice; the extracted
@@ -108,6 +108,23 @@ class TestRealRootednessCheck:
         p = fixtures.uniform_product_polynomial(n, mode="float")
         ok, worst = pc.real_rootedness_check(p, trials=25, seed=11)
         assert ok, f"max_imag {worst.max_imag}"
+
+    @pytest.mark.parametrize("label", ["uniform", "random"])
+    def test_product_forms_pass_at_degree_cap(self, label):
+        n = SLICE_DEGREE_CAP
+        p = (fixtures.uniform_product_polynomial(n, mode="float")
+             if label == "uniform" else
+             fixtures.random_product_polynomial(n, np.random.default_rng(0)))
+        ok, worst = pc.real_rootedness_check(p, trials=10, seed=0)
+        assert ok, f"max_imag {worst.max_imag}"
+
+    def test_uniform_roots_stay_near_real_at_degree_20(self):
+        # the window starts at the input scale, so the 20-fold root keeps
+        # its spread small: 7.07 with the old 8(1 + |x|) window
+        p = fixtures.uniform_product_polynomial(20, mode="float")
+        ok, worst = pc.real_rootedness_check(p, trials=20, seed=0)
+        assert ok
+        assert worst.max_imag < 2
 
     def test_random_product_passes(self):
         rng = np.random.default_rng(32)
