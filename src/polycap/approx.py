@@ -12,7 +12,7 @@ prod(x) = 1. The resulting capacity C_k sandwiches the true mixed partial:
 
 so the multiplicative guarantee (n-k)^(n-k) / (n-k)! tightens as k grows,
 reaching exactness at k = n-1, at the price of 2^k * m oracle calls per
-evaluation, m = ceil((n-k)/2) + 1. Oracle-call counts are tracked exactly.
+evaluation, m = floor((n-k)/2) + 1. Oracle-call counts are tracked exactly.
 """
 from __future__ import annotations
 
@@ -45,13 +45,14 @@ class DerivativeSliceOracle(EvaluationOracle):
 
     Each evaluation takes the signed average
         g(eps) = 2^-k sum_{b in {-1,1}^k} p(eps * b, tail) * prod(b)
-    which equals eps^k * h(eps^2) with h(0) = p_k(tail) (only even powers of
-    eps survive the sign symmetry), and extrapolates h to 0 by Lagrange
-    interpolation over the nodes t_j = eps_j^2, eps_j = 2^-j. The sums are
-    ``oracles.signed_sums`` at offsets (0, tail), scales eps_j, over all 2^k
-    patterns: b and -b do not pair, as the tail keeps its sign. Exact inputs
-    make this algebraically exact; float inputs report a condition number
-    for the last row of the most recent batch in `last_condition`.
+    which equals eps^k * h(eps^2) with h(0) = p_k(tail): only head exponents
+    with the parity of k survive the sign symmetry, so h has degree
+    floor((n-k)/2). It extrapolates h to 0 by Lagrange interpolation over the
+    m = floor((n-k)/2) + 1 nodes t_j = eps_j^2, eps_j = 2^-j, j = 1..m. The
+    sums are ``oracles.signed_sums`` at offsets (0, tail), scales eps_j, over
+    all 2^k patterns: b and -b do not pair, as the tail keeps its sign. Exact
+    inputs make this algebraically exact; float inputs report a condition
+    number for the last row of the most recent batch in `last_condition`.
     """
 
     def __init__(self, base: EvaluationOracle, k: int):
@@ -65,7 +66,7 @@ class DerivativeSliceOracle(EvaluationOracle):
         self.mode = base.mode
         self.base = base
         self.k = k
-        self.m = (self.n_vars + 1) // 2 + 1  # ceil((n-k)/2) + 1 nodes
+        self.m = self.n_vars // 2 + 1
         # Nodes and weights are exact; each batch takes them in its dtype.
         self.eps = [Fraction(1, 2 ** (j + 1)) for j in range(self.m)]
         ts = [e * e for e in self.eps]

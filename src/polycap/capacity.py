@@ -2,8 +2,10 @@
 
 In log coordinates x = e^y the problem is minimizing f(y) = log p(e^y) over
 the hyperplane sum(y) = 0; f is convex for any polynomial with nonnegative
-coefficients (a log-sum-exp of linear forms). The optimizer is a projected
-Newton method with backtracking line search and a projected-gradient fallback.
+coefficients (a log-sum-exp of linear forms). p is homogeneous of degree d,
+so f(y + c1) = f(y) + d c (Euler) and H 1 = 0: Newton removes the gradient's
+mean and solves with H + 11^T/n, which is H on the hyperplane with a unit
+pivot along 1; a backtracking line search and a gradient fallback guard it.
 Each representation supplies f with its gradient and Hessian
 (``EvaluationOracle.log_objective`` in ``polynomials``): in closed form for
 the three structured representations, by finite differences for generic
@@ -71,15 +73,6 @@ def log_objective(poly: EvaluationOracle):
     return poly.log_objective()
 
 
-def _hyperplane_basis(n: int) -> np.ndarray:
-    """Deterministic orthonormal basis of {y : sum(y) = 0}, shape (n, n-1)."""
-    if n == 1:
-        return np.zeros((1, 0))
-    m = np.eye(n) - np.full((n, n), 1.0 / n)
-    u, s, _ = np.linalg.svd(m)
-    return u[:, : n - 1]
-
-
 def capacity_minimize(poly: EvaluationOracle, tol: float = 1e-10,
                       max_iter: int = 200) -> CapacityResult:
     """Minimize p over the positive slice prod(x) = 1, from y = 0.
@@ -106,7 +99,6 @@ def capacity_minimize(poly: EvaluationOracle, tol: float = 1e-10,
 
     obj = log_objective(poly)
     y = np.zeros(n)
-    U = _hyperplane_basis(n)
     f = obj.value(y)
     if not np.isfinite(f):
         # p vanishes on the whole positive orthant slice (e.g. a PSD pencil
@@ -115,7 +107,7 @@ def capacity_minimize(poly: EvaluationOracle, tol: float = 1e-10,
                               "degenerate", None)
     f_init = f
     g = obj.gradient(y)
-    gr = U.T @ g
+    gr = g - g.mean()
     gnorm = float(np.linalg.norm(gr))
     g0 = gnorm
     iterations = 0
@@ -128,8 +120,7 @@ def capacity_minimize(poly: EvaluationOracle, tol: float = 1e-10,
         if f < f_init - _DEGENERATE_DROP and gnorm >= max(0.01 * g0, tol):
             return CapacityResult(0.0, tuple(np.exp(y - y.mean())), iterations,
                                   gnorm, "degenerate", None)
-        H = obj.hessian(y)
-        Hr = U.T @ H @ U
+        Hr = obj.hessian(y) + 1.0 / n  # H + 11^T/n
         try:
             np.linalg.cholesky(Hr)
             step = -np.linalg.solve(Hr, gr)
@@ -148,7 +139,7 @@ def capacity_minimize(poly: EvaluationOracle, tol: float = 1e-10,
         t = 1.0
         accepted = False
         for _ in range(60):
-            y_try = y + t * (U @ step)
+            y_try = y + t * step
             y_try -= y_try.mean()
             f_try = obj.value(y_try)
             if np.isfinite(f_try) and f_try <= f + 1e-4 * t * slope:
@@ -161,7 +152,7 @@ def capacity_minimize(poly: EvaluationOracle, tol: float = 1e-10,
         y = y_try
         f = f_try
         g = obj.gradient(y)
-        gr = U.T @ g
+        gr = g - g.mean()
         gnorm = float(np.linalg.norm(gr))
         iterations += 1
 

@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import functools
 import json
 import math
 import sys
@@ -208,7 +209,9 @@ def _cmd_suite(args) -> int:
     return 1 if failed else 0
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The CLI's parser, built once per process; every caller shares it."""
     parser = argparse.ArgumentParser(
         prog="polycap",
         description=(

@@ -191,7 +191,8 @@ class EvaluationOracle:
 
 
 class _OracleObjective:
-    """Finite-difference objective for generic evaluation oracles."""
+    """Finite-difference objective for generic evaluation oracles; the
+    Hessian's diagonal comes from its row sums."""
 
     _H_GRAD = 1e-5
     _H_HESS = 3e-4
@@ -220,12 +221,15 @@ class _OracleObjective:
         n = len(y)
         h = self._H_HESS
         E = h * np.eye(n)
-        i, j = np.triu_indices(n)
+        i, j = np.triu_indices(n, 1)
         f = self._values(np.concatenate([
             y + E[i] + E[j], y + E[i] - E[j], y - E[i] + E[j], y - E[i] - E[j]]))
         f = f.reshape(4, -1)
-        H = np.empty((n, n))
+        H = np.zeros((n, n))
         H[i, j] = H[j, i] = (f[0] - f[1] - f[2] + f[3]) / (4 * h * h)
+        # Every representation is homogeneous, and a plain oracle's ``degree``
+        # promises it: f(y + c1) = f(y) + d c, so H 1 = 0 fixes the diagonal.
+        np.fill_diagonal(H, -H.sum(axis=1))
         return H
 
 

@@ -55,8 +55,14 @@ class TestDerivativeSliceOracle:
         p = fixtures.uniform_product_polynomial(6)
         o = DerivativeSliceOracle(p, 2)
         assert o.n_vars == 4 and o.degree == 4 and o.mode == "exact"
-        assert o.m == (4 + 1) // 2 + 1
-        assert o.calls_per_eval == 2 ** 2 * o.m
+
+    @pytest.mark.parametrize("n, k", [(6, 2), (6, 1), (7, 2), (7, 1), (3, 2)])
+    def test_one_node_per_degree_of_h(self, n, k):
+        # h(t) has degree floor((n-k)/2), so that many nodes plus one fit it,
+        # for odd and for even tails alike.
+        o = DerivativeSliceOracle(fixtures.uniform_product_polynomial(n), k)
+        assert o.m == (n - k) // 2 + 1
+        assert o.calls_per_eval == 2 ** k * ((n - k) // 2 + 1)
 
     def test_exact_against_symbolic_derivative(self):
         rng = np.random.default_rng(40)
@@ -126,7 +132,7 @@ class TestEstimateMixedPartial:
         r = pc.estimate_mixed_partial(p, k=2)
         assert r.estimate == pytest.approx(2 / 9, rel=1e-12)
         assert r.guarantee_factor == 1.0
-        assert r.oracle_calls == 2 ** 2 * 2  # one slice evaluation, m = 2
+        assert r.oracle_calls == 2 ** 2 * 1  # one slice evaluation, m = 1
 
     def test_sandwich_tightens_with_k(self):
         rng = np.random.default_rng(42)

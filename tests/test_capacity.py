@@ -51,31 +51,36 @@ class TestKnownValues:
         assert p.evaluate(tuple(x)) == pytest.approx(r.value, rel=1e-12)
 
 
+def _objective_case(kind, rng):
+    """(poly, same): a seeded polynomial of the kind, and the same polynomial
+    as a structured representation (poly itself unless it is a plain oracle)."""
+    if kind == "sparse":
+        poly = pc.ProductFormPolynomial(
+            fixtures.random_positive_matrix(3, rng), mode="float").expand()
+    elif kind == "product":
+        poly = pc.ProductFormPolynomial(fixtures.random_positive_matrix(4, rng),
+                                        mode="float")
+    elif kind == "determinantal":
+        poly = pc.DeterminantalPolynomial(
+            fixtures.doubly_stochastic_psd_tuple(4, rng), mode="float")
+    elif kind == "function":
+        same = pc.ProductFormPolynomial(
+            fixtures.random_positive_matrix(3, rng), mode="float")
+        return pc.FunctionOracle(3, 3, same.evaluate), same
+    else:
+        base = pc.ProductFormPolynomial(
+            fixtures.random_positive_matrix(4, rng), mode="float")
+        return (pc.DerivativeSliceOracle(base, 1),
+                pc.derivative_reduce(base.expand()))
+    return poly, poly
+
+
 class TestObjectiveDerivatives:
     @pytest.mark.parametrize("kind", ["sparse", "product", "determinantal",
                                       "function", "derivative-slice"])
     def test_gradient_and_hessian_match_finite_differences(self, kind):
         rng = np.random.default_rng(42)
-        if kind == "sparse":
-            poly = pc.ProductFormPolynomial(
-                fixtures.random_positive_matrix(3, rng), mode="float").expand()
-        elif kind == "product":
-            poly = pc.ProductFormPolynomial(fixtures.random_positive_matrix(4, rng),
-                                            mode="float")
-        elif kind == "determinantal":
-            poly = pc.DeterminantalPolynomial(
-                fixtures.doubly_stochastic_psd_tuple(4, rng), mode="float")
-        elif kind == "function":
-            same = pc.ProductFormPolynomial(
-                fixtures.random_positive_matrix(3, rng), mode="float")
-            poly = pc.FunctionOracle(3, 3, same.evaluate)
-        else:
-            base = pc.ProductFormPolynomial(
-                fixtures.random_positive_matrix(4, rng), mode="float")
-            same = pc.derivative_reduce(base.expand())
-            poly = pc.DerivativeSliceOracle(base, 1)
-        if kind in ("sparse", "product", "determinantal"):
-            same = poly
+        poly, same = _objective_case(kind, rng)
         # A plain oracle gets the finite-difference objective, checked against
         # the closed form of the same polynomial as a structured representation.
         obj = log_objective(poly)
@@ -91,6 +96,32 @@ class TestObjectiveDerivatives:
         assert obj.value(y) == pytest.approx(ref.value(y), rel=1e-12)
         assert np.abs(obj.gradient(y) - fd_g).max() < 1e-6
         assert np.abs(obj.hessian(y) - fd_h).max() < 1e-5
+
+    @pytest.mark.parametrize("kind", ["sparse", "product", "determinantal"])
+    def test_closed_forms_obey_eulers_identity(self, kind):
+        # Homogeneity of degree d: f(y + c1) = f(y) + d c, so g.1 = d and
+        # H 1 = 0, which the capacity solver's Newton step relies on.
+        rng = np.random.default_rng(44)
+        poly, _ = _objective_case(kind, rng)
+        obj = log_objective(poly)
+        for _ in range(5):
+            y = rng.normal(0, 0.5, poly.n_vars)
+            assert obj.gradient(y).sum() == pytest.approx(poly.degree, rel=1e-12)
+            H = obj.hessian(y)
+            assert np.abs(H.sum(axis=1)).max() <= 1e-10 * np.abs(H).max()
+
+    @pytest.mark.parametrize("kind", ["function", "derivative-slice"])
+    def test_finite_difference_hessian_takes_its_diagonal_from_the_rows(self, kind):
+        rng = np.random.default_rng(45)
+        poly, _ = _objective_case(kind, rng)
+        n = poly.n_vars
+        obj = log_objective(poly)
+        y = rng.normal(0, 0.3, n)
+        before = poly.calls
+        H = obj.hessian(y)
+        # Four stencil points per off-diagonal pair, none for the diagonal.
+        assert poly.calls - before == 2 * n * (n - 1)
+        assert np.abs(H.sum(axis=1)).max() <= 1e-12 * np.abs(H).max()
 
     def test_objective_is_convex_along_segments(self):
         rng = np.random.default_rng(43)

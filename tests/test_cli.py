@@ -504,9 +504,10 @@ class TestErrorPaths:
         assert capsys.readouterr().err == f"error: {message}\n"
 
     def test_unexpected_error_exits_4(self, monkeypatch, capsys, product_file):
-        def fail(args):
+        # The parser is built once, so the patch goes below the command.
+        def fail(*args, **kwargs):
             raise RuntimeError("no report")
-        monkeypatch.setattr(cli, "_cmd_capacity", fail)
+        monkeypatch.setattr(cli, "capacity_minimize", fail)
         assert main(["capacity", product_file]) == 4
         assert capsys.readouterr().err == "error: RuntimeError: no report\n"
 
@@ -561,11 +562,10 @@ class TestErrorPaths:
 
     def test_non_finite_outside_a_result_field_exits_4(self, monkeypatch,
                                                        capsys, product_file):
-        def infinite(args):
-            cli._emit(args, {}, {"value": float("inf")})
-            return 0
-        monkeypatch.setattr(cli, "_cmd_capacity", infinite)
-        assert main(["capacity", product_file]) == 4
+        # "permanent" is a plain key of the command's result dict.
+        monkeypatch.setattr(cli, "permanent_ryser",
+                            lambda *args, **kwargs: float("inf"))
+        assert main(["permanent", product_file]) == 4
         captured = capsys.readouterr()
         assert captured.out == "" and captured.err.startswith("error: ValueError")
 
