@@ -30,7 +30,7 @@ import numpy as np
 from .capacity import capacity_minimize
 from .errors import InputError, ResourceLimitError
 from .oracles import exact_mixed_partial, permanent_ryser
-from .polynomials import EvaluationOracle, derivative_reduce
+from .polynomials import EvaluationOracle, _scalar_array, derivative_reduce
 
 
 def vdw_factor(n: int) -> Fraction:
@@ -292,7 +292,7 @@ def sparse_permanent_bound(matrix) -> SparseBoundReport:
     the float permanent is within its cap (n <= 20), the bound is verified
     against it and the report carries it; past the cap ``permanent`` is None.
     """
-    A = np.asarray(matrix, dtype=float)
+    _, A = _scalar_array(matrix, "float")
     if A.ndim != 2 or A.shape[0] != A.shape[1] or A.size == 0:
         raise InputError("matrix must be square and nonempty")
     if np.any(A < 0):

@@ -21,7 +21,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import InputError
-from .polynomials import EvaluationOracle
+from .polynomials import EvaluationOracle, _scalar_array
 
 # f must drop this far below its start, while the gradient stays large,
 # before the run is declared a divergence toward capacity zero.
@@ -172,7 +172,7 @@ def sinkhorn_scale(matrix, tol: float = 1e-10, max_iter: int = 10000) -> Scaling
     """
     if tol <= 0:
         raise InputError("tol must be positive")
-    B = np.asarray(matrix, dtype=float)
+    _, B = _scalar_array(matrix, "float")
     if B.ndim != 2 or B.shape[0] != B.shape[1] or B.shape[0] < 1:
         raise InputError("sinkhorn_scale needs a nonempty square matrix")
     if np.any(B < 0):

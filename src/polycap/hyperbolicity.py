@@ -10,7 +10,9 @@ slice by Chebyshev interpolation, validates the window through the
 root-product identity prod(roots) = p(x)/p(d), and classifies the roots as
 real or complex; ``real_rootedness_check`` samples many slices along the
 all-ones direction, and ``half_plane_sample_check`` samples the half-plane
-condition directly.
+condition directly. One fitter serves both slice paths, on blocks of points
+(64 trials; ``root_profile`` is a block of one): p(d) and every p(x) of a
+block are one batch evaluation, and so is each window round of the block.
 
 Numerical honesty about repeated roots: an m-fold real root computed through
 a degree-n fit splits into a cluster with imaginary parts of order
@@ -43,6 +45,8 @@ _MARGIN_TOL = 1e-9  # how far the margin |p(z)|/p(Re z) - 1 may fall below 0
 # pencils alike. One fit plus its companion-matrix roots takes about 1 ms at
 # degree 46 (2 vCPUs, one BLAS thread).
 SLICE_DEGREE_CAP = 46
+_BLOCK = 64  # slices per batch in real_rootedness_check
+_SLICE_OVERFLOW = "slice fit refused: p overflows the float range along the slice"
 
 
 @dataclass
@@ -62,72 +66,64 @@ class _SliceFit(NamedTuple):
     vmax: float      # max |slice value| over the fitted window
 
 
-def _finite_values(poly, X):
-    """Real parts of p at the rows X, with numpy's overflow warnings off:
+def _finite_values(poly, X, part=np.real, refused=_SLICE_OVERFLOW):
+    """part(p) at the rows X as floats, with numpy's overflow warnings off:
     values past the float range are refused here instead."""
     with np.errstate(over="ignore", invalid="ignore"):
-        vals = np.real(poly.evaluate_batch(X)).astype(float)
+        vals = part(poly.evaluate_batch(X)).astype(float)
     if not np.isfinite(vals).all():
         raise ResourceLimitError(
-            "slice fit refused: p overflows the float range along the slice "
-            "(non-finite values); rescale the input")
+            f"{refused} (non-finite values); rescale the input")
     return vals
 
 
-def _slice_values(poly, point, direction, ts):
-    pt = np.array(point, dtype=float)
-    d = np.array(direction, dtype=float)
-    return _finite_values(poly, pt - ts[:, None] * d)
-
-
-def _fit_once(poly, point, direction, M, n):
-    """Interpolate the slice on [-M, M] and extract companion-matrix roots."""
-    u_nodes = cheb.chebpts2(n + 1)
-    vals = _slice_values(poly, point, direction, M * u_nodes)
-    coeffs = cheb.chebfit(u_nodes, vals, n)
-    vmax = float(np.abs(vals).max())
-    # T_n has leading monomial coefficient 2^(n-1); convert to t = M u units.
-    lead_u = float(coeffs[-1]) * (2.0 ** (n - 1) if n >= 1 else 1.0)
-    lead_abs = abs(lead_u) / (M ** n if n >= 1 else 1.0)
-    if abs(coeffs[-1]) <= 1e-13 * max(1.0, float(np.abs(coeffs).max())):
-        return None, lead_abs, vmax
-    roots = tuple(complex(r) * M for r in cheb.chebroots(coeffs))
-    return roots, lead_abs, vmax
-
-
-def _slice_fit(poly, point, direction, expected) -> _SliceFit:
-    """Fit the slice; ``expected`` = p(point)/p(direction) is the product of
-    its roots (both leading sign flips cancel)."""
+def _slice_fits(poly, points, direction, expected) -> list:
+    """Fit the slices t -> p(x - t d) through the rows x of ``points``, each
+    on windows [-M, M] until the product of its roots matches its entry of
+    ``expected``, p(x)/p(d) (both leading sign flips cancel). Each window
+    round evaluates the n + 1 Chebyshev nodes of every pending row in one
+    batch; the fit and its companion-matrix roots are per row."""
     n = poly.degree
-
-    x_norm = max((abs(v) for v in point), default=0.0)
-    d_norm = max(max(abs(v) for v in direction), _TINY)
+    u_nodes = cheb.chebpts2(n + 1)
     # For a stable p with nonnegative coefficients the positive orthant lies
     # in the hyperbolicity cone (Garding), so along d = 1 every root of the
     # slice lies in [min x, max x], inside [-M, M]. Other directions, and
     # inputs that are not stable, grow the window on the residual test.
-    M = 1.0 + x_norm / d_norm
-
-    best = None
+    d_norm = max(float(np.abs(direction).max()), _TINY)
+    pending = [(i, 1.0 + x_norm / d_norm)
+               for i, x_norm in enumerate(np.abs(points).max(axis=1).tolist())]
+    best = [None] * len(points)
     for _ in range(5):
-        roots, lead_abs, vmax = _fit_once(poly, point, direction, M, n)
-        if roots is None:
-            M *= 4.0
-            continue
-        prod = complex(np.prod(roots)) if roots else complex(1.0)
-        # Noise floor: prod(roots) = +-q(0)/lead, and q(0) carries absolute
-        # interpolation noise ~ eps * vmax, so differences below
-        # vmax/lead-scaled noise are not evidence of a bad window.
-        atol = 1e-9 * vmax / max(lead_abs, _TINY)
-        denom = max(abs(expected), abs(prod), atol, 1e-12)
-        residual = abs(prod - expected) / denom
-        fit = _SliceFit(roots, float(residual), lead_abs, vmax)
-        if best is None or residual < best.residual:
-            best = fit
-        if residual <= 1e-6:
-            return fit
-        M *= 4.0
-    if best is None:
+        if not pending:
+            break
+        index, windows = zip(*pending)
+        ts = np.array(windows)[:, None] * u_nodes
+        X = points[list(index), None, :] - ts[:, :, None] * direction
+        rows = _finite_values(poly, X.reshape(-1, poly.n_vars))
+        failed = []
+        for (i, M), vals in zip(pending, rows.reshape(len(pending), n + 1)):
+            coeffs = cheb.chebfit(u_nodes, vals, n)
+            if abs(coeffs[-1]) <= 1e-13 * max(1.0, float(np.abs(coeffs).max())):
+                failed.append((i, 4.0 * M))
+                continue
+            roots = tuple(complex(r) * M for r in cheb.chebroots(coeffs))
+            vmax = float(np.abs(vals).max())
+            # T_n has leading monomial coefficient 2^(n-1); in t = M u units
+            # the slice's leading coefficient is that over M^n.
+            lead_abs = abs(float(coeffs[-1]) * 2.0 ** (n - 1)) / M ** n
+            prod = complex(np.prod(roots))
+            # Noise floor: prod(roots) = +-q(0)/lead, and q(0) carries
+            # absolute interpolation noise ~ eps * vmax, so differences below
+            # vmax/lead-scaled noise are not evidence of a bad window.
+            atol = 1e-9 * vmax / max(lead_abs, _TINY)
+            denom = max(abs(expected[i]), abs(prod), atol, 1e-12)
+            residual = abs(prod - expected[i]) / denom
+            if best[i] is None or residual < best[i].residual:
+                best[i] = _SliceFit(roots, residual, lead_abs, vmax)
+            if residual > 1e-6:
+                failed.append((i, 4.0 * M))
+        pending = failed
+    if any(fit is None for fit in best):
         raise InputError(
             "slice interpolation degenerated: leading coefficient vanished "
             "at every window (is the polynomial of full degree along this "
@@ -151,55 +147,47 @@ def _cluster_tolerance(roots, center, radius, lead_abs, vmax):
 
 
 def _classify_real(fit: _SliceFit):
-    """(all_real, max_imag): a complex pair counts as numerically real when
+    """(max_imag, all_real): a complex pair counts as numerically real when
     its imaginary part is under _REAL_TOL*scale or within the repeated-real-
     root backward-error bound at its location."""
     roots = fit.roots
-    if not roots:
-        return True, 0.0
     scale = max(1.0, max(abs(r) for r in roots))
-    max_imag = max(abs(r.imag) for r in roots)
-    all_real = True
-    for r in roots:
-        b = abs(r.imag)
-        if b <= _REAL_TOL * scale:
-            continue
-        if b <= _cluster_tolerance(roots, r.real, 4.0 * b, fit.lead_abs,
-                                   fit.vmax):
-            continue
-        all_real = False
-        break
-    return all_real, float(max_imag)
+    all_real = all(
+        abs(r.imag) <= _REAL_TOL * scale
+        or abs(r.imag) <= _cluster_tolerance(roots, r.real, 4.0 * abs(r.imag),
+                                             fit.lead_abs, fit.vmax)
+        for r in roots)
+    return float(max(abs(r.imag) for r in roots)), all_real
 
 
-def root_profile(poly: EvaluationOracle, point, direction) -> RootProfile:
-    """Restricted roots plus a real/complex classification for one slice,
-    which needs p(direction) > 0. A degree past SLICE_DEGREE_CAP is refused
-    before any evaluation, then values past the float range; p(direction)
-    and p(point) are one batch."""
-    point = tuple(float(v) for v in point)
-    direction = tuple(float(v) for v in direction)
-    if len(point) != poly.n_vars or len(direction) != poly.n_vars:
+def _root_profiles(poly: EvaluationOracle, points, direction) -> list:
+    """One RootProfile per row of ``points`` along ``direction``, which needs
+    p(direction) > 0. A degree past SLICE_DEGREE_CAP is refused before any
+    evaluation, then values past the float range; p(direction) and every
+    p(point) are one batch."""
+    points = np.array(points, dtype=float)
+    direction = np.array(direction, dtype=float)
+    if points.shape[1:] != (poly.n_vars,) or direction.shape != (poly.n_vars,):
         raise InputError("point and direction must have length n_vars")
     if poly.degree > SLICE_DEGREE_CAP:
         raise ResourceLimitError(
             f"slice fit refused: degree {poly.degree} exceeds the cap of "
             f"{SLICE_DEGREE_CAP}")
-    p_dir, p_point = _finite_values(
-        poly, np.array([direction, point], dtype=float)).tolist()
+    p_dir, *p_points = _finite_values(
+        poly, np.vstack([direction, points])).tolist()
     if not p_dir > 0:
         raise InputError(
             f"p(direction) = {p_dir}; root extraction needs a positive value")
-    fit = _slice_fit(poly, point, direction, p_point / p_dir)
-    all_real, max_imag = _classify_real(fit)
-    return RootProfile(
-        direction=direction,
-        point=point,
-        roots=fit.roots,
-        max_imag=max_imag,
-        all_real=all_real,
-        residual=fit.residual,
-    )
+    fits = _slice_fits(poly, points, direction, [v / p_dir for v in p_points])
+    return [RootProfile(tuple(direction.tolist()), tuple(x), fit.roots,
+                        *_classify_real(fit), fit.residual)
+            for x, fit in zip(points.tolist(), fits)]
+
+
+def root_profile(poly: EvaluationOracle, point, direction) -> RootProfile:
+    """Restricted roots plus a real/complex classification for one slice:
+    ``_root_profiles`` on one point."""
+    return _root_profiles(poly, [point], direction)[0]
 
 
 def real_rootedness_check(poly: EvaluationOracle, trials: int = 50,
@@ -209,27 +197,23 @@ def real_rootedness_check(poly: EvaluationOracle, trials: int = 50,
 
     Returns (ok, worst_profile): ok is True iff all trials were real-rooted;
     worst_profile is the failing slice with the largest imaginary part, or,
-    if none failed, the slice with the largest imaginary part overall.
+    if none failed, the slice with the largest imaginary part overall (the
+    first such trial on a tie). Trial i draws its point from the i-th child
+    of ``SeedSequence(seed)``, and the trials are fitted in blocks of
+    _BLOCK, so memory stays bounded whatever ``trials`` is.
     """
     if trials < 1:
         raise InputError("trials must be >= 1")
     n = poly.n_vars
-    direction = (1.0,) * n
+    seeds = np.random.SeedSequence(seed)
     worst = None
-    ok = True
-    children = np.random.SeedSequence(seed).spawn(trials)
-    for ss in children:
-        rng = np.random.default_rng(ss)
-        x = rng.standard_normal(n)
-        profile = root_profile(poly, tuple(x), direction)
-        if not profile.all_real:
-            ok = False
-        if (worst is None
-                or (not profile.all_real and worst.all_real)
-                or (profile.all_real == worst.all_real
-                    and profile.max_imag > worst.max_imag)):
-            worst = profile
-    return ok, worst
+    for start in range(0, trials, _BLOCK):
+        points = [np.random.default_rng(ss).standard_normal(n)
+                  for ss in seeds.spawn(min(_BLOCK, trials - start))]
+        profiles = _root_profiles(poly, points, np.ones(n))
+        worst = max(profiles if worst is None else [worst, *profiles],
+                    key=lambda p: (not p.all_real, p.max_imag))
+    return worst.all_real, worst
 
 
 def half_plane_sample_check(poly: EvaluationOracle, samples: int = 500,
@@ -248,24 +232,21 @@ def half_plane_sample_check(poly: EvaluationOracle, samples: int = 500,
     draws = rng.standard_normal((samples, 2, n))
     xs = np.exp(draws[:, 0])
     ys = xs * draws[:, 1]
-    vals = np.abs(poly.evaluate_batch(xs + 1j * ys))
-    bases = np.real(poly.evaluate_batch(xs))
-    # A base that is not positive scores -1 without dividing; a NaN margin
-    # neither fails nor becomes the worst.
+    refused = "half-plane check refused: p overflows the float range"
+    vals = _finite_values(poly, xs + 1j * ys, np.abs, refused)
+    bases = _finite_values(poly, xs, refused=refused)
+    # A base that is not positive scores -1 without dividing.
     positive = bases > 0
-    with np.errstate(over="ignore", invalid="ignore"):
+    with np.errstate(over="ignore"):
         margins = np.where(positive, vals / np.where(positive, bases, 1.0) - 1.0,
                            -1.0)
     failed = (vals == 0.0) | (margins < -_MARGIN_TOL)
-    ok = not failed.any()
-    ranked = np.where(np.isnan(margins), np.inf, margins)
-    i = int(np.argmin(ranked))
-    worst_margin = ranked[i]
+    i = int(np.argmin(margins))
     witness = (np.stack((xs[i], ys[i]), axis=1).tolist() if failed[i]
                else None)
     stats = {
         "samples": samples,
-        "worst_margin": float(worst_margin),
+        "worst_margin": float(margins[i]),
         "witness": witness,
     }
-    return ok, stats
+    return not failed.any(), stats

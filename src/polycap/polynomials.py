@@ -74,7 +74,8 @@ def _check_mode(mode):
 def _scalar_array(values, mode):
     """(mode, array): the nested sequences ``values`` as one ndarray, float64
     in float mode or an object array of Fractions in exact mode. Without a
-    mode, exact when every scalar is an int or a Fraction."""
+    mode, exact when every scalar is an int or a Fraction. NaN and +-inf are
+    refused."""
     if mode is not None:
         _check_mode(mode)
     if mode != "float":
@@ -89,7 +90,10 @@ def _scalar_array(values, mode):
                 break
         else:
             return "exact", _to_fractions(a)
-    return "float", np.array(values, dtype=float)
+    a = np.array(values, dtype=float)
+    if not np.isfinite(a).all():
+        raise InputError(f"scalars must be finite; got {a[~np.isfinite(a)][0]}")
+    return "float", a
 
 
 class EvaluationOracle:

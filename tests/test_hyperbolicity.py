@@ -174,6 +174,45 @@ class TestRealRootednessCheck:
         ok_r, _ = pc.real_rootedness_check(r, trials=15, seed=18)
         assert ok and ok_r
 
+    def test_one_batch_per_window_round(self):
+        # p(d) once, the 50 p(x) and n + 1 = 9 nodes per fit: 58 fits, as 8
+        # of the 50 first windows refit. One root_profile per trial would
+        # spend 2 per trial plus 9 per fit, 622 calls.
+        from polycap.hyperbolicity import _root_profiles
+        n = 8
+        p = fixtures.random_product_polynomial(n, np.random.default_rng(0))
+        points = [np.random.default_rng(ss).standard_normal(n)
+                  for ss in np.random.SeedSequence(0).spawn(50)]
+        profiles = _root_profiles(p, points, np.ones(n))
+        assert p.calls == 1 + 50 + 58 * 9
+        for x, prof in zip(points, profiles):
+            assert root_profile(p, x, np.ones(n)) == prof  # roots bit for bit
+        p.reset_calls()
+        pc.real_rootedness_check(p, trials=50, seed=0)
+        assert p.calls == 573
+
+    @pytest.mark.parametrize("label", ["random-product", "two-squares"])
+    def test_blocks_match_per_trial_profiles(self, label):
+        # 130 trials are three blocks; the worst is the first maximum of
+        # (not all_real, max_imag) over the same SeedSequence children, and
+        # each block evaluates p(d) once where each trial did.
+        p = (fixtures.random_product_polynomial(6, np.random.default_rng(1))
+             if label == "random-product" else two_squares())
+        n = p.n_vars
+        worst = None
+        for ss in np.random.SeedSequence(7).spawn(130):
+            prof = root_profile(p, np.random.default_rng(ss).standard_normal(n),
+                                (1.0,) * n)
+            if worst is None or ((not prof.all_real, prof.max_imag)
+                                 > (not worst.all_real, worst.max_imag)):
+                worst = prof
+        loop_calls = p.calls
+        p.reset_calls()
+        ok, got = pc.real_rootedness_check(p, trials=130, seed=7)
+        assert got == worst
+        assert ok == worst.all_real
+        assert p.calls == loop_calls - 130 + 3
+
     def test_trials_validation(self):
         with pytest.raises(pc.InputError):
             pc.real_rootedness_check(two_squares(), trials=0)
@@ -199,6 +238,13 @@ class TestHalfPlaneSampleCheck:
         re = tuple(v.real for v in z)
         assert all(v > 0 for v in re)
         assert abs(p.evaluate(z)) < p.evaluate(re)
+
+    def test_overflowing_samples_refused(self):
+        # p overflows at most samples: the check refuses them rather than
+        # passing on the few that stay finite
+        p = pc.ProductFormPolynomial([[3e5] * 40] * 40, mode="float")
+        with pytest.raises(pc.ResourceLimitError, match="overflows the float"):
+            pc.half_plane_sample_check(p)
 
     def test_samples_validation(self):
         with pytest.raises(pc.InputError):

@@ -188,6 +188,26 @@ class TestFunctionOracle:
             pc.FunctionOracle(2, 2, lambda x: 1.0, mode="bogus")
 
 
+_NUMERIC_ENTRY_POINTS = {
+    "sparse": lambda v: pc.SparsePolynomial(2, {(1, 1): v, (2, 0): 1.0}),
+    "product": lambda v: pc.ProductFormPolynomial([[1.0, v], [1.0, 1.0]]),
+    "pencil": lambda v: pc.DeterminantalPolynomial(
+        [[[1.0, 0.0], [0.0, v]], [[1.0, 0.0], [0.0, 1.0]]]),
+    "permanent": lambda v: pc.permanent_ryser([[1.0, v], [1.0, 1.0]]),
+    "sinkhorn": lambda v: pc.sinkhorn_scale([[1.0, v], [1.0, 1.0]]),
+    "sparse-bound": lambda v: pc.sparse_permanent_bound([[0.5, v], [0.5, 0.5]]),
+}
+
+
+@pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf")],
+                         ids=["nan", "inf", "-inf"])
+@pytest.mark.parametrize("entry", sorted(_NUMERIC_ENTRY_POINTS))
+def test_non_finite_scalars_refused(entry, value):
+    # every numeric input goes through _scalar_array, which refuses them
+    with pytest.raises(pc.InputError, match="scalars must be finite"):
+        _NUMERIC_ENTRY_POINTS[entry](value)
+
+
 def _batch_cases():
     rng = np.random.default_rng(21)
     mats = random_psd_tuple(3, rng)
