@@ -106,7 +106,7 @@ class ApproxResult:
 
 
 def estimate_mixed_partial(poly: EvaluationOracle, k: int = 0,
-                           tol: float = 1e-8, max_iter: int = 300) -> ApproxResult:
+                           tol: float = 1e-10, max_iter: int = 200) -> ApproxResult:
     """Upper estimate of the full mixed partial with a multiplicative
     guarantee: true value <= estimate <= guarantee_factor * true value.
 

@@ -5,27 +5,24 @@ For a homogeneous polynomial p and a direction d with p(d) > 0, the slice
 t -> p(x - t d) is a degree-n univariate polynomial. Stability of p along d
 means every such slice has only real roots; that property, together with
 positivity on the open right half-plane, is what the capacity machinery is
-calibrated against. ``root_profile`` recovers the restricted roots of one
-slice by Chebyshev interpolation, validates the window through the
-root-product identity prod(roots) = p(x)/p(d), and classifies the roots as
-real or complex; ``real_rootedness_check`` samples many slices along the
-all-ones direction, and ``half_plane_sample_check`` samples the half-plane
-condition directly. One fitter serves both slice paths, on blocks of points
-(64 trials; ``root_profile`` is a block of one): p(d) and every p(x) of a
-block are one batch evaluation, and so is each window round of the block.
+calibrated against. ``root_profile`` finds and classifies the roots of one
+slice, ``real_rootedness_check`` samples slices along the all-ones direction
+in blocks of 64, and ``half_plane_sample_check`` samples the half-plane
+condition directly. Product forms and PSD pencils give their slice roots in
+closed form (``line_roots``); sparse polynomials and plain oracles are fitted
+by Chebyshev interpolation on one window per slice.
 
 Numerical honesty about repeated roots: an m-fold real root computed through
 a degree-n fit splits into a cluster with imaginary parts of order
 (backward error)^(1/m), which can dwarf any fixed tolerance. The classifier
-therefore compares each complex pair against the backward-error bound for a
-repeated real root at the same location, so perfect powers (uniform product
-matrices, equality families) classify as real while genuinely complex pairs
-(macroscopic imaginary parts) still fail.
+therefore compares each complex pair of a fitted slice against the
+backward-error bound for a repeated real root at the same location, so
+perfect powers classify as real while genuinely complex pairs (macroscopic
+imaginary parts) still fail.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import NamedTuple
 
 import numpy as np
 from numpy.polynomial import chebyshev as cheb
@@ -38,12 +35,11 @@ _CLUSTER_SAFETY = 10.0
 _TINY = 1e-300
 _REAL_TOL = 1e-6    # |imag| / root scale below which a root is real
 _MARGIN_TOL = 1e-9  # how far the margin |p(z)|/p(Re z) - 1 may fall below 0
-# Slice fits refuse a degree past this. The fit rejects a window whose
-# leading Chebyshev coefficient is at most 1e-13 of the largest one; that
-# coefficient shrinks like 2^(1-n) with the degree n, and from degree 47 on
-# every window failed the test on the uniform form, random product forms and
-# pencils alike. One fit plus its companion-matrix roots takes about 1 ms at
-# degree 46 (2 vCPUs, one BLAS thread).
+# Fitted slices (not closed-form ones) refuse a degree past this. The fit
+# rejects a slice whose leading Chebyshev coefficient is at most 1e-13 of the
+# largest, which shrinks like 2^(1-n): from degree 47 on that rejected every
+# slice of product forms and pencils when they were fitted. A fit and its
+# companion-matrix roots take about 1 ms at degree 46 (2 vCPUs, one BLAS thread).
 SLICE_DEGREE_CAP = 46
 _BLOCK = 64  # slices per batch in real_rootedness_check
 _SLICE_OVERFLOW = "slice fit refused: p overflows the float range along the slice"
@@ -56,14 +52,6 @@ class RootProfile:
     roots: tuple
     max_imag: float
     all_real: bool
-    residual: float
-
-
-class _SliceFit(NamedTuple):
-    roots: tuple
-    residual: float
-    lead_abs: float  # |leading monomial coefficient| of the slice in t
-    vmax: float      # max |slice value| over the fitted window
 
 
 def _finite_values(poly, X, part=np.real, refused=_SLICE_OVERFLOW):
@@ -77,58 +65,34 @@ def _finite_values(poly, X, part=np.real, refused=_SLICE_OVERFLOW):
     return vals
 
 
-def _slice_fits(poly, points, direction, expected) -> list:
-    """Fit the slices t -> p(x - t d) through the rows x of ``points``, each
-    on windows [-M, M] until the product of its roots matches its entry of
-    ``expected``, p(x)/p(d) (both leading sign flips cancel). Each window
-    round evaluates the n + 1 Chebyshev nodes of every pending row in one
-    batch; the fit and its companion-matrix roots are per row."""
+def _fitted_roots(poly, points, direction) -> list:
+    """(roots, (lead_abs, vmax)) for the slice through each row x of
+    ``points``: its fitted roots, the absolute value of its leading monomial
+    coefficient in t and its largest absolute value on the window. Each slice
+    is fitted on one window, |t| <= M = 1 + |x|/|d| (max norms): for a stable
+    p with nonnegative coefficients the positive orthant lies in the
+    hyperbolicity cone (Garding), so along d = 1 every root lies in
+    [min x, max x]. The Chebyshev nodes of all the slices are one batch."""
     n = poly.degree
     u_nodes = cheb.chebpts2(n + 1)
-    # For a stable p with nonnegative coefficients the positive orthant lies
-    # in the hyperbolicity cone (Garding), so along d = 1 every root of the
-    # slice lies in [min x, max x], inside [-M, M]. Other directions, and
-    # inputs that are not stable, grow the window on the residual test.
     d_norm = max(float(np.abs(direction).max()), _TINY)
-    pending = [(i, 1.0 + x_norm / d_norm)
-               for i, x_norm in enumerate(np.abs(points).max(axis=1).tolist())]
-    best = [None] * len(points)
-    for _ in range(5):
-        if not pending:
-            break
-        index, windows = zip(*pending)
-        ts = np.array(windows)[:, None] * u_nodes
-        X = points[list(index), None, :] - ts[:, :, None] * direction
-        rows = _finite_values(poly, X.reshape(-1, poly.n_vars))
-        failed = []
-        for (i, M), vals in zip(pending, rows.reshape(len(pending), n + 1)):
-            coeffs = cheb.chebfit(u_nodes, vals, n)
-            if abs(coeffs[-1]) <= 1e-13 * max(1.0, float(np.abs(coeffs).max())):
-                failed.append((i, 4.0 * M))
-                continue
-            roots = tuple(complex(r) * M for r in cheb.chebroots(coeffs))
-            vmax = float(np.abs(vals).max())
-            # T_n has leading monomial coefficient 2^(n-1); in t = M u units
-            # the slice's leading coefficient is that over M^n.
-            lead_abs = abs(float(coeffs[-1]) * 2.0 ** (n - 1)) / M ** n
-            prod = complex(np.prod(roots))
-            # Noise floor: prod(roots) = +-q(0)/lead, and q(0) carries
-            # absolute interpolation noise ~ eps * vmax, so differences below
-            # vmax/lead-scaled noise are not evidence of a bad window.
-            atol = 1e-9 * vmax / max(lead_abs, _TINY)
-            denom = max(abs(expected[i]), abs(prod), atol, 1e-12)
-            residual = abs(prod - expected[i]) / denom
-            if best[i] is None or residual < best[i].residual:
-                best[i] = _SliceFit(roots, residual, lead_abs, vmax)
-            if residual > 1e-6:
-                failed.append((i, 4.0 * M))
-        pending = failed
-    if any(fit is None for fit in best):
-        raise InputError(
-            "slice interpolation degenerated: leading coefficient vanished "
-            "at every window (is the polynomial of full degree along this "
-            "direction?)")
-    return best
+    windows = 1.0 + np.abs(points).max(axis=1) / d_norm
+    X = points[:, None, :] - (windows[:, None] * u_nodes)[:, :, None] * direction
+    rows = _finite_values(poly, X.reshape(-1, poly.n_vars))
+    fits = []
+    for M, vals in zip(windows.tolist(), rows.reshape(len(points), n + 1)):
+        coeffs = cheb.chebfit(u_nodes, vals, n)
+        if abs(coeffs[-1]) <= 1e-13 * max(1.0, float(np.abs(coeffs).max())):
+            raise InputError(
+                "slice interpolation degenerated: leading coefficient "
+                "vanished (is the polynomial of full degree along this "
+                "direction?)")
+        # T_n has leading monomial coefficient 2^(n-1); in t = M u units the
+        # slice's leading coefficient is that over M^n.
+        lead_abs = abs(float(coeffs[-1]) * 2.0 ** (n - 1)) / M ** n
+        fits.append((cheb.chebroots(coeffs) * M,
+                     (lead_abs, float(np.abs(vals).max()))))
+    return fits
 
 
 def _cluster_tolerance(roots, center, radius, lead_abs, vmax):
@@ -146,42 +110,55 @@ def _cluster_tolerance(roots, center, radius, lead_abs, vmax):
     return _CLUSTER_SAFETY * eta
 
 
-def _classify_real(fit: _SliceFit):
-    """(max_imag, all_real): a complex pair counts as numerically real when
-    its imaginary part is under _REAL_TOL*scale or within the repeated-real-
-    root backward-error bound at its location."""
-    roots = fit.roots
+def _profile(direction, point, roots, fit) -> RootProfile:
+    """A complex pair counts as real when its imaginary part is under
+    _REAL_TOL*scale or, on a fitted slice (``fit`` = (lead_abs, vmax)), within
+    the repeated-real-root backward-error bound at its location."""
+    roots = tuple(complex(r) for r in roots)
     scale = max(1.0, max(abs(r) for r in roots))
     all_real = all(
         abs(r.imag) <= _REAL_TOL * scale
-        or abs(r.imag) <= _cluster_tolerance(roots, r.real, 4.0 * abs(r.imag),
-                                             fit.lead_abs, fit.vmax)
+        or fit is not None
+        and abs(r.imag) <= _cluster_tolerance(roots, r.real, 4.0 * abs(r.imag),
+                                              *fit)
         for r in roots)
-    return float(max(abs(r.imag) for r in roots)), all_real
+    return RootProfile(direction, point, roots,
+                       float(max(abs(r.imag) for r in roots)), all_real)
 
 
 def _root_profiles(poly: EvaluationOracle, points, direction) -> list:
-    """One RootProfile per row of ``points`` along ``direction``, which needs
-    p(direction) > 0. A degree past SLICE_DEGREE_CAP is refused before any
-    evaluation, then values past the float range; p(direction) and every
-    p(point) are one batch."""
+    """One RootProfile per row of ``points`` along ``direction`` (p(direction)
+    > 0), from ``poly.line_roots`` or else fitted. Degree 0, and for fitted
+    slices a degree past SLICE_DEGREE_CAP, are refused before any evaluation."""
     points = np.array(points, dtype=float)
     direction = np.array(direction, dtype=float)
     if points.shape[1:] != (poly.n_vars,) or direction.shape != (poly.n_vars,):
         raise InputError("point and direction must have length n_vars")
-    if poly.degree > SLICE_DEGREE_CAP:
+    if poly.degree < 1:
+        raise InputError(f"slice roots need degree >= 1; got degree {poly.degree}")
+    # A closed form divides by a_i.d or solves with A(d), which fails only
+    # where p(d) = 0; that, and roots past the float range, are refused below.
+    try:
+        with np.errstate(all="ignore"):
+            roots = poly.line_roots(points, direction)
+    except np.linalg.LinAlgError:
+        roots = np.nan
+    if roots is None and poly.degree > SLICE_DEGREE_CAP:
         raise ResourceLimitError(
             f"slice fit refused: degree {poly.degree} exceeds the cap of "
             f"{SLICE_DEGREE_CAP}")
-    p_dir, *p_points = _finite_values(
-        poly, np.vstack([direction, points])).tolist()
+    p_dir = float(_finite_values(poly, direction[None])[0])
     if not p_dir > 0:
         raise InputError(
             f"p(direction) = {p_dir}; root extraction needs a positive value")
-    fits = _slice_fits(poly, points, direction, [v / p_dir for v in p_points])
-    return [RootProfile(tuple(direction.tolist()), tuple(x), fit.roots,
-                        *_classify_real(fit), fit.residual)
-            for x, fit in zip(points.tolist(), fits)]
+    if roots is None:
+        roots, fits = zip(*_fitted_roots(poly, points, direction))
+    elif np.isfinite(roots).all():
+        fits = [None] * len(points)
+    else:
+        raise ResourceLimitError("slice roots refused: not finite; rescale the input")
+    return [_profile(tuple(direction.tolist()), tuple(x), r, fit)
+            for x, r, fit in zip(points.tolist(), roots, fits)]
 
 
 def root_profile(poly: EvaluationOracle, point, direction) -> RootProfile:
@@ -199,7 +176,7 @@ def real_rootedness_check(poly: EvaluationOracle, trials: int = 50,
     worst_profile is the failing slice with the largest imaginary part, or,
     if none failed, the slice with the largest imaginary part overall (the
     first such trial on a tie). Trial i draws its point from the i-th child
-    of ``SeedSequence(seed)``, and the trials are fitted in blocks of
+    of ``SeedSequence(seed)``, and the trials are taken in blocks of
     _BLOCK, so memory stays bounded whatever ``trials`` is.
     """
     if trials < 1:

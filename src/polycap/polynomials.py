@@ -34,7 +34,9 @@ other module asks which representation it holds:
   by finite differences of evaluations for any other oracle;
 * ``mixed_partial()``, the exact d^n p / dx_1..dx_n: the coefficient of
   x_1...x_n, the permanent of the matrix, the mixed discriminant of the
-  pencil.
+  pencil;
+* ``line_roots(points, direction)``, the roots of the slices t -> p(x - t d)
+  in closed form: for product forms and pencils, ``None`` for the others.
 
 A plain oracle (``FunctionOracle``, ``approx.DerivativeSliceOracle``) keeps
 the finite-difference objective and raises ``InputError`` for the rest.
@@ -192,6 +194,11 @@ class EvaluationOracle:
         """d^n p / dx_1..dx_n, exactly, by the representation's own route
         (``oracles.exact_mixed_partial`` checks degree == n_vars first)."""
         raise InputError(f"no exact mixed-partial route for {type(self).__name__}")
+
+    def line_roots(self, points, direction):
+        """The roots of t -> p(x - t d) per float row x of ``points``, an
+        (m, degree) array, for a closed form (valid where p(d) > 0); None."""
+        return None
 
 
 class _OracleObjective:
@@ -393,6 +400,13 @@ class ProductFormPolynomial(EvaluationOracle):
     def _evaluate_batch(self, X):
         return np.prod(X @ self._view(self.matrix, X).T, axis=1)
 
+    def line_roots(self, points, direction):
+        """(a_i.x)/(a_i.d), as p(x - t d) = prod_i (a_i.x - t a_i.d); formed
+        row by row, so a row's roots do not depend on its block."""
+        A = self._view(self.matrix, points)
+        return (np.array([(A * x).sum(axis=1) for x in points])
+                / (A * direction).sum(axis=1))
+
     def _variable_degree(self, i):
         return int((self.matrix[:, i] > 0).sum())
 
@@ -523,6 +537,14 @@ class DeterminantalPolynomial(EvaluationOracle):
                 return np.array([_bareiss(m)[1] for m in M.tolist()])
             M = M.astype(float)
         return np.linalg.det(M)
+
+    def line_roots(self, points, direction):
+        """The eigenvalues of A(d)^-1 A(x), real for A(d) positive definite;
+        A(x) is formed row by row, so a row's roots do not depend on its block."""
+        A = self._view(self.matrices, points)
+        Ax = np.array([np.tensordot(x, A, axes=1) for x in points])
+        return np.linalg.eigvals(
+            np.linalg.solve(np.tensordot(direction, A, axes=1), Ax))
 
     def log_objective(self):
         return _DeterminantalObjective(self)

@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 import polycap as pc
-from polycap import bounds, cli
+from polycap import bounds, cli, fixtures
 from polycap import io as pio
 from polycap.cli import main
 from polycap.hyperbolicity import SLICE_DEGREE_CAP
@@ -57,8 +57,7 @@ def run_process(argv):
 
 CAPACITY_FIELDS = {"value", "minimizer", "iterations", "gradient_norm",
                    "stop_reason", "log_value", "status"}
-PROFILE_FIELDS = {"direction", "point", "roots", "max_imag", "all_real",
-                  "residual"}
+PROFILE_FIELDS = {"direction", "point", "roots", "max_imag", "all_real"}
 
 
 class TestReportFields:
@@ -337,6 +336,24 @@ class TestCheckHyperbolicCommand:
         assert {c["check"] for c in doc["result"]["checks"]} == \
             {"real-rootedness", "half-plane"}
 
+    @pytest.mark.parametrize("label", ["uniform-50", "pencil-100"])
+    def test_closed_forms_pass_past_the_fit_cap(self, tmp_path, capsys,
+                                                label):
+        # Product forms and pencils give their slice roots in closed form, so
+        # the slice-fit cap does not apply to them.
+        if label == "uniform-50":
+            doc = {"kind": "product", "matrix": [["1"] * 50] * 50}
+        else:
+            mats = fixtures.doubly_stochastic_psd_tuple(
+                100, np.random.default_rng(0))
+            doc = {"kind": "determinantal", "matrices": [
+                [[repr(float(v)) for v in row] for row in m] for m in mats]}
+        path = write_doc(tmp_path / "doc.json", doc)
+        code, report = run_json(capsys, ["check-hyperbolic", path, "--strict",
+                                         "--samples", "50"])
+        assert code == 0
+        assert report["result"]["passed"] is True
+
     def test_unstable_input_strict_exits_1(self, tmp_path, capsys):
         # (x_1^3 + x_2^3 + x_3^3)/3
         path = write_doc(tmp_path / "psum.json", {"kind": "sparse", "n": 3, "terms": [
@@ -503,6 +520,13 @@ class TestErrorPaths:
         assert main(["capacity", str(path)]) == 2
         assert capsys.readouterr().err == f"error: {message}\n"
 
+    def test_degree_zero_exits_2(self, tmp_path, capsys):
+        path = write_doc(tmp_path / "const.json", {
+            "kind": "sparse", "n": 2, "terms": [{"exp": [0, 0], "coef": "1"}]})
+        assert main(["check-hyperbolic", path]) == 2
+        assert capsys.readouterr().err == (
+            "error: slice roots need degree >= 1; got degree 0\n")
+
     def test_unexpected_error_exits_4(self, monkeypatch, capsys, product_file):
         # The parser is built once, so the patch goes below the command.
         def fail(*args, **kwargs):
@@ -521,10 +545,7 @@ class TestErrorPaths:
                     {"exp": [0, 1 << 62], "coef": "1"}]},
          f"error: slice fit refused: degree {1 << 62} exceeds the cap of "
          f"{SLICE_DEGREE_CAP}"),
-        ({"kind": "product", "matrix": [["1"] * 50] * 50},
-         f"error: slice fit refused: degree 50 exceeds the cap of "
-         f"{SLICE_DEGREE_CAP}"),
-    ], ids=["overflowing-pencil", "huge-exponents", "uniform-50"])
+    ], ids=["overflowing-pencil", "huge-exponents"])
     def test_refused_slice_exits_3(self, tmp_path, capsys, doc, error):
         path = tmp_path / "doc.json"
         path.write_text(json.dumps(doc))

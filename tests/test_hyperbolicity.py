@@ -1,4 +1,6 @@
 """Real-rootedness of restrictions and stability diagnostics."""
+import warnings
+
 import numpy as np
 import pytest
 
@@ -24,7 +26,7 @@ class TestRestrictedRoots:
         p = fixtures.uniform_product_polynomial(3, mode="float")
         prof = root_profile(p, (0.3, 1.7, 0.9), (1.0, 1.0, 1.0))
         assert len(prof.roots) == 3
-        assert prof.residual <= 1e-6
+        assert prof.all_real
 
     def test_known_simple_roots(self):
         # eigenvalue convention: roots of t -> p(x - t * e); for p = x1 * x2
@@ -41,13 +43,27 @@ class TestRestrictedRoots:
         ims = sorted(r.imag for r in roots)
         assert ims == pytest.approx([-1.0, 1.0], abs=1e-9)
 
-    def test_product_identity_residual(self):
+    @pytest.mark.parametrize("label", ["float-product", "exact-product",
+                                       "pencil"])
+    def test_closed_form_root_product(self, label):
+        # p(x - t d) = p(d) prod_i (r_i - t), so prod(roots) p(d) = p(x)
         rng = np.random.default_rng(31)
-        p = pc.ProductFormPolynomial(fixtures.random_positive_matrix(5, rng),
-                                     mode="float")
+        if label == "pencil":
+            p = pc.DeterminantalPolynomial(
+                fixtures.doubly_stochastic_psd_tuple(5, rng), mode="float")
+        elif label == "exact-product":
+            p = pc.ProductFormPolynomial(rng.integers(0, 10, (5, 5)).tolist())
+            assert p.mode == "exact"
+        else:
+            p = pc.ProductFormPolynomial(fixtures.random_positive_matrix(5, rng),
+                                         mode="float")
+        d = (1.0,) * 5
         for _ in range(5):
             x = tuple(rng.normal(0, 1, 5))
-            assert root_profile(p, x, (1.0,) * 5).residual <= 1e-6
+            prof = root_profile(p, x, d)
+            assert prof.all_real
+            prod = complex(np.prod(prof.roots)) * p.evaluate(d)
+            assert prod == pytest.approx(p.evaluate(x), rel=1e-12)
 
     def test_nonpositive_direction_value_rejected(self):
         p = lorentz_quadratic()
@@ -57,6 +73,32 @@ class TestRestrictedRoots:
         # light-cone direction: p vanishes, the slice degenerates
         with pytest.raises(pc.InputError):
             root_profile(p, (0.5, 0.1, 0.1), (1.0, 1.0, 0.0))
+
+    @pytest.mark.parametrize("label", ["product", "pencil"])
+    def test_closed_form_at_a_zero_direction_value_rejected(self, label):
+        # a_2.d = 0, and A(d) = diag(2, 0) is singular: p(d) = 0 either way
+        p = (pc.ProductFormPolynomial([[1.0, 0.0], [0.0, 1.0]])
+             if label == "product" else
+             pc.DeterminantalPolynomial([[[1.0, 0.0], [0.0, 0.0]]] * 2))
+        d = (1.0, 0.0) if label == "product" else (1.0, 1.0)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(pc.InputError, match="positive value"):
+                root_profile(p, (0.5, 0.1), d)
+
+    def test_closed_form_roots_past_the_float_range_refused(self):
+        # p(d) = 1e8, but a_1.x = 2e308 overflows
+        p = pc.ProductFormPolynomial([[1e308, 0.0], [0.0, 1e-300]])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(pc.ResourceLimitError, match="not finite"):
+                root_profile(p, (2.0, 1.0), (1.0, 1.0))
+
+    def test_degree_zero_refused_before_evaluation(self):
+        p = pc.SparsePolynomial(2, {(0, 0): 1.0}, mode="float")
+        with pytest.raises(pc.InputError, match="degree >= 1"):
+            root_profile(p, (1.0, 0.0), (1.0, 1.0))
+        assert p.calls == 0
 
     def test_bad_lengths(self):
         p = fixtures.uniform_product_polynomial(2, mode="float")
@@ -80,21 +122,25 @@ class TestRestrictedRoots:
 
 class TestRootProfile:
     def test_calls_per_slice(self):
-        # p(direction) and p(point) in one batch, then n + 1 = 5 nodes for
-        # the one window: p(direction) once.
+        # A product form's roots are closed-form: p(direction) is the one
+        # evaluation. Its expansion is fitted: p(direction), then the
+        # n + 1 = 5 Chebyshev nodes of the one window.
         rng = np.random.default_rng(37)
         p = pc.ProductFormPolynomial(fixtures.random_positive_matrix(4, rng),
                                      mode="float")
-        root_profile(p, (0.3, -1.2, 0.8, 2.0), (1.0, 1.0, 1.0, 1.0))
-        assert p.calls == 7
+        q = p.expand()
+        for poly, calls in [(p, 1), (q, 1 + 5)]:
+            root_profile(poly, (0.3, -1.2, 0.8, 2.0), (1.0, 1.0, 1.0, 1.0))
+            assert poly.calls == calls
 
     def test_repeated_root_classified_real(self):
-        # ((x1+..+x4)/4)^4 has a quadruple root on every slice; the extracted
-        # cluster spreads like eps^(1/4) and must still count as real.
-        p = fixtures.uniform_product_polynomial(4, mode="float")
+        # ((x1+..+x4)/4)^4 has a quadruple root on every slice; the fitted
+        # cluster of its expansion spreads like eps^(1/4) and must still
+        # count as real.
+        p = fixtures.uniform_product_polynomial(4, mode="float").expand()
         prof = root_profile(p, (0.9, 1.3, 0.4, 1.1), (1.0,) * 4)
         assert prof.all_real
-        assert prof.residual <= 1e-6
+        assert prof.max_imag > 1e-6  # real by the cluster tolerance alone
 
     def test_genuine_complex_pair_not_masked(self):
         prof = root_profile(two_squares(), (1.0, 0.5), (1.0, 1.0))
@@ -119,12 +165,23 @@ class TestRealRootednessCheck:
         assert ok, f"max_imag {worst.max_imag}"
 
     def test_uniform_roots_stay_near_real_at_degree_20(self):
-        # the window starts at the input scale, so the 20-fold root keeps
-        # its spread small: 7.07 with the old 8(1 + |x|) window
+        # the 20-fold root comes in closed form, with no spread at all: 0.98
+        # from a slice fit on the 1 + |x| window, 7.07 on the old 8(1 + |x|)
         p = fixtures.uniform_product_polynomial(20, mode="float")
         ok, worst = pc.real_rootedness_check(p, trials=20, seed=0)
         assert ok
         assert worst.max_imag < 2
+
+    @pytest.mark.parametrize("label", ["uniform-product", "pencil"])
+    def test_closed_forms_pass_past_the_fit_cap(self, label):
+        n = SLICE_DEGREE_CAP + 14
+        p = (fixtures.uniform_product_polynomial(n, mode="float")
+             if label == "uniform-product" else
+             pc.DeterminantalPolynomial(fixtures.doubly_stochastic_psd_tuple(
+                 n, np.random.default_rng(0)), mode="float"))
+        ok, worst = pc.real_rootedness_check(p, trials=10, seed=0)
+        assert ok, f"max_imag {worst.max_imag}"
+        assert p.calls == 1
 
     def test_random_product_passes(self):
         rng = np.random.default_rng(32)
@@ -175,29 +232,36 @@ class TestRealRootednessCheck:
         assert ok and ok_r
 
     def test_one_batch_per_window_round(self):
-        # p(d) once, the 50 p(x) and n + 1 = 9 nodes per fit: 58 fits, as 8
-        # of the 50 first windows refit. One root_profile per trial would
-        # spend 2 per trial plus 9 per fit, 622 calls.
+        # p(d) once per block, and for fitted slices the n + 1 nodes of the
+        # one window of each: 1 evaluation for the product form, 1 + 50 * 7
+        # for its expansion. One root_profile per trial would spend p(d) 50
+        # times.
         from polycap.hyperbolicity import _root_profiles
-        n = 8
-        p = fixtures.random_product_polynomial(n, np.random.default_rng(0))
+        n = 6
+        product = fixtures.random_product_polynomial(n, np.random.default_rng(0))
         points = [np.random.default_rng(ss).standard_normal(n)
                   for ss in np.random.SeedSequence(0).spawn(50)]
-        profiles = _root_profiles(p, points, np.ones(n))
-        assert p.calls == 1 + 50 + 58 * 9
-        for x, prof in zip(points, profiles):
-            assert root_profile(p, x, np.ones(n)) == prof  # roots bit for bit
-        p.reset_calls()
-        pc.real_rootedness_check(p, trials=50, seed=0)
-        assert p.calls == 573
+        for p, calls in [(product, 1), (product.expand(), 1 + 50 * (n + 1))]:
+            profiles = _root_profiles(p, points, np.ones(n))
+            assert p.calls == calls
+            for x, prof in zip(points, profiles):
+                assert root_profile(p, x, np.ones(n)) == prof  # bit for bit
+            p.reset_calls()
+            pc.real_rootedness_check(p, trials=50, seed=0)
+            assert p.calls == calls
 
-    @pytest.mark.parametrize("label", ["random-product", "two-squares"])
+    @pytest.mark.parametrize("label", ["random-product", "pencil",
+                                       "two-squares"])
     def test_blocks_match_per_trial_profiles(self, label):
         # 130 trials are three blocks; the worst is the first maximum of
         # (not all_real, max_imag) over the same SeedSequence children, and
         # each block evaluates p(d) once where each trial did.
-        p = (fixtures.random_product_polynomial(6, np.random.default_rng(1))
-             if label == "random-product" else two_squares())
+        p = {"random-product": lambda: fixtures.random_product_polynomial(
+                 6, np.random.default_rng(1)),
+             "pencil": lambda: pc.DeterminantalPolynomial(
+                 fixtures.doubly_stochastic_psd_tuple(
+                     6, np.random.default_rng(1)), mode="float"),
+             "two-squares": two_squares}[label]()
         n = p.n_vars
         worst = None
         for ss in np.random.SeedSequence(7).spawn(130):
