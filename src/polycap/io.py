@@ -7,7 +7,9 @@ Files are JSON with a ``kind`` discriminator::
     {"kind": "determinantal", "matrices": [[[...], ...], ...]}
 
 Scalars are decimal or rational strings ("0.5", "1/3", "6"), so exact inputs
-are written without rounding; plain JSON numbers are accepted in float mode.
+are written without rounding. Plain JSON numbers are accepted in float mode,
+and JSON integers in exact mode too. Each distinct string is parsed once per
+document, and its value is reused wherever it appears in that document.
 The package reads these documents and does not write them.
 """
 from __future__ import annotations
@@ -80,18 +82,36 @@ def _check_list(value, where: str, of: str):
     return value
 
 
-def _parse_rows(rows, mode: str, where: str):
-    """parse_scalar over a list of rows. On failure the rows are scanned again
-    to name the bad entry, as in matrix[0][1], so success builds no label."""
+def _scalar_parser(mode: str):
+    """parse_scalar for one document: each distinct string is parsed once and
+    its value reused. Only str values are remembered (True, 1 and 1.0 hash
+    alike but parse differently), a failed parse raises before it is stored,
+    and the memo is dropped with the parser, so nothing outlives a load."""
+    memo = {}
+
+    def parse(value):
+        if type(value) is not str:
+            return parse_scalar(value, mode)
+        parsed = memo.get(value)
+        if parsed is None:
+            parsed = memo[value] = parse_scalar(value, mode)
+        return parsed
+
+    return parse
+
+
+def _parse_rows(rows, parse, where: str):
+    """parse over a list of rows. On failure the rows are scanned again to name
+    the bad entry, as in matrix[0][1], so success builds no label."""
     for i, row in enumerate(_check_list(rows, where, "rows")):
         _check_list(row, f"{where}[{i}]", "scalars")
     try:
-        return [[parse_scalar(v, mode) for v in row] for row in rows]
+        return [[parse(v) for v in row] for row in rows]
     except InputError as exc:
         for i, row in enumerate(rows):
             for j, v in enumerate(row):
                 try:
-                    parse_scalar(v, mode)
+                    parse(v)
                 except InputError:
                     raise InputError(f"{where}[{i}][{j}]: {exc}") from None
         raise
@@ -118,6 +138,7 @@ def polynomial_from_dict(obj, mode: str = "float"):
             raise InputError(
                 f"document pins mode {pinned!r} but {mode!r} was requested")
     kind = _require(obj, "kind", "polynomial document")
+    parse = _scalar_parser(mode)
     if kind == "sparse":
         n = _require(obj, "n", "sparse polynomial")
         if not _is_int(n) or n < 1:
@@ -133,16 +154,16 @@ def polynomial_from_dict(obj, mode: str = "float"):
             if not all(_is_int(k) for k in _check_list(exp, where, "integers")):
                 raise InputError(f"{where} must be a list of integers")
             try:
-                terms.append((exp, parse_scalar(coef, mode)))
+                terms.append((exp, parse(coef)))
             except InputError as exc:
                 raise InputError(f"terms[{idx}].coef: {exc}") from None
         return SparsePolynomial(n, terms, mode=mode)
     if kind == "product":
         matrix = _require(obj, "matrix", "product polynomial")
-        return ProductFormPolynomial(_parse_rows(matrix, mode, "matrix"), mode=mode)
+        return ProductFormPolynomial(_parse_rows(matrix, parse, "matrix"), mode=mode)
     if kind == "determinantal":
         matrices = _require(obj, "matrices", "determinantal polynomial")
-        mats = [_parse_rows(m, mode, f"matrices[{k}]")
+        mats = [_parse_rows(m, parse, f"matrices[{k}]")
                 for k, m in enumerate(_check_list(matrices, "matrices", "matrices"))]
         return DeterminantalPolynomial(mats, mode=mode)
     raise InputError(

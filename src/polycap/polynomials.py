@@ -389,11 +389,13 @@ class ProductFormPolynomial(EvaluationOracle):
         if n < 1 or any(len(r) != n for r in rows):
             raise InputError("product-form matrix must be square and nonempty")
         self.mode, self.matrix = _scalar_array(rows, mode)
-        for i, row in enumerate(self.matrix):
-            if (row < 0).any():
+        negative = (self.matrix < 0).any(axis=1)
+        bad = np.flatnonzero(negative | (self.matrix == 0).all(axis=1))
+        if len(bad):
+            i = bad[0]
+            if negative[i]:
                 raise InputError(f"row {i} has a negative entry; entries must be >= 0")
-            if (row == 0).all():
-                raise InputError(f"row {i} is all zeros (polynomial would be identically 0)")
+            raise InputError(f"row {i} is all zeros (polynomial would be identically 0)")
         self.n_vars = n
         self.degree = n
 

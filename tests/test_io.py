@@ -256,3 +256,87 @@ class TestErrorDiagnostics:
         # same file loads fine in float mode
         q = pio.load_polynomial(path, mode="float")
         assert q.evaluate((2.0, 3.0)) == pytest.approx(3.0)
+
+
+def _distinct_strings(doc):
+    """The distinct string scalars of a product, pencil or sparse document."""
+    if doc["kind"] == "sparse":
+        return {t["coef"] for t in doc["terms"]}
+    mats = [doc["matrix"]] if doc["kind"] == "product" else doc["matrices"]
+    return {v for m in mats for row in m for v in row}
+
+
+def _pencil_doc(n, seed):
+    mats = fixtures.doubly_stochastic_psd_tuple(n, np.random.default_rng(seed))
+    return {"kind": "determinantal",
+            "matrices": [[[repr(float(v)) for v in row] for row in m]
+                         for m in mats]}
+
+
+class TestScalarMemo:
+    """Each distinct string of a document is parsed once per load; numbers,
+    bools and bad strings are not remembered."""
+
+    @pytest.mark.parametrize("mode, matrix, label, scalar", [
+        ("float", [[1, True]], "matrix[0][1]", "True"),
+        ("exact", [[1, 1.0]], "matrix[0][1]", "1.0"),
+        ("exact", [["1", "x"], ["x", "1"]], "matrix[0][1]", "'x'"),
+    ], ids=["bool-after-int", "float-after-int", "repeated-bad-string"])
+    def test_scalar_that_equals_a_parsed_one_is_still_checked(
+            self, mode, matrix, label, scalar):
+        with pytest.raises(pc.InputError) as info:
+            pio.polynomial_from_dict({"kind": "product", "matrix": matrix},
+                                     mode=mode)
+        assert str(info.value).startswith(f"{label}: ")
+        assert scalar in str(info.value)
+
+    def test_string_and_int_of_one_value_load_in_exact_mode(self):
+        q = pio.polynomial_from_dict(
+            {"kind": "product", "matrix": [["1", 1], [1, "1"]]}, mode="exact")
+        assert q.matrix.tolist() == [[Fraction(1)] * 2] * 2
+
+    def test_bad_string_in_two_pencil_matrices_is_named_in_the_first(self):
+        good = [["1", "0"], ["0", "1"]]
+        bad = [["1", "x"], ["x", "1"]]
+        with pytest.raises(pc.InputError) as info:
+            pio.polynomial_from_dict(
+                {"kind": "determinantal", "matrices": [good, bad, bad]},
+                mode="float")
+        assert str(info.value).startswith("matrices[1][0][1]: cannot parse "
+                                          "scalar 'x'")
+
+    @pytest.mark.parametrize("mode", ["float", "exact"])
+    def test_sparse_terms_sharing_a_coefficient(self, mode):
+        exps = [(2, 0, 0), (1, 1, 0), (0, 2, 0), (0, 1, 1), (0, 0, 2)]
+        doc = {"kind": "sparse", "n": 3,
+               "terms": [{"exp": list(e), "coef": "1/3"} for e in exps]}
+        q = pio.polynomial_from_dict(doc, mode=mode)
+        third = Fraction(1, 3) if mode == "exact" else 1 / 3
+        assert q.terms == pc.SparsePolynomial(
+            3, {e: third for e in exps}, mode=mode).terms
+
+    @pytest.mark.parametrize("doc", [
+        {"kind": "product",
+         "matrix": [[f"{(7 * i + 3 * j) % 901 + 100}/1000" for j in range(60)]
+                    for i in range(60)]},
+        _pencil_doc(6, 0),
+        {"kind": "sparse", "n": 2, "terms": [
+            {"exp": [2, 0], "coef": "1"}, {"exp": [1, 1], "coef": "0"},
+            {"exp": [0, 2], "coef": "1"}]},
+    ], ids=["product-60", "pencil", "sparse"])
+    def test_each_distinct_string_is_parsed_once_per_load(self, doc,
+                                                          monkeypatch):
+        parsed = []
+        real = pio.parse_scalar
+
+        def counting(value, mode):
+            parsed.append(value)
+            return real(value, mode)
+
+        monkeypatch.setattr(pio, "parse_scalar", counting)
+        distinct = _distinct_strings(doc)
+        pio.polynomial_from_dict(doc, mode="float")
+        assert sorted(parsed) == sorted(distinct)
+        # A second load parses again: no memo outlives a load.
+        pio.polynomial_from_dict(doc, mode="float")
+        assert len(parsed) == 2 * len(distinct)

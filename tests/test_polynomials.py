@@ -107,6 +107,18 @@ class TestProductFormPolynomial:
         with pytest.raises(pc.InputError):
             pc.ProductFormPolynomial([[0, 0], [1, 1]])
 
+    @pytest.mark.parametrize("matrix, message", [
+        ([[1, 1, 1], [1, 0, -1], [0, 0, 0]],
+         "row 1 has a negative entry; entries must be >= 0"),
+        ([[1, 1, 1], [0, 0, 0], [1, 0, -1]],
+         "row 1 is all zeros (polynomial would be identically 0)"),
+    ], ids=["negative-first", "zeros-first"])
+    @pytest.mark.parametrize("mode", ["float", "exact"])
+    def test_first_bad_row_is_named(self, matrix, message, mode):
+        with pytest.raises(pc.InputError) as info:
+            pc.ProductFormPolynomial(matrix, mode=mode)
+        assert str(info.value) == message
+
     def test_zero_column_allowed(self):
         p = pc.ProductFormPolynomial([[0, 1], [0, 1]])
         assert p.evaluate((5, 2)) == 4
