@@ -36,7 +36,7 @@ other module asks which representation it holds:
   x_1...x_n, the permanent of the matrix, the mixed discriminant of the
   pencil;
 * ``line_roots(points, direction)``, the roots of the slices t -> p(x - t d)
-  in closed form: for product forms and pencils, ``None`` for the others.
+  in closed form, with the backward error of the coefficients they came from.
 
 A plain oracle (``FunctionOracle``, ``approx.DerivativeSliceOracle``) keeps
 the finite-difference objective and raises ``InputError`` for the rest.
@@ -57,6 +57,11 @@ EXPAND_CAP = 10
 # entries raised the approx benchmark's peak RSS by 4% over one point at a
 # time, chunks of 1 << 12 by under 3%.
 _BATCH_ENTRIES = 1 << 12
+# Sparse slices are refused past this degree. An m-fold root of float
+# coefficients spreads into a cluster of radius about (backward error)^(1/m),
+# and by degree 60 that cluster reads as complex: (x1+x2)^60/2^60 fails.
+SLICE_DEGREE_CAP = 46
+_SLICE_NOISE = 1e-14  # relative rounding of a sparse slice's coefficients
 
 _EXACT_TYPES = (int, Fraction)
 _to_fractions = np.frompyfunc(Fraction, 1, 1)
@@ -71,6 +76,14 @@ def _check_mode(mode):
     if mode not in ("exact", "float"):
         raise InputError(f"unknown mode {mode!r}; expected 'exact' or 'float'")
     return mode
+
+
+def _in_chunks(fn, X, row_entries):
+    """fn on the rows of X in chunks of about _BATCH_ENTRIES array entries
+    (``row_entries`` per row), joined."""
+    step = max(1, _BATCH_ENTRIES // row_entries)
+    return np.concatenate([fn(X[i:i + step])
+                           for i in range(0, max(len(X), 1), step)])
 
 
 def _scalar_array(values, mode):
@@ -140,9 +153,7 @@ class EvaluationOracle:
         self._calls += len(X)
         if X.dtype.kind in "biu":
             X = X.astype(object if self.mode == "exact" else float)
-        step = max(1, _BATCH_ENTRIES // self._row_entries())
-        return np.concatenate([self._evaluate_batch(X[i:i + step])
-                               for i in range(0, max(len(X), 1), step)])
+        return _in_chunks(self._evaluate_batch, X, self._row_entries())
 
     def _evaluate_batch(self, X):
         raise NotImplementedError
@@ -196,9 +207,10 @@ class EvaluationOracle:
         raise InputError(f"no exact mixed-partial route for {type(self).__name__}")
 
     def line_roots(self, points, direction):
-        """The roots of t -> p(x - t d) per float row x of ``points``, an
-        (m, degree) array, for a closed form (valid where p(d) > 0); None."""
-        return None
+        """(roots, noise) for the slices t -> p(x - t d) through the float rows
+        x of ``points``, valid where p(d) > 0: an (m, degree) array, and per slice
+        its coefficients' backward error over the leading one (0 for none)."""
+        raise InputError(f"line_roots is undefined for {type(self).__name__}")
 
 
 class _OracleObjective:
@@ -337,6 +349,51 @@ class SparsePolynomial(EvaluationOracle):
         c = self._view(self.coefficients, X)
         return np.power(X[:, None, :], self.exponents).prod(axis=2) @ c
 
+    def line_roots(self, points, direction):
+        """t = c + M u for the roots u of q(u) = p(y - u d), expanded term by
+        term: y = (x - c d)/M is the point of the line nearest 0, scaled to
+        |y| = |d| (max norms), where q's coefficients, led by (-1)^n p(d), lose
+        least to rounding. The noise, M^n _SLICE_NOISE |p|(|y| + |d|) / |p(d)|,
+        bounds it on |u| <= 1, where a stable p has every root along d = 1."""
+        n = self.degree
+        if n > SLICE_DEGREE_CAP:
+            raise ResourceLimitError(f"slice roots refused: degree {n} exceeds "
+                                     f"the cap of {SLICE_DEGREE_CAP}")
+        c = self._view(self.coefficients, points)
+        shift = (points * direction).sum(axis=1) / (direction * direction).sum()
+        Y = points - shift[:, None] * direction
+        M = np.abs(Y).max(axis=1, keepdims=True) / np.abs(direction).max()
+        M[M == 0] = 1.0  # x on the line through d
+        q = _in_chunks(lambda y: self._slice_coefficients(y, direction, c), Y / M,
+                       len(c) * (n + 1))
+        companion = np.zeros((len(q), n, n))
+        companion[:, 1:, :-1] = np.eye(n - 1)
+        companion[:, 0] = -q[:, -2::-1] / q[:, -1:]
+        bound = _in_chunks(lambda z: np.power(z[:, None], self.exponents).prod(axis=2)
+                           @ np.abs(c), np.abs(Y / M) + np.abs(direction),
+                           self._row_entries())
+        return (M * np.linalg.eigvals(companion) + shift[:, None],
+                _SLICE_NOISE * M[:, 0] ** n * bound / np.abs(q[:, -1]))
+
+    def _slice_coefficients(self, Y, direction, c):
+        """The coefficients, constant first, of sum_r c_r prod_i (y_i - t d_i)^r_i
+        per row y of Y, by Horner's rule over the variables, last first: sorted
+        terms that share r_1..r_i are adjacent, summed once x_i+1..x_n are in."""
+        q = np.zeros((len(Y), len(c), self.degree + 1))
+        q[:, :, 0] = c
+        rows = np.arange(len(c))  # the first term of each group
+        for i in reversed(range(self.n_vars)):
+            r = self.exponents[rows, i]
+            for k in range(int(r.max())):
+                # times (y_i - t d_i): deg < n while a factor is left, so roll wraps 0
+                g = q[:, r > k]
+                q[:, r > k] = Y[:, i, None, None] * g - direction[i] * np.roll(g, 1, 2)
+            head = self.exponents[rows, :i]
+            starts = np.flatnonzero(np.r_[True, (head[1:] != head[:-1]).any(axis=1)])
+            q = np.add.reduceat(q, starts, axis=1)
+            rows = rows[starts]
+        return q[:, 0]
+
     def log_objective(self):
         return _SparseObjective(self)
 
@@ -407,7 +464,7 @@ class ProductFormPolynomial(EvaluationOracle):
         row by row, so a row's roots do not depend on its block."""
         A = self._view(self.matrix, points)
         return (np.array([(A * x).sum(axis=1) for x in points])
-                / (A * direction).sum(axis=1))
+                / (A * direction).sum(axis=1), np.zeros(len(points)))
 
     def _variable_degree(self, i):
         return int((self.matrix[:, i] > 0).sum())
@@ -545,8 +602,9 @@ class DeterminantalPolynomial(EvaluationOracle):
         A(x) is formed row by row, so a row's roots do not depend on its block."""
         A = self._view(self.matrices, points)
         Ax = np.array([np.tensordot(x, A, axes=1) for x in points])
-        return np.linalg.eigvals(
-            np.linalg.solve(np.tensordot(direction, A, axes=1), Ax))
+        return (np.linalg.eigvals(
+            np.linalg.solve(np.tensordot(direction, A, axes=1), Ax)),
+            np.zeros(len(points)))
 
     def log_objective(self):
         return _DeterminantalObjective(self)

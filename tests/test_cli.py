@@ -1,6 +1,7 @@
 """Command-line interface: JSON reports, exit codes, determinism."""
 import argparse
 import json
+import math
 import os
 import subprocess
 import sys
@@ -13,7 +14,7 @@ import polycap as pc
 from polycap import bounds, cli, fixtures
 from polycap import io as pio
 from polycap.cli import main
-from polycap.hyperbolicity import SLICE_DEGREE_CAP
+from polycap.polynomials import SLICE_DEGREE_CAP
 from test_io import BAD_SPARSE_DOCUMENTS, BAD_SPARSE_IDS, UNIFORM3
 
 
@@ -339,8 +340,7 @@ class TestCheckHyperbolicCommand:
     @pytest.mark.parametrize("label", ["uniform-50", "pencil-100"])
     def test_closed_forms_pass_past_the_fit_cap(self, tmp_path, capsys,
                                                 label):
-        # Product forms and pencils give their slice roots in closed form, so
-        # the slice-fit cap does not apply to them.
+        # The slice degree cap holds for sparse polynomials alone.
         if label == "uniform-50":
             doc = {"kind": "product", "matrix": [["1"] * 50] * 50}
         else:
@@ -353,6 +353,19 @@ class TestCheckHyperbolicCommand:
                                          "--samples", "50"])
         assert code == 0
         assert report["result"]["passed"] is True
+
+    @pytest.mark.parametrize("label", ["perfect-power", "power-sum"])
+    def test_sparse_slices_at_the_degree_cap(self, tmp_path, capsys, label):
+        # (x1+x2)^46/2^46 is stable; x1^46 + x2^46 is not.
+        n = SLICE_DEGREE_CAP
+        terms = ([{"exp": [k, n - k], "coef": f"{math.comb(n, k)}/{2 ** n}"}
+                  for k in range(n + 1)] if label == "perfect-power" else
+                 [{"exp": [n, 0], "coef": "1"}, {"exp": [0, n], "coef": "1"}])
+        path = write_doc(tmp_path / "doc.json",
+                         {"kind": "sparse", "n": 2, "terms": terms})
+        code = main(["check-hyperbolic", path, "--strict", "--samples", "50"])
+        assert code == (0 if label == "perfect-power" else 1)
+        assert capsys.readouterr().err == ""
 
     def test_unstable_input_strict_exits_1(self, tmp_path, capsys):
         # (x_1^3 + x_2^3 + x_3^3)/3
@@ -538,12 +551,12 @@ class TestErrorPaths:
     @pytest.mark.parametrize("doc, error", [
         ({"kind": "determinantal",
           "matrices": [[["1e300", "0"], ["0", "1e300"]]] * 2},
-         "error: slice fit refused: p overflows the float range along the "
-         "slice (non-finite values); rescale the input"),
+         "error: slice roots refused: p overflows the float range "
+         "(non-finite values); rescale the input"),
         ({"kind": "sparse", "n": 2,
           "terms": [{"exp": [1 << 62, 0], "coef": "1"},
                     {"exp": [0, 1 << 62], "coef": "1"}]},
-         f"error: slice fit refused: degree {1 << 62} exceeds the cap of "
+         f"error: slice roots refused: degree {1 << 62} exceeds the cap of "
          f"{SLICE_DEGREE_CAP}"),
     ], ids=["overflowing-pencil", "huge-exponents"])
     def test_refused_slice_exits_3(self, tmp_path, capsys, doc, error):
@@ -558,8 +571,8 @@ class TestErrorPaths:
         ("check-hyperbolic",
          {"kind": "determinantal",
           "matrices": [[["1e300", "0"], ["0", "1e300"]]] * 2},
-         "error: slice fit refused: p overflows the float range along the "
-         "slice (non-finite values); rescale the input\n"),
+         "error: slice roots refused: p overflows the float range "
+         "(non-finite values); rescale the input\n"),
         ("bound", {"kind": "product", "matrix": [["1e200"] * 2] * 2},
          "error: capacity inf is not finite in float arithmetic; the bounds "
          "cannot be formed\n"),

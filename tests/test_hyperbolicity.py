@@ -1,4 +1,5 @@
 """Real-rootedness of restrictions and stability diagnostics."""
+import math
 import warnings
 
 import numpy as np
@@ -6,7 +7,9 @@ import pytest
 
 import polycap as pc
 from polycap import fixtures
-from polycap.hyperbolicity import SLICE_DEGREE_CAP, root_profile
+from polycap.approx import DerivativeSliceOracle
+from polycap.hyperbolicity import root_profile
+from polycap.polynomials import SLICE_DEGREE_CAP
 
 
 def two_squares():
@@ -122,20 +125,34 @@ class TestRestrictedRoots:
 
 class TestRootProfile:
     def test_calls_per_slice(self):
-        # A product form's roots are closed-form: p(direction) is the one
-        # evaluation. Its expansion is fitted: p(direction), then the
-        # n + 1 = 5 Chebyshev nodes of the one window.
+        # A product form's roots are closed-form, and so are its expansion's:
+        # p(direction) is the one evaluation of each.
         rng = np.random.default_rng(37)
         p = pc.ProductFormPolynomial(fixtures.random_positive_matrix(4, rng),
                                      mode="float")
         q = p.expand()
-        for poly, calls in [(p, 1), (q, 1 + 5)]:
+        for poly in (p, q):
             root_profile(poly, (0.3, -1.2, 0.8, 2.0), (1.0, 1.0, 1.0, 1.0))
-            assert poly.calls == calls
+            assert poly.calls == 1
+
+    @pytest.mark.parametrize("n, tol", [(4, 1e-9), (6, 1e-9), (8, 1e-5)])
+    def test_expansion_roots_match_the_product_form(self, n, tol):
+        # The expanded slice's roots against the product form's exact ones,
+        # relative to the largest. At n = 8 one of the 50 slices has two
+        # roots 1.1e-4 apart, which its float coefficients place to 1e-6.
+        p = fixtures.random_product_polynomial(n, np.random.default_rng(n))
+        points = np.array([np.random.default_rng(ss).standard_normal(n)
+                           for ss in np.random.SeedSequence(0).spawn(50)])
+        exact, _ = p.line_roots(points, np.ones(n))
+        roots, _ = p.expand().line_roots(points, np.ones(n))
+        for got, want in zip(roots, exact):
+            assert np.abs(got.imag).max() == 0
+            assert np.sort(got.real) == pytest.approx(
+                np.sort(want), abs=tol * np.abs(want).max())
 
     def test_repeated_root_classified_real(self):
-        # ((x1+..+x4)/4)^4 has a quadruple root on every slice; the fitted
-        # cluster of its expansion spreads like eps^(1/4) and must still
+        # ((x1+..+x4)/4)^4 has a quadruple root on every slice; the cluster
+        # of its expansion's roots spreads like eps^(1/4) and must still
         # count as real.
         p = fixtures.uniform_product_polynomial(4, mode="float").expand()
         prof = root_profile(p, (0.9, 1.3, 0.4, 1.1), (1.0,) * 4)
@@ -146,6 +163,22 @@ class TestRootProfile:
         prof = root_profile(two_squares(), (1.0, 0.5), (1.0, 1.0))
         assert not prof.all_real
         assert prof.max_imag > 0.1
+
+    @pytest.mark.parametrize("label", ["function", "derivative-slice"])
+    def test_plain_oracles_refused_before_evaluation(self, label):
+        # A plain oracle has no slice roots of its own; the half-plane check,
+        # which only evaluates, still runs on it.
+        base = fixtures.uniform_product_polynomial(3, mode="float")
+        p = (pc.FunctionOracle(3, 3, base.evaluate) if label == "function"
+             else DerivativeSliceOracle(base, 1))
+        n = p.n_vars
+        with pytest.raises(pc.InputError, match="line_roots is undefined"):
+            root_profile(p, (0.5,) * n, (1.0,) * n)
+        with pytest.raises(pc.InputError, match="line_roots is undefined"):
+            pc.real_rootedness_check(p, trials=5)
+        assert p.calls == 0
+        ok, stats = pc.half_plane_sample_check(p, samples=20)
+        assert ok and p.calls == 2 * 20
 
 
 class TestRealRootednessCheck:
@@ -164,21 +197,44 @@ class TestRealRootednessCheck:
         ok, worst = pc.real_rootedness_check(p, trials=10, seed=0)
         assert ok, f"max_imag {worst.max_imag}"
 
+    @pytest.mark.parametrize("label", ["perfect-power", "power-sum"])
+    def test_sparse_slices_at_the_degree_cap(self, label):
+        # (x1+x2)^46/2^46 has a 46-fold real root on every slice, which the
+        # cluster tolerance keeps real; x1^46 + x2^46 has complex ones.
+        n = SLICE_DEGREE_CAP
+        if label == "perfect-power":
+            p = pc.SparsePolynomial(2, {(k, n - k): math.comb(n, k) / 2 ** n
+                                        for k in range(n + 1)})
+        else:
+            p = pc.SparsePolynomial(2, {(n, 0): 1.0, (0, n): 1.0})
+        # 100 trials take in a slice with x1 - x2 = 0.0024, where the roots
+        # cluster at that scale.
+        ok, worst = pc.real_rootedness_check(p, trials=100, seed=0)
+        assert ok == (label == "perfect-power"), f"max_imag {worst.max_imag}"
+        prof = root_profile(p, (0.3, -1.1), (1.0, 1.0))
+        assert prof.all_real == ok
+        if ok:  # the cluster sits about its mean, the 46-fold root
+            assert np.mean(prof.roots) == pytest.approx(-0.4, abs=1e-9)
+
     def test_uniform_roots_stay_near_real_at_degree_20(self):
-        # the 20-fold root comes in closed form, with no spread at all: 0.98
-        # from a slice fit on the 1 + |x| window, 7.07 on the old 8(1 + |x|)
+        # the 20-fold root comes in closed form, with no spread at all
         p = fixtures.uniform_product_polynomial(20, mode="float")
         ok, worst = pc.real_rootedness_check(p, trials=20, seed=0)
         assert ok
         assert worst.max_imag < 2
 
-    @pytest.mark.parametrize("label", ["uniform-product", "pencil"])
+    @pytest.mark.parametrize("label", ["uniform-product", "random-product",
+                                       "pencil"])
     def test_closed_forms_pass_past_the_fit_cap(self, label):
+        # SLICE_DEGREE_CAP holds for sparse slices alone.
         n = SLICE_DEGREE_CAP + 14
-        p = (fixtures.uniform_product_polynomial(n, mode="float")
-             if label == "uniform-product" else
-             pc.DeterminantalPolynomial(fixtures.doubly_stochastic_psd_tuple(
-                 n, np.random.default_rng(0)), mode="float"))
+        rng = np.random.default_rng(0)
+        p = {"uniform-product": lambda: fixtures.uniform_product_polynomial(
+                 n, mode="float"),
+             "random-product": lambda: fixtures.random_product_polynomial(n, rng),
+             "pencil": lambda: pc.DeterminantalPolynomial(
+                 fixtures.doubly_stochastic_psd_tuple(n, rng), mode="float"),
+             }[label]()
         ok, worst = pc.real_rootedness_check(p, trials=10, seed=0)
         assert ok, f"max_imag {worst.max_imag}"
         assert p.calls == 1
@@ -207,6 +263,20 @@ class TestRealRootednessCheck:
                                              trials=10, seed=15)
         assert not ok
 
+    @pytest.mark.parametrize("degree", [12, 42])
+    def test_complex_pair_beside_a_repeated_root_fails(self, degree):
+        # ((x1+x2)/2)^(n-2) (x1^2+x2^2)/2: the pair is as far from the
+        # (n-2)-fold root as a perfect power's cluster spreads, so the
+        # backward error it is allowed must not grow like 10^m.
+        m = degree - 2
+        terms = {}
+        for k in range(m + 1):
+            for e in ((k + 2, m - k), (k, m - k + 2)):
+                terms[e] = terms.get(e, 0) + math.comb(m, k) / 2 ** (m + 1)
+        ok, worst = pc.real_rootedness_check(pc.SparsePolynomial(2, terms),
+                                             trials=50, seed=0)
+        assert not ok
+
     def test_squared_two_squares_fails(self):
         # (x1^2 + x2^2)^2: repeated complex pairs must not be excused
         p = pc.SparsePolynomial(2, {(4, 0): 1.0, (2, 2): 2.0, (0, 4): 1.0},
@@ -232,23 +302,22 @@ class TestRealRootednessCheck:
         assert ok and ok_r
 
     def test_one_batch_per_window_round(self):
-        # p(d) once per block, and for fitted slices the n + 1 nodes of the
-        # one window of each: 1 evaluation for the product form, 1 + 50 * 7
-        # for its expansion. One root_profile per trial would spend p(d) 50
-        # times.
+        # p(d) once per block, and no other evaluation: 1 for the product
+        # form and 1 for its expansion. One root_profile per trial would
+        # spend p(d) 50 times.
         from polycap.hyperbolicity import _root_profiles
         n = 6
         product = fixtures.random_product_polynomial(n, np.random.default_rng(0))
         points = [np.random.default_rng(ss).standard_normal(n)
                   for ss in np.random.SeedSequence(0).spawn(50)]
-        for p, calls in [(product, 1), (product.expand(), 1 + 50 * (n + 1))]:
+        for p in (product, product.expand()):
             profiles = _root_profiles(p, points, np.ones(n))
-            assert p.calls == calls
+            assert p.calls == 1
             for x, prof in zip(points, profiles):
                 assert root_profile(p, x, np.ones(n)) == prof  # bit for bit
             p.reset_calls()
             pc.real_rootedness_check(p, trials=50, seed=0)
-            assert p.calls == calls
+            assert p.calls == 1
 
     @pytest.mark.parametrize("label", ["random-product", "pencil",
                                        "two-squares"])
