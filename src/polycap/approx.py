@@ -4,9 +4,10 @@ Pipeline: fix the first k variables, build an evaluation oracle for
 
     p_k(x_{k+1..n}) = d^k p / dx_1..dx_k  evaluated at (0, ..., 0, x_{k+1..n})
 
-out of plain evaluations of p (signed averages at scaled sign patterns,
-extrapolated to scale 0), then minimize that oracle over the positive slice
-prod(x) = 1. The resulting capacity C_k sandwiches the true mixed partial:
+out of plain evaluations of p (signed averages at sign patterns scaled to the
+size of the point, extrapolated to scale 0), then minimize that oracle over
+the positive slice prod(x) = 1. The resulting capacity C_k sandwiches the
+true mixed partial:
 
     C_k * (n-k)! / (n-k)^(n-k)  <=  d^n p / dx_1..dx_n  <=  C_k
 
@@ -26,7 +27,7 @@ from .bounds import vdw_factor
 from .capacity import CapacityResult, capacity_minimize
 from .errors import InputError
 from .oracles import signed_sums
-from .polynomials import EvaluationOracle
+from .polynomials import EvaluationOracle, _in_chunks, square_shape
 
 _TINY = 1e-300
 
@@ -48,7 +49,10 @@ class DerivativeSliceOracle(EvaluationOracle):
     which equals eps^k * h(eps^2) with h(0) = p_k(tail): only head exponents
     with the parity of k survive the sign symmetry, so h has degree
     floor((n-k)/2). It extrapolates h to 0 by Lagrange interpolation over the
-    m = floor((n-k)/2) + 1 nodes t_j = eps_j^2, eps_j = 2^-j, j = 1..m. The
+    m = floor((n-k)/2) + 1 nodes t_j = eps_j^2, eps_j = (j/m) max_i |tail_i|,
+    j = 1..m (scale 1 for a zero tail). Head and tail are then of one size,
+    so the signed sum cancels no more at small or large tails than at tails
+    of size 1, and the weights at t = 0 do not depend on the scale. The
     sums are ``oracles.signed_sums`` at offsets (0, tail), scales eps_j, over
     all 2^k patterns: b and -b do not pair, as the tail keeps its sign. Exact
     inputs make this algebraically exact; float inputs report a condition
@@ -58,8 +62,7 @@ class DerivativeSliceOracle(EvaluationOracle):
     def __init__(self, base: EvaluationOracle, k: int):
         if not 1 <= k < base.n_vars:
             raise InputError("need 1 <= k < n_vars")
-        if base.degree != base.n_vars:
-            raise InputError("slice oracle needs degree == n_vars")
+        square_shape(base, "slice oracle")
         super().__init__()
         self.n_vars = base.n_vars - k
         self.degree = base.degree - k
@@ -67,8 +70,10 @@ class DerivativeSliceOracle(EvaluationOracle):
         self.base = base
         self.k = k
         self.m = self.n_vars // 2 + 1
-        # Nodes and weights are exact; each batch takes them in its dtype.
-        self.eps = [Fraction(1, 2 ** (j + 1)) for j in range(self.m)]
+        # Nodes and weights are exact; each batch takes them in its dtype and
+        # scales the nodes by its rows' sizes, which leaves the weights as
+        # they are.
+        self.eps = [Fraction(j, self.m) for j in range(1, self.m + 1)]
         ts = [e * e for e in self.eps]
         self.weights = [math.prod(ts[l] / (ts[l] - ts[j])
                                   for l in range(self.m) if l != j)
@@ -76,16 +81,29 @@ class DerivativeSliceOracle(EvaluationOracle):
         self.calls_per_eval = (2 ** self.k) * self.m
         self.last_condition = None
 
+    def _row_entries(self):
+        # Each row evaluates the base at calls_per_eval points.
+        return self.calls_per_eval * self.base.n_vars
+
     def _evaluate_batch(self, X):
-        # One offset (0, tail) per tail and node; the kernel sums the head's
-        # sign patterns at scale eps_j. That sum is 2^k eps_j^k h(eps_j^2).
+        # One row (eps_j, 0, tail) per tail and node; the kernel sums the
+        # head's sign patterns at offset (0, tail) and scale eps_j. That sum
+        # is 2^k eps_j^k h(eps_j^2).
         dtype = X.dtype
-        eps = np.array(self.eps, dtype=dtype)
-        offsets = np.zeros((len(X), self.m, self.base.n_vars), dtype=dtype)
-        offsets[:, :, self.k:] = X[:, None, :]
-        sums = signed_sums(self.base.evaluate_batch,
-                           np.eye(self.k, self.base.n_vars, dtype=int),
-                           offsets.reshape(-1, self.base.n_vars), np.tile(eps, len(X)))
+        scale = np.abs(X).max(axis=1)
+        scale[scale == 0] = 1
+        eps = scale[:, None] * np.array(self.eps, dtype=dtype)
+        n = self.base.n_vars
+        rows = np.zeros((len(X), self.m, 1 + n), dtype=dtype)
+        rows[:, :, 0] = eps
+        rows[:, :, 1 + self.k:] = X[:, None, :]
+        vectors = np.eye(self.k, n, dtype=int)
+        # A row past one chunk still builds about _BATCH_ENTRIES points at a
+        # time (one offset's 2^k at least): its offsets go in groups.
+        sums = _in_chunks(
+            lambda group: signed_sums(self.base.evaluate_batch, vectors,
+                                      group[:, 1:], group[:, 0]),
+            rows.reshape(-1, 1 + n), 2 ** self.k * n)
         h = sums.reshape(len(X), self.m) / (2 ** self.k * eps ** self.k)
         terms = h * np.array(self.weights, dtype=dtype)
         values = terms.sum(axis=1)
@@ -115,11 +133,7 @@ def estimate_mixed_partial(poly: EvaluationOracle, k: int = 0,
     evaluation) before the capacity minimization runs on the remaining n-k
     variables. oracle_calls counts evaluations of the *base* polynomial.
     """
-    n = poly.n_vars
-    if poly.degree != n:
-        raise InputError(
-            f"estimate needs degree == n_vars, got degree {poly.degree} with "
-            f"{n} variables")
+    n = square_shape(poly, "estimate")
     if not 0 <= k <= n - 1:
         raise InputError("need 0 <= k <= n-1")
 

@@ -30,7 +30,12 @@ import numpy as np
 from .capacity import capacity_minimize
 from .errors import InputError, ResourceLimitError
 from .oracles import exact_mixed_partial, permanent_ryser
-from .polynomials import EvaluationOracle, _scalar_array, derivative_reduce
+from .polynomials import (
+    EvaluationOracle,
+    _scalar_array,
+    derivative_reduce,
+    square_shape,
+)
 
 
 def vdw_factor(n: int) -> Fraction:
@@ -215,10 +220,7 @@ def rank_ladder_bound(poly: EvaluationOracle, tol: float = 1e-10,
     attached for comparison where the representation has an exact route
     within its caps, and is None elsewhere.
     """
-    n = poly.n_vars
-    if poly.degree != n:
-        raise InputError(
-            f"bound needs degree == n_vars, got degree {poly.degree} with {n} variables")
+    n = square_shape(poly, "bound")
 
     ranks = tuple(poly.variable_degree(i) for i in range(n))
     if 0 in ranks:
@@ -335,9 +337,7 @@ def contraction_capacity_check(q: EvaluationOracle) -> tuple:
     relative; a degenerate-zero q returns (0.0, None, None) since the
     inequality is vacuous at Cap(q) = 0.
     """
-    n = q.n_vars
-    if q.degree != n or n < 2:
-        raise InputError("contraction check needs degree == n_vars >= 2")
+    square_shape(q, "contraction check", 2)
     cap_q = capacity_minimize(q)
     if cap_q.status == "degenerate-zero" or cap_q.value == 0:
         return 0.0, None, None

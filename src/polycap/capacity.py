@@ -88,7 +88,7 @@ def capacity_minimize(poly: EvaluationOracle, tol: float = 1e-10,
     - "degenerate": f decreased without bound; the infimum is 0
       ("degenerate-zero").
     """
-    if tol <= 0:
+    if not tol > 0:
         raise InputError("tol must be positive")
     n = poly.n_vars
     # p itself may overflow where f = log p does not; only its sign matters here.
@@ -170,7 +170,7 @@ def sinkhorn_scale(matrix, tol: float = 1e-10, max_iter: int = 10000) -> Scaling
     stochastic to tolerance; the matrix capacity is prod(D1) * prod(D2),
     and its log sum(log D1) + sum(log D2).
     """
-    if tol <= 0:
+    if not tol > 0:
         raise InputError("tol must be positive")
     _, B = _scalar_array(matrix, "float")
     if B.ndim != 2 or B.shape[0] != B.shape[1] or B.shape[0] < 1:

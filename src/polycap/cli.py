@@ -1,7 +1,8 @@
 """Command-line interface.
 
-Every command reads a polynomial (or matrix) JSON document, runs one library
-entry point, and prints a JSON report to stdout:
+Every command but ``suite`` reads a polynomial (or matrix) JSON document,
+runs one library entry point, and prints a JSON report to stdout; ``main``
+does the loading and the printing, and a ``_cmd_*`` function the run:
 
     {"schema": "polycap/1", "command": ..., "inputs": ..., "result": ..., "meta": ...}
 
@@ -35,9 +36,18 @@ from .oracles import (
     permanent_error_bound,
     permanent_ryser,
 )
-from .polynomials import DeterminantalPolynomial, ProductFormPolynomial
+from .polynomials import (
+    DeterminantalPolynomial,
+    EvaluationOracle,
+    ProductFormPolynomial,
+)
 
 _EQUALITY_TOL = 1e-9
+# How a refusal names the one representation a command needs.
+_KIND_NAMES = {
+    ProductFormPolynomial: "'product' document (the matrix rows)",
+    DeterminantalPolynomial: "'determinantal' document (the PSD tuple)",
+}
 
 
 def _finite(value):
@@ -59,7 +69,7 @@ def _encode(obj):
     raise TypeError(f"cannot write {type(obj).__name__} into a report")
 
 
-def _emit(args, inputs: dict, result) -> str:
+def _emit(args, inputs: dict, result):
     report = {
         "schema": SCHEMA,
         "command": args.command,
@@ -84,48 +94,34 @@ def _emit(args, inputs: dict, result) -> str:
             raise InputError(f"cannot write {args.output}: {exc}") from None
     else:
         print(text)
-    return text
 
 
-def _load(args, kind=None, what=None):
-    """Load the input document; with ``kind``, refuse any other representation
-    with the error '<command> needs a <what>'."""
-    if not args.input:
-        raise InputError("an input file is required")
-    poly = load_polynomial(args.input, mode=args.mode)
-    if kind is not None and not isinstance(poly, kind):
-        raise InputError(f"{args.command} needs a {what}")
-    return poly
+def _shape(poly) -> dict:
+    return {"n_vars": poly.n_vars, "degree": poly.degree}
 
 
-def _cmd_capacity(args) -> int:
-    poly = _load(args)
-    res = capacity_minimize(poly, tol=args.tol, max_iter=args.max_iter)
-    _emit(args, {"path": args.input, "n_vars": poly.n_vars,
-                 "degree": poly.degree}, res)
-    return 0
+# Each document command takes the parsed arguments and the loaded document
+# and returns its report's (inputs, result); ``main`` loads and emits. The
+# library functions are called through this module's names, so that a
+# wrapper set on the module sees every call.
+
+def _cmd_capacity(args, poly):
+    return _shape(poly), capacity_minimize(poly, tol=args.tol,
+                                           max_iter=args.max_iter)
 
 
-def _cmd_permanent(args) -> int:
-    poly = _load(args, ProductFormPolynomial, "'product' document (the matrix rows)")
+def _cmd_permanent(args, poly):
     result = {"permanent": permanent_ryser(poly.matrix, mode=args.mode)}
     if args.mode == "float":
         result["error_bound"] = permanent_error_bound(poly.matrix)
-    _emit(args, {"path": args.input, "n": poly.n_vars}, result)
-    return 0
+    return {"n": poly.n_vars}, result
 
 
-def _cmd_mixed_disc(args) -> int:
-    poly = _load(args, DeterminantalPolynomial,
-                 "'determinantal' document (the PSD tuple)")
-    value = mixed_discriminant(poly)
-    _emit(args, {"path": args.input, "n": poly.n_vars},
-          {"mixed_discriminant": value})
-    return 0
+def _cmd_mixed_disc(args, poly):
+    return {"n": poly.n_vars}, {"mixed_discriminant": mixed_discriminant(poly)}
 
 
-def _cmd_bound(args) -> int:
-    poly = _load(args)
+def _cmd_bound(args, poly):
     report = rank_ladder_bound(poly, tol=args.tol, max_iter=args.max_iter)
     result = _encode(report)
     if report.exact_value is not None:
@@ -134,62 +130,42 @@ def _cmd_bound(args) -> int:
             abs(report.exact_value - report.lower_bound_vdw) <= _EQUALITY_TOL * scale)
         result["equality_rank"] = bool(
             abs(report.exact_value - report.lower_bound_rank) <= _EQUALITY_TOL * scale)
-    _emit(args, {"path": args.input, "n_vars": poly.n_vars,
-                 "degree": poly.degree}, result)
-    return 0
+    return _shape(poly), result
 
 
-def _cmd_approx(args) -> int:
-    poly = _load(args)
-    res = estimate_mixed_partial(poly, k=args.k, tol=args.tol,
-                                 max_iter=args.max_iter)
-    _emit(args, {"path": args.input, "n_vars": poly.n_vars,
-                 "degree": poly.degree, "k": args.k}, res)
-    return 0
+def _cmd_approx(args, poly):
+    return {**_shape(poly), "k": args.k}, estimate_mixed_partial(
+        poly, k=args.k, tol=args.tol, max_iter=args.max_iter)
 
 
-def _cmd_check_hyperbolic(args) -> int:
-    poly = _load(args)
-    checks = []
+def _cmd_check_hyperbolic(args, poly):
     ok_root, worst = real_rootedness_check(
         poly, trials=args.trials, seed=args.seed)
-    checks.append({
+    ok_half, stats = half_plane_sample_check(
+        poly, samples=args.samples, seed=args.seed)
+    checks = [{
         "check": "real-rootedness",
         "passed": bool(ok_root),
         "trials": args.trials,
         "worst_profile": worst,
-    })
-    ok_half, stats = half_plane_sample_check(
-        poly, samples=args.samples, seed=args.seed)
-    checks.append({
+    }, {
         "check": "half-plane",
         "passed": bool(ok_half),
         "samples": stats["samples"],
         "worst_margin": stats["worst_margin"],
         "witness": stats["witness"],
-    })
-    passed = bool(ok_root and ok_half)
-    _emit(args, {"path": args.input, "n_vars": poly.n_vars,
-                 "degree": poly.degree},
-          {"passed": passed, "checks": checks,
-           "oracle_calls": poly.calls})
-    if args.strict and not passed:
-        return 1
-    return 0
+    }]
+    return _shape(poly), {"passed": bool(ok_root and ok_half),
+                          "checks": checks, "oracle_calls": poly.calls}
 
 
-def _cmd_scale(args) -> int:
-    poly = _load(args, ProductFormPolynomial, "'product' document (the matrix rows)")
-    res = sinkhorn_scale(poly.matrix, tol=args.tol, max_iter=args.max_iter)
-    _emit(args, {"path": args.input, "n": poly.n_vars}, res)
-    return 0
+def _cmd_scale(args, poly):
+    return {"n": poly.n_vars}, sinkhorn_scale(poly.matrix, tol=args.tol,
+                                              max_iter=args.max_iter)
 
 
-def _cmd_sparse_bound(args) -> int:
-    poly = _load(args, ProductFormPolynomial, "'product' document (the matrix rows)")
-    report = sparse_permanent_bound(poly.matrix)
-    _emit(args, {"path": args.input, "n": poly.n_vars}, report)
-    return 0
+def _cmd_sparse_bound(args, poly):
+    return {"n": poly.n_vars}, sparse_permanent_bound(poly.matrix)
 
 
 def _cmd_suite(args) -> int:
@@ -223,8 +199,9 @@ def build_parser() -> argparse.ArgumentParser:
                         version=f"polycap {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, max_iter=None):
+    def common(p, fn, max_iter=None, kind=EvaluationOracle):
         # Every document command's options; the solvers' also --tol, --max-iter.
+        # A command that needs one representation refuses any other.
         p.add_argument("input", help="polynomial JSON file")
         p.add_argument("--mode", choices=("exact", "float"), default="float",
                        help="arithmetic mode (default float)")
@@ -237,34 +214,30 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--output", help="write the JSON report here instead of stdout")
         p.add_argument("--no-meta", dest="no_meta", action="store_true",
                        help="omit the meta block (byte-stable reports)")
+        p.set_defaults(fn=fn, kind=kind)
 
     p = sub.add_parser("capacity", help="minimize p over the slice prod(x)=1")
-    common(p, max_iter=200)
-    p.set_defaults(fn=_cmd_capacity)
+    common(p, _cmd_capacity, max_iter=200)
 
     p = sub.add_parser("permanent", help="exact/float permanent of a product matrix")
-    common(p)
-    p.set_defaults(fn=_cmd_permanent)
+    common(p, _cmd_permanent, kind=ProductFormPolynomial)
 
     p = sub.add_parser("mixed-disc", help="mixed discriminant of a PSD tuple")
-    common(p)
-    p.set_defaults(fn=_cmd_mixed_disc)
+    common(p, _cmd_mixed_disc, kind=DeterminantalPolynomial)
 
     p = sub.add_parser("bound",
                        help="capacity lower bounds on the full mixed partial")
-    common(p, max_iter=200)
-    p.set_defaults(fn=_cmd_bound)
+    common(p, _cmd_bound, max_iter=200)
 
     p = sub.add_parser("approx",
                        help="estimate the mixed partial with a guarantee factor")
-    common(p, max_iter=200)
+    common(p, _cmd_approx, max_iter=200)
     p.add_argument("--k", type=int, default=0,
                    help="head variables to differentiate out (default 0)")
-    p.set_defaults(fn=_cmd_approx)
 
     p = sub.add_parser("check-hyperbolic",
                        help="real-rootedness and half-plane diagnostics")
-    common(p)
+    common(p, _cmd_check_hyperbolic)
     p.add_argument("--seed", type=int, default=0,
                    help="seed for the sampled checks (default 0)")
     p.add_argument("--trials", type=int, default=50,
@@ -273,16 +246,13 @@ def build_parser() -> argparse.ArgumentParser:
                    help="half-plane sample points (default 500)")
     p.add_argument("--strict", action="store_true",
                    help="exit 1 when a diagnostic fails")
-    p.set_defaults(fn=_cmd_check_hyperbolic)
 
     p = sub.add_parser("scale", help="Sinkhorn-balance a product matrix")
-    common(p, max_iter=10000)
-    p.set_defaults(fn=_cmd_scale)
+    common(p, _cmd_scale, max_iter=10000, kind=ProductFormPolynomial)
 
     p = sub.add_parser("sparse-bound",
                        help="doubly stochastic permanent lower bound")
-    common(p)
-    p.set_defaults(fn=_cmd_sparse_bound)
+    common(p, _cmd_sparse_bound, kind=ProductFormPolynomial)
 
     p = sub.add_parser("suite", help="run the built-in check suite")
     p.add_argument("--only", default=None,
@@ -306,7 +276,16 @@ def main(argv=None) -> int:
             raise InputError("tol must be positive")
         if "max_iter" in args and args.max_iter < 1:
             raise InputError("max-iter must be >= 1")
-        return args.fn(args)
+        if args.command == "suite":
+            return args.fn(args)
+        if not args.input:
+            raise InputError("an input file is required")
+        poly = load_polynomial(args.input, mode=args.mode)
+        if not isinstance(poly, args.kind):
+            raise InputError(f"{args.command} needs a {_KIND_NAMES[args.kind]}")
+        inputs, result = args.fn(args, poly)
+        _emit(args, {"path": args.input, **inputs}, result)
+        return 1 if getattr(args, "strict", False) and not result["passed"] else 0
     except InputError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

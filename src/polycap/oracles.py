@@ -22,10 +22,10 @@ import numpy as np
 
 from .errors import InputError, ResourceLimitError
 from .polynomials import (
-    _BATCH_ENTRIES,
     DeterminantalPolynomial,
     EvaluationOracle,
     _scalar_array,
+    square_shape,
 )
 
 RYSER_FLOAT_CAP = 20
@@ -122,25 +122,23 @@ def signed_sums(f, vectors, offsets, scales=None):
     ``scales`` every scale is 1 and a point is ``table + (shift + offset)``.
     The first ``_TABLE_BITS`` vectors are tabulated once and each sign
     pattern of the rest shifts the table, so every point is a fresh sum:
-    float sums do not drift. Object (Fraction) arrays stay exact.
+    float sums do not drift. Object (Fraction) arrays stay exact. Every
+    offset goes into each call of ``f``, which gets T * 2^min(k,
+    _TABLE_BITS) points; a caller with many offsets passes them in groups.
     """
     table, signs = _sign_table(vectors[:_TABLE_BITS])
     shifts, shift_signs = _sign_table(vectors[_TABLE_BITS:])
-    per_call = max(1, _BATCH_ENTRIES // table.size)
-    out = []
-    for i in range(0, len(offsets), per_call):
-        block = offsets[i:i + per_call, None, :]
-        sums = 0
-        # Python int signs: an np.int64 times an int past 2^63 overflows.
-        for shift, sign in zip(shifts, shift_signs.tolist()):
-            if scales is None:
-                points = table + (shift + block)
-            else:
-                points = block + scales[i:i + per_call, None, None] * (table + shift)
-            values = f(points.reshape(-1, table.shape[1]))
-            sums = sums + sign * (values.reshape(-1, len(table)) @ signs)
-        out.append(sums)
-    return np.concatenate(out)
+    offsets = offsets[:, None, :]
+    sums = 0
+    # Python int signs: an np.int64 times an int past 2^63 overflows.
+    for shift, sign in zip(shifts, shift_signs.tolist()):
+        if scales is None:
+            points = table + (shift + offsets)
+        else:
+            points = offsets + scales[:, None, None] * (table + shift)
+        values = f(points.reshape(-1, table.shape[1]))
+        sums = sums + sign * (values.reshape(-1, len(table)) @ signs)
+    return sums
 
 
 def mixed_form(poly: EvaluationOracle):
@@ -153,12 +151,7 @@ def mixed_form(poly: EvaluationOracle):
     2^(n-1). Deterministic: the points and the order of the sum depend only
     on the inputs.
     """
-    n = poly.degree
-    if poly.n_vars != n:
-        raise InputError(
-            "canonical mixed form needs degree == n_vars "
-            f"(got degree {n}, {poly.n_vars} variables)"
-        )
+    n = square_shape(poly, "canonical mixed form")
     exact = poly.mode == "exact"
     cap = POLARIZATION_EXACT_CAP if exact else POLARIZATION_FLOAT_CAP
     if n > cap:
@@ -195,9 +188,5 @@ def exact_mixed_partial(poly):
     are the cross-checks for the capacity-based bounds; a plain oracle has
     none and raises InputError.
     """
-    if poly.degree != poly.n_vars:
-        raise InputError(
-            "mixed partial over all variables needs degree == n_vars "
-            f"(got degree {poly.degree}, {poly.n_vars} variables)"
-        )
+    square_shape(poly, "mixed partial over all variables")
     return poly.mixed_partial()

@@ -78,6 +78,17 @@ def _check_mode(mode):
     return mode
 
 
+def square_shape(poly, what: str, min_vars: int = 1) -> int:
+    """poly.n_vars, once poly has the square shape degree == n_vars >= min_vars
+    that the full mixed partial and the capacity bounds are stated for;
+    otherwise InputError, naming ``what`` needs it."""
+    n = poly.n_vars
+    if poly.degree != n or n < min_vars:
+        raise InputError(f"{what} needs degree == n_vars >= {min_vars}, got "
+                         f"degree {poly.degree} with {n} variables")
+    return n
+
+
 def _in_chunks(fn, X, row_entries):
     """fn on the rows of X in chunks of about _BATCH_ENTRIES array entries
     (``row_entries`` per row), joined."""
@@ -160,9 +171,14 @@ class EvaluationOracle:
 
     def _view(self, a, X):
         """The representation's data array ``a`` as the rows X meet it: the
-        stored scalars for object rows, else the float view, which in float
-        mode is ``a`` itself and in exact mode is converted once."""
-        if X.dtype == object or a.dtype != object:
+        stored scalars for object rows, else its float view."""
+        return a if X.dtype == object else self._float_view(a)
+
+    def _float_view(self, a):
+        """The float view of the data array ``a``: in float mode ``a`` itself,
+        in exact mode a float copy made once. Every float use of exact data
+        goes through it."""
+        if a.dtype != object:
             return a
         if self._floats is None:
             self._floats = a.astype(float)
@@ -413,7 +429,7 @@ class _SparseObjective:
         if (poly.coefficients < 0).any():
             raise InputError("capacity needs nonnegative coefficients")
         self.R = poly.exponents.astype(float)
-        self.logc = np.log(np.asarray(poly.coefficients, dtype=float))
+        self.logc = np.log(poly._float_view(poly.coefficients))
 
     def _weights(self, y):
         v = self.logc + self.R @ y
@@ -501,7 +517,7 @@ class _ProductObjective:
     """f(y) = sum_i log (A e^y)_i; each row contributes a softmax distribution."""
 
     def __init__(self, poly: ProductFormPolynomial):
-        self.A = np.asarray(poly.matrix, dtype=float)
+        self.A = poly._float_view(poly.matrix)
 
     def value(self, y):
         u = self.A @ np.exp(y)
@@ -570,7 +586,7 @@ class DeterminantalPolynomial(EvaluationOracle):
                     f"matrix {idx} is not {n}x{n}; need n matrices of size n x n"
                 )
         self.mode, self.matrices = _scalar_array(mats, mode)
-        for idx, m in enumerate(np.asarray(self.matrices, dtype=float)):
+        for idx, m in enumerate(self._float_view(self.matrices)):
             if np.max(np.abs(m - m.T)) > 1e-12:
                 raise InputError(f"matrix {idx} is not symmetric (tolerance 1e-12)")
             if np.linalg.eigvalsh(m).min() < -1e-10:
@@ -582,7 +598,7 @@ class DeterminantalPolynomial(EvaluationOracle):
         # Exact data gets its exact rank; float data its numerical rank.
         if self.mode == "exact":
             return _bareiss(self.matrices[i].tolist())[0]
-        eig = np.linalg.eigvalsh(np.asarray(self.matrices[i], dtype=float))
+        eig = np.linalg.eigvalsh(self.matrices[i])
         scale = max(1.0, float(eig.max(initial=0.0)))
         return int((eig > 1e-9 * scale).sum())
 
@@ -629,7 +645,7 @@ class _DeterminantalObjective:
     """f(y) = log det(sum_i e^{y_i} A_i) via Cholesky; trace-form derivatives."""
 
     def __init__(self, poly: DeterminantalPolynomial):
-        self.mats = np.asarray(poly.matrices, dtype=float)
+        self.mats = poly._float_view(poly.matrices)
 
     def _chol(self, y):
         m = np.tensordot(np.exp(y), self.mats, axes=([0], [0]))
@@ -671,13 +687,7 @@ def derivative_reduce(q: SparsePolynomial) -> SparsePolynomial:
     """
     if not isinstance(q, SparsePolynomial):
         raise InputError("derivative_reduce takes a SparsePolynomial; expand first")
-    if q.n_vars < 2:
-        raise InputError("derivative_reduce needs at least 2 variables")
-    if q.degree != q.n_vars:
-        raise InputError(
-            f"derivative_reduce needs degree == n_vars, got degree {q.degree} "
-            f"with {q.n_vars} variables"
-        )
+    square_shape(q, "derivative_reduce", 2)
     kept = {e[1:]: c for e, c in q.terms.items() if e[0] == 1}
     if not kept:
         raise InputError(

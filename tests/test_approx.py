@@ -6,8 +6,9 @@ import numpy as np
 import pytest
 
 import polycap as pc
-from polycap import fixtures
+from polycap import fixtures, polynomials
 from polycap.approx import DerivativeSliceOracle
+from polycap.polynomials import _BATCH_ENTRIES
 
 
 class TestGuaranteeFactor:
@@ -109,6 +110,47 @@ class TestDerivativeSliceOracle:
             assert v == pytest.approx(o.evaluate(tuple(x)), rel=1e-12)
         assert batch_condition == pytest.approx(o.last_condition, rel=1e-9)
 
+    def test_batch_over_several_chunks_matches_rows(self):
+        # Exact data, so that equal means equal.
+        rng = np.random.default_rng(45)
+        p = pc.ProductFormPolynomial(fixtures.random_rational_matrix(8, rng))
+        o = DerivativeSliceOracle(p, 3)
+        X = [[Fraction(int(v), 7) for v in row] for row in rng.integers(1, 20, (50, 5))]
+        assert len(X) > 2 * (_BATCH_ENTRIES // o._row_entries())
+        values = o.evaluate_batch(X)
+        assert p.calls == 50 * o.calls_per_eval and o.calls == 50
+        assert values.tolist() == [o.evaluate(x) for x in X]
+        assert p.calls == 100 * o.calls_per_eval
+
+    def test_large_row_goes_to_the_base_in_groups(self, monkeypatch):
+        p = fixtures.random_product_polynomial(12, np.random.default_rng(0))
+        o = DerivativeSliceOracle(p, 8)
+        assert o._row_entries() > _BATCH_ENTRIES
+        sizes, evaluate_batch = [], p.evaluate_batch
+        monkeypatch.setattr(p, "evaluate_batch",
+                            lambda X: sizes.append(len(X)) or evaluate_batch(X))
+        value = o.evaluate((1.0, 2.0, 0.5, 1.5))
+        assert sum(sizes) == o.calls_per_eval and len(sizes) == o.m
+        assert max(sizes) * p.n_vars <= _BATCH_ENTRIES
+        monkeypatch.setattr(polynomials, "_BATCH_ENTRIES", o._row_entries())
+        assert o.evaluate((1.0, 2.0, 0.5, 1.5)) == pytest.approx(value, rel=1e-12)
+        assert len(sizes) == o.m + 1
+
+    @pytest.mark.parametrize("n, k", [(12, 4), (14, 7)])
+    def test_float_slices_match_exact_at_every_scale(self, n, k):
+        # The nodes scale with the row, so the signed sums cancel no more at
+        # small or large tails than at tails of size 1.
+        rng = np.random.default_rng(100 * n + k)
+        A = rng.integers(1, 100, size=(n, n))
+        exact = DerivativeSliceOracle(pc.ProductFormPolynomial(
+            [[Fraction(int(a), 100) for a in row] for row in A]), k)
+        floats = DerivativeSliceOracle(pc.ProductFormPolynomial(A / 100), k)
+        for scale in (Fraction(1, 100), 1, 100):
+            tail = [Fraction(int(v), 1024) * scale
+                    for v in rng.integers(600, 1700, n - k)]
+            ref = float(exact.evaluate(tail))
+            assert floats.evaluate(map(float, tail)) == pytest.approx(ref, rel=1e-11)
+
     def test_head_fixture_identity(self):
         rng = np.random.default_rng(41)
         p = fixtures.multilinear_head_sparse(6, 2, 10, rng)
@@ -171,6 +213,11 @@ class TestEstimateMixedPartial:
             true = float(pc.permanent_ryser(m, mode="float"))
             assert true * (1 - 1e-9) <= r.estimate
             assert r.estimate <= r.guarantee_factor * true * (1 + 1e-9)
+
+    def test_fourteen_variables_seven_fixed_converge(self):
+        p = fixtures.random_product_polynomial(14, np.random.default_rng(0))
+        cap = pc.estimate_mixed_partial(p, k=7).capacity_result
+        assert cap.status == "converged" and cap.iterations <= 10
 
     def test_last_variable_left_is_linear(self):
         p = fixtures.uniform_product_polynomial(3, mode="float")

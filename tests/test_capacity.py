@@ -309,8 +309,11 @@ class TestStatusesAndValidation:
 
     def test_bad_tol(self):
         p = fixtures.uniform_product_polynomial(2)
-        with pytest.raises(pc.InputError):
-            pc.capacity_minimize(p, tol=0.0)
+        for tol in (0.0, float("nan")):
+            with pytest.raises(pc.InputError):
+                pc.capacity_minimize(p, tol=tol)
+            with pytest.raises(pc.InputError):
+                pc.sinkhorn_scale([[1.0, 2.0], [3.0, 4.0]], tol=tol)
 
 
 class TestSinkhorn:

@@ -128,6 +128,9 @@ DOCUMENT_COMMANDS = [
     (["scale"], "product_file"),
     (["sparse-bound"], "circulant_file"),
 ]
+# What main reads to load, refuse, run and emit, rather than the command.
+MAIN_OPTIONS = {"command", "input", "mode", "output", "no_meta", "fn", "kind",
+                "strict"}
 # Options that only the solver commands and check-hyperbolic take, and the
 # parameters that the bounds work out for themselves.
 REFUSED_OPTIONS = [
@@ -142,13 +145,22 @@ REFUSED_OPTIONS = [
 class TestOptions:
     @pytest.mark.parametrize("argv, document", DOCUMENT_COMMANDS,
                              ids=[argv[0] for argv, _ in DOCUMENT_COMMANDS])
-    def test_every_option_is_read(self, request, capsys, argv, document):
+    def test_every_option_is_read(self, request, monkeypatch, capsys, argv,
+                                  document):
         path = request.getfixturevalue(document)
-        args = cli.build_parser().parse_args(argv[:1] + [path] + argv[1:])
+        parser = cli.build_parser()
+        args = parser.parse_args(argv[:1] + [path] + argv[1:])
+        # The command itself reads every option that main does not use, so
+        # main's validation of --tol cannot hide a command that drops it.
         recorder = ReadRecorder(vars(args))
-        assert args.fn(recorder) == 0
+        args.fn(recorder, cli.load_polynomial(path, mode=args.mode))
+        assert set(vars(args)) - MAIN_OPTIONS - recorder._reads == set()
+        # main reads the rest, run on a recorder in place of what it parses.
+        recorder = ReadRecorder(vars(args))
+        monkeypatch.setattr(parser, "parse_known_args", lambda argv: (recorder, []))
+        assert main([]) == 0
         capsys.readouterr()
-        assert set(vars(args)) - {"fn"} - recorder._reads == set()
+        assert set(vars(args)) - recorder._reads == set()
 
     @pytest.mark.parametrize("command, option", REFUSED_OPTIONS,
                              ids=[" ".join(pair) for pair in REFUSED_OPTIONS])
