@@ -49,19 +49,22 @@ def parse_scalar(value, mode: str):
 
     A float-mode string 'p/q' is int(p) / int(q), which Python rounds
     correctly; any other string goes through float(), or through Fraction if
-    it holds a '/'. Every way, the float is the exact value rounded once.
+    it holds a '/' (a str without one skips the checks that lead there).
+    Every way, the float is the exact value rounded once.
     """
-    if isinstance(value, bool):
-        raise InputError(f"cannot parse scalar {value!r}")
-    if not isinstance(value, (str, Real)):
-        raise InputError(f"cannot parse scalar of type {type(value).__name__}")
-    if mode == "exact" and not isinstance(value, (str, Integral)):
-        raise InputError(
-            f"float literal {value!r} in exact mode; quote it as a rational "
-            "string (e.g. \"1/3\") to preserve exactness"
-        )
+    plain = mode == "float" and type(value) is str and "/" not in value
+    if not plain:
+        if isinstance(value, bool):
+            raise InputError(f"cannot parse scalar {value!r}")
+        if not isinstance(value, (str, Real)):
+            raise InputError(f"cannot parse scalar of type {type(value).__name__}")
+        if mode == "exact" and not isinstance(value, (str, Integral)):
+            raise InputError(
+                f"float literal {value!r} in exact mode; quote it as a rational "
+                "string (e.g. \"1/3\") to preserve exactness"
+            )
     try:
-        ratio = _ratio(value) if isinstance(value, str) else None
+        ratio = None if plain or not isinstance(value, str) else _ratio(value)
         if mode == "exact":
             return Fraction(*ratio) if ratio else Fraction(value)
         if ratio:

@@ -6,17 +6,17 @@ sum, ``signed_sums``: a form of degree n polarized along n vectors with the
 first sign fixed, 2^(n-1) terms, as homogeneity pairs each sign pattern with
 its negation. Glynn's permanent polarizes x_1...x_n along the columns; a
 mixed form polarizes the polynomial along the canonical basis (for a
-determinantal polynomial, its mixed discriminant). Exact mode stays in ints
-and Fractions; in float mode the order of every sum is fixed, so results are
-bit-stable, and a sum that leaves the float range is refused with
-ResourceLimitError, not returned as inf or nan. Each representation picks
-its exact mixed partial itself (``mixed_partial`` in ``polynomials``);
-``exact_mixed_partial`` checks the degree and asks it.
+determinantal polynomial, its mixed discriminant). Exact mode evaluates over
+ints, reading the data as integer numerators over one denominator (one per
+row for the permanent). In float mode the order of every sum is fixed, so
+results are bit-stable, and a sum that leaves the float range is refused
+with ResourceLimitError, not inf or nan. Each representation picks its exact
+mixed partial (``mixed_partial``); ``exact_mixed_partial`` checks the degree.
 """
 from __future__ import annotations
 
 from fractions import Fraction
-from math import inf, isfinite, lcm, nextafter, prod
+from math import inf, isfinite, nextafter, prod
 
 import numpy as np
 
@@ -24,6 +24,7 @@ from .errors import InputError, ResourceLimitError
 from .polynomials import (
     DeterminantalPolynomial,
     EvaluationOracle,
+    _integer_rows,
     _scalar_array,
     square_shape,
 )
@@ -43,7 +44,7 @@ def permanent_ryser(matrix, mode: str | None = None):
     (the name predates the switch). The entries are read as the
     representations read them (``_scalar_array``): exact (Fraction) when all
     are ints or Fractions and mode is not float, summing integer numerators
-    over their common denominator; exact mode refuses other entries with
+    over each row's common denominator; exact mode refuses other entries with
     InputError. Caps: n <= 14 exact, n <= 20 float.
 
     Float error <= gamma_k prod_i sum_j |a_ij| (Higham) with k = 2^(n-1)+n^2,
@@ -60,9 +61,7 @@ def permanent_ryser(matrix, mode: str | None = None):
             raise ResourceLimitError(
                 f"exact permanent refused: n={n} exceeds the cap of {RYSER_EXACT_CAP}"
             )
-        den = lcm(*(v.denominator for v in a.flat))
-        a = np.array([[v.numerator * (den // v.denominator) for v in r]
-                      for r in a], dtype=object)
+        a, den = _integer_rows(a)
     elif n > RYSER_FLOAT_CAP:
         raise ResourceLimitError(
             f"float permanent refused: n={n} exceeds the cap of {RYSER_FLOAT_CAP}"
@@ -72,7 +71,7 @@ def permanent_ryser(matrix, mode: str | None = None):
         total = signed_sums(lambda rows: np.prod(rows, axis=1),
                             a.T[1:], a.T[:1]).tolist()[0]
     if mode == "exact":
-        return Fraction(total, den ** n << (n - 1))
+        return Fraction(total, prod(den.tolist()) << (n - 1))
     return _finite_sum(total / 2.0 ** (n - 1), "permanent")
 
 

@@ -16,10 +16,12 @@ All three implement the ``EvaluationOracle`` interface. ``evaluate_batch(X)``
 takes an ``(m, n_vars)`` array of points and returns the ``m`` values, with
 one numpy expression per representation for every dtype of X: float and
 complex rows meet the float view of the data (in float mode the stored array
-itself, in exact mode a float copy made once), object rows (Fractions) the
-stored scalars, which numpy combines exactly. ``evaluate(point)`` is a batch
-of one row. The call counter counts rows, so derived oracles can account for
-how many underlying evaluations they spend.
+itself, in exact mode a float copy made once), exact rows its integer view:
+numerators over one denominator D, made once. Each exact row is cleared to
+integers over its own least common denominator d_r, and a value v over ints
+is Fraction(v, D^e d_r^degree), e = degree (1 for sparse coefficients).
+``evaluate(point)`` is a batch of one row. The call counter counts rows, so
+derived oracles can account for how many underlying evaluations they spend.
 
 Each representation also carries the algorithms that depend on it, so no
 other module asks which representation it holds:
@@ -44,7 +46,6 @@ the finite-difference objective and raises ``InputError`` for the rest.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import lcm
 from typing import Callable, Mapping, Sequence
 
 import numpy as np
@@ -65,6 +66,8 @@ _SLICE_NOISE = 1e-14  # relative rounding of a sparse slice's coefficients
 
 _EXACT_TYPES = (int, Fraction)
 _to_fractions = np.frompyfunc(Fraction, 1, 1)
+_denominators = np.frompyfunc(lambda v: v.denominator, 1, 1)
+_cleared = np.frompyfunc(lambda v, d: v.numerator * (d // v.denominator), 2, 1)
 
 
 def _is_int(value) -> bool:
@@ -95,6 +98,13 @@ def _in_chunks(fn, X, row_entries):
     step = max(1, _BATCH_ENTRIES // row_entries)
     return np.concatenate([fn(X[i:i + step])
                            for i in range(0, max(len(X), 1), step)])
+
+
+def _integer_rows(a):
+    """(N, d): the rows (last axis) of the object array ``a`` of ints and
+    Fractions as integer numerators N over each row's least common denominator d."""
+    d = np.lcm.reduce(_denominators(a), axis=-1)
+    return _cleared(a, d[..., None]), d
 
 
 def _scalar_array(values, mode):
@@ -134,8 +144,8 @@ class EvaluationOracle:
     degree: int
     mode: str
 
-    # An exact representation's float view of its data, built on first use.
-    _floats = None
+    # An exact representation's views of its data, built on first use.
+    _floats = _integers = None
 
     def __init__(self):
         self._calls = 0
@@ -154,25 +164,34 @@ class EvaluationOracle:
     def evaluate_batch(self, X) -> np.ndarray:
         """p at each row of the ``(m, n_vars)`` array X, as an array of shape (m,).
 
-        Integer rows count as exact for an exact polynomial and as floats
-        otherwise. ``calls`` grows by m.
+        Integer rows, and object rows of ints and Fractions, count as exact for
+        an exact polynomial; other rows are read as floats. ``calls`` grows by m.
         """
         X = np.asarray(X)
         if X.ndim != 2 or X.shape[1] != self.n_vars:
             raise InputError(
                 f"points must have shape (m, {self.n_vars}), got {X.shape}")
         self._calls += len(X)
-        if X.dtype.kind in "biu":
-            X = X.astype(object if self.mode == "exact" else float)
+        if X.dtype.kind in "biuO":
+            exact = self.mode == "exact" and (X.dtype != object or all(
+                isinstance(v, _EXACT_TYPES) for v in X.flat))
+            X = X.astype(object if exact else float, copy=False)
         return _in_chunks(self._evaluate_batch, X, self._row_entries())
 
     def _evaluate_batch(self, X):
         raise NotImplementedError
 
-    def _view(self, a, X):
-        """The representation's data array ``a`` as the rows X meet it: the
-        stored scalars for object rows, else its float view."""
-        return a if X.dtype == object else self._float_view(a)
+    def _operands(self, X, a, e):
+        """(rows, data, finish): the values at the rows X of the data array
+        ``a``, whose D enters a value as D^e, are finish(expression(rows, data))."""
+        if X.dtype != object:
+            return X, self._float_view(a), lambda v: v
+        if self._integers is None:
+            N, D = _integer_rows(a.reshape(1, -1))
+            self._integers = N.reshape(a.shape), D[0] ** e
+        (N, De), (X, d) = self._integers, _integer_rows(X)
+        return X, N, lambda v: np.array([Fraction(x, De * r ** self.degree)
+                                         for x, r in zip(v, d)], dtype=object)
 
     def _float_view(self, a):
         """The float view of the data array ``a``: in float mode ``a`` itself,
@@ -362,8 +381,8 @@ class SparsePolynomial(EvaluationOracle):
         return len(self.terms) * self.n_vars
 
     def _evaluate_batch(self, X):
-        c = self._view(self.coefficients, X)
-        return np.power(X[:, None, :], self.exponents).prod(axis=2) @ c
+        X, c, finish = self._operands(X, self.coefficients, 1)
+        return finish(np.power(X[:, None, :], self.exponents).prod(axis=2) @ c)
 
     def line_roots(self, points, direction):
         """t = c + M u for the roots u of q(u) = p(y - u d), expanded term by
@@ -375,7 +394,7 @@ class SparsePolynomial(EvaluationOracle):
         if n > SLICE_DEGREE_CAP:
             raise ResourceLimitError(f"slice roots refused: degree {n} exceeds "
                                      f"the cap of {SLICE_DEGREE_CAP}")
-        c = self._view(self.coefficients, points)
+        c = self._float_view(self.coefficients)
         shift = (points * direction).sum(axis=1) / (direction * direction).sum()
         Y = points - shift[:, None] * direction
         M = np.abs(Y).max(axis=1, keepdims=True) / np.abs(direction).max()
@@ -473,12 +492,13 @@ class ProductFormPolynomial(EvaluationOracle):
         self.degree = n
 
     def _evaluate_batch(self, X):
-        return np.prod(X @ self._view(self.matrix, X).T, axis=1)
+        X, A, finish = self._operands(X, self.matrix, self.n_vars)
+        return finish(np.prod(X @ A.T, axis=1))
 
     def line_roots(self, points, direction):
         """(a_i.x)/(a_i.d), as p(x - t d) = prod_i (a_i.x - t a_i.d); formed
         row by row, so a row's roots do not depend on its block."""
-        A = self._view(self.matrix, points)
+        A = self._float_view(self.matrix)
         return (np.array([(A * x).sum(axis=1) for x in points])
                 / (A * direction).sum(axis=1), np.zeros(len(points)))
 
@@ -541,28 +561,23 @@ class _ProductObjective:
 
 
 def _bareiss(m) -> tuple:
-    """(rank, determinant) of a square Fraction matrix, exactly, by Bareiss
-    elimination over integer numerators. A column with no pivot is skipped,
+    """(rank, determinant) of a square integer matrix, given as rows, exactly,
+    by fraction-free Bareiss elimination. A column with no pivot is skipped,
     which keeps every division exact and leaves one pivot per unit of rank."""
-    den = lcm(*(v.denominator for row in m for v in row))
-    a = [[v.numerator * (den // v.denominator) for v in row] for row in m]
-    n = len(a)
+    a, n = [list(row) for row in m], len(m)
     sign, prev, r = 1, 1, 0
     for c in range(n):
-        if a[r][c] == 0:
-            for i in range(r + 1, n):
-                if a[i][c] != 0:
-                    a[r], a[i] = a[i], a[r]
-                    sign = -sign
-                    break
-            else:
-                continue
-        for i in range(r + 1, n):
-            for j in range(c + 1, n):
-                a[i][j] = (a[i][j] * a[r][c] - a[i][c] * a[r][j]) // prev
-        prev = a[r][c]
+        i = next((i for i in range(r, n) if a[i][c]), None)
+        if i is None:
+            continue
+        a[r], a[i], sign = a[i], a[r], sign if i == r else -sign
+        pivot, tail = a[r][c], a[r][c + 1:]
+        for row in a[r + 1:]:
+            row[c + 1:] = [(x * pivot - row[c] * y) // prev
+                           for x, y in zip(row[c + 1:], tail)]
+        prev = pivot
         r += 1
-    return r, Fraction(sign * prev, den ** n) if r == n else Fraction(0)
+    return r, sign * prev if r == n else 0
 
 
 class DeterminantalPolynomial(EvaluationOracle):
@@ -597,7 +612,7 @@ class DeterminantalPolynomial(EvaluationOracle):
     def _variable_degree(self, i):
         # Exact data gets its exact rank; float data its numerical rank.
         if self.mode == "exact":
-            return _bareiss(self.matrices[i].tolist())[0]
+            return _bareiss(_integer_rows(self.matrices[i])[0].tolist())[0]
         eig = np.linalg.eigvalsh(self.matrices[i])
         scale = max(1.0, float(eig.max(initial=0.0)))
         return int((eig > 1e-9 * scale).sum())
@@ -606,17 +621,15 @@ class DeterminantalPolynomial(EvaluationOracle):
         return self.n_vars ** 2
 
     def _evaluate_batch(self, X):
-        M = np.tensordot(X, self._view(self.matrices, X), axes=([1], [0]))
-        if X.dtype == object:
-            if self.mode == "exact":
-                return np.array([_bareiss(m)[1] for m in M.tolist()])
-            M = M.astype(float)
-        return np.linalg.det(M)
+        X, A, finish = self._operands(X, self.matrices, self.n_vars)
+        M = np.tensordot(X, A, axes=([1], [0]))
+        return finish([_bareiss(m)[1] for m in M.tolist()] if X.dtype == object
+                      else np.linalg.det(M))
 
     def line_roots(self, points, direction):
         """The eigenvalues of A(d)^-1 A(x), real for A(d) positive definite;
         A(x) is formed row by row, so a row's roots do not depend on its block."""
-        A = self._view(self.matrices, points)
+        A = self._float_view(self.matrices)
         Ax = np.array([np.tensordot(x, A, axes=1) for x in points])
         return (np.linalg.eigvals(
             np.linalg.solve(np.tensordot(direction, A, axes=1), Ax)),

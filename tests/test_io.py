@@ -1,5 +1,6 @@
 """The JSON document format: scalars, documents, files, error diagnostics."""
 import json
+import math
 from fractions import Fraction
 
 import numpy as np
@@ -63,6 +64,40 @@ class TestParseScalar:
                 continue
             assert pio.parse_scalar(text, "float") == float(Fraction(text))
             assert pio.parse_scalar(text, "exact") == Fraction(text)
+
+    def test_plain_strings_parse_as_before(self):
+        # A float-mode str without '/' goes straight to float(). The parse it
+        # skips is kept here as the reference, for values and messages alike,
+        # on the strings above, their digits as decimals, and edge strings.
+        def before(text):
+            try:
+                ratio = pio._ratio(text)
+                f = ratio[0] / ratio[1] if ratio else float(
+                    Fraction(text) if "/" in text else text)
+            except (ValueError, ZeroDivisionError, OverflowError) as exc:
+                return f"cannot parse scalar {text!r}: {exc}"
+            if not math.isfinite(f):
+                return f"cannot parse scalar {text!r}: not a finite number"
+            return repr(f)
+
+        def now(text):
+            try:
+                return repr(pio.parse_scalar(text, "float"))
+            except pc.InputError as exc:
+                return str(exc)
+
+        texts = ["nan", "inf", "-Infinity", "1e400", "1e-400", " 0.5 ", "",
+                 "1_0", "_1", "0x10", "-0", "1 2", " x ", " nan ", "\u0661",
+                 "0.5\n"]
+        rng = np.random.default_rng(0)
+        for _ in range(20000):
+            num, den = ("".join(map(str, rng.integers(0, 10, rng.integers(1, 41))))
+                        for _ in range(2))
+            sign = rng.choice(['', '+', '-'])
+            texts += [f"{sign}{num}/{den}", f"{sign}{num}", f"{sign}{num}.{den}",
+                      f"{sign}{num[:3]}e{den[:3]}"]
+        for text in texts:
+            assert now(text) == before(text), text
 
     @pytest.mark.parametrize("text", [
         " 1/2 ", "1_0/3", "\u0661/\u0662", "1 / 2", "1/ 2", "1/-2", "/2", "1/",

@@ -1,4 +1,5 @@
 """Representation layer: construction, validation, evaluation, expansion."""
+import math
 from fractions import Fraction
 
 import numpy as np
@@ -6,6 +7,8 @@ import pytest
 
 import polycap as pc
 from polycap import fixtures
+from polycap.approx import DerivativeSliceOracle
+from polycap.oracles import mixed_form
 from polycap.polynomials import _bareiss
 from test_bounds import product_with_sparse_first_column
 
@@ -295,6 +298,133 @@ class TestEvaluateBatch:
         assert p.calls == 0
 
 
+def _fraction_rank_det(m):
+    """(rank, determinant) by plain Gaussian elimination over Fractions."""
+    a = [[Fraction(v) for v in row] for row in m]
+    n, det, r = len(a), Fraction(1), 0
+    for c in range(n):
+        p = next((i for i in range(r, n) if a[i][c] != 0), None)
+        if p is None:
+            det = Fraction(0)
+            continue
+        if p != r:
+            a[r], a[p] = a[p], a[r]
+            det = -det
+        det *= a[r][c]
+        for i in range(r + 1, n):
+            f = a[i][c] / a[r][c]
+            a[i] = [x - f * y for x, y in zip(a[i], a[r])]
+        r += 1
+    return r, det
+
+
+def _fraction_values(kind, data, X):
+    """The value of each representation at the rows X in Fraction arithmetic:
+    tensordot plus elimination for a pencil, the product of A x for a product
+    form, the sum of the terms for a sparse polynomial."""
+    X = np.array(X, dtype=object)
+    if kind == "determinantal":
+        M = np.tensordot(X, np.array(data, dtype=object), axes=([1], [0]))
+        return [_fraction_rank_det(m)[1] for m in M.tolist()]
+    if kind == "product":
+        return [math.prod(r) for r in (X @ np.array(data, dtype=object).T).tolist()]
+    return [sum(c * math.prod(x ** k for x, k in zip(row, e))
+                for e, c in data[1].items()) for row in X.tolist()]
+
+
+def _exact_rows(rng, n):
+    """Fraction rows whose denominators differ per row and per entry, one past
+    int64, their negation, a zero row and an integer row."""
+    rows = [[Fraction(int(a), int(b)) for a, b in
+             zip(rng.integers(-20, 21, n), rng.integers(1, 40, n))]
+            for _ in range(6)]
+    rows.append([Fraction(10 ** 20 + j, 3 + j) for j in range(n)])
+    rows += [[-v for v in row] for row in rows]
+    rows.append([0] * n)
+    rows.append([int(v) for v in rng.integers(-5, 6, n)])
+    return np.array(rows, dtype=object)
+
+
+def _pencil_of_rank(rng, n, r):
+    """n PSD matrices U C_i C_i^T U^T / d_i that share the column space of
+    the integer n x r matrix U, so every matrix of the pencil has rank <= r;
+    the denominators d_i differ."""
+    U = rng.integers(-3, 4, (n, r))
+    mats = []
+    for i in range(n):
+        C = rng.integers(-2, 3, (r, r))
+        d = int(rng.integers(1, 12))
+        mats.append([[Fraction(int(v), d) for v in row]
+                     for row in (U @ C @ C.T @ U.T).tolist()])
+    return mats
+
+
+class TestIntegerRoute:
+    """Exact evaluation over integer numerators against Fraction arithmetic."""
+
+    def _check(self, p, kind, data, X):
+        values = p.evaluate_batch(X)
+        assert all(isinstance(v, Fraction) for v in values)
+        assert list(values) == _fraction_values(kind, data, X)
+        assert p.calls == len(X)
+
+    @pytest.mark.parametrize("r", range(5))
+    def test_pencils_of_every_rank(self, r):
+        n = 4
+        rng = np.random.default_rng(50 + r)
+        mats = _pencil_of_rank(rng, n, r)
+        p = pc.DeterminantalPolynomial(mats, mode="exact")
+        X = _exact_rows(rng, n)
+        a = [m[0][0] for m in mats]
+        if a[1]:
+            # A row where sum_i x_i A_i has a zero leading pivot: a row swap.
+            X = np.vstack([X, [[1, -(a[0] + a[2] + a[3]) / a[1], 1, 1]]])
+        self._check(p, "determinantal", mats, X)
+        assert [p.variable_degree(i) for i in range(n)] == [
+            _fraction_rank_det(m)[0] for m in mats]
+        signs = [[1] + [1 - 2 * s for s in b] for b in np.ndindex(*(2,) * (n - 1))]
+        polarized = sum(math.prod(b) * v for b, v in
+                        zip(signs, _fraction_values("determinantal", mats, signs)))
+        assert mixed_form(p) == polarized / 2 ** (n - 1)
+
+    def test_product_form(self):
+        rng = np.random.default_rng(51)
+        A = [[Fraction(int(a), int(b)) for a, b in zip(ra, rb)]
+             for ra, rb in zip(rng.integers(0, 9, (4, 4)), rng.integers(1, 30, (4, 4)))]
+        self._check(pc.ProductFormPolynomial(A, mode="exact"), "product", A,
+                    _exact_rows(rng, 4))
+
+    def test_sparse(self):
+        rng = np.random.default_rng(52)
+        exps = {e for e in map(tuple, rng.integers(0, 4, (40, 3)).tolist())
+                if sum(e) == 4}
+        terms = {e: Fraction(int(rng.integers(1, 50)), int(rng.integers(1, 30)))
+                 for e in sorted(exps)}
+        self._check(pc.SparsePolynomial(3, terms, mode="exact"), "sparse",
+                    (3, terms), _exact_rows(rng, 3))
+
+    def test_derivative_slice_rows(self):
+        # The slice oracle hands the base rows of Fractions scaled per tail.
+        rng = np.random.default_rng(53)
+        A = [[Fraction(int(a), int(b)) for a, b in zip(ra, rb)]
+             for ra, rb in zip(rng.integers(1, 9, (5, 5)), rng.integers(1, 30, (5, 5)))]
+        base = pc.ProductFormPolynomial(A, mode="exact")
+        ref = pc.FunctionOracle(5, 5, lambda x: _fraction_values("product", A, [x])[0],
+                                mode="exact")
+        slices = DerivativeSliceOracle(base, 2), DerivativeSliceOracle(ref, 2)
+        T = _exact_rows(rng, 3)
+        values = [o.evaluate_batch(T) for o in slices]
+        assert all(isinstance(v, Fraction) for v in values[0])
+        assert list(values[0]) == list(values[1])
+        assert base.calls == ref.calls == slices[0].calls_per_eval * len(T)
+
+    def test_object_rows_with_a_float_are_read_as_floats(self):
+        p = fixtures.uniform_product_polynomial(3)
+        value = p.evaluate((Fraction(1, 3), 0.5, 2))
+        assert isinstance(value, float)
+        assert value == pytest.approx(p.evaluate((1 / 3, 0.5, 2.0)), rel=1e-15)
+
+
 class TestVariableDegree:
     def test_sparse(self):
         p = pc.SparsePolynomial(3, {(2, 1, 0): 1, (1, 1, 1): 1})
@@ -323,9 +453,9 @@ class TestVariableDegree:
             r = int(rng.integers(0, n + 1))
             m = rng.integers(-3, 4, (n, r)) @ rng.integers(-3, 4, (r, n))
             m[:, : int(rng.integers(0, 2))] = 0
-            rank, det = _bareiss([[Fraction(int(v), 7) for v in row] for row in m])
+            rank, det = _bareiss(m.tolist())
             assert rank == np.linalg.matrix_rank(m)
-            assert det == Fraction(round(np.linalg.det(m)), 7 ** n)
+            assert det == round(np.linalg.det(m))
 
     def test_agrees_with_structural_rank(self):
         rng = np.random.default_rng(36)
