@@ -27,7 +27,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .capacity import capacity_minimize
+from .capacity import _stochastic_deviation, capacity_minimize
 from .errors import InputError, ResourceLimitError
 from .oracles import exact_mixed_partial, permanent_ryser
 from .polynomials import (
@@ -294,13 +294,10 @@ def sparse_permanent_bound(matrix) -> SparseBoundReport:
     the float permanent is within its cap (n <= 20), the bound is verified
     against it and the report carries it; past the cap ``permanent`` is None.
     """
-    _, A = _scalar_array(matrix, "float")
-    if A.ndim != 2 or A.shape[0] != A.shape[1] or A.size == 0:
-        raise InputError("matrix must be square and nonempty")
+    _, A = _scalar_array(matrix, "float", 2)
     if np.any(A < 0):
         raise InputError("matrix entries must be nonnegative")
-    dev = max(float(np.abs(A.sum(axis=1) - 1).max()),
-              float(np.abs(A.sum(axis=0) - 1).max()))
+    dev = _stochastic_deviation(A)
     if dev > 1e-4:
         raise InputError(
             f"matrix is not doubly stochastic (deviation {dev:.3g})")

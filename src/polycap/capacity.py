@@ -165,6 +165,12 @@ def capacity_minimize(poly: EvaluationOracle, tol: float = 1e-10,
                           float(f))
 
 
+def _stochastic_deviation(B) -> float:
+    """The largest distance of a row or column sum of B from 1."""
+    return max(float(np.abs(B.sum(axis=1) - 1).max()),
+               float(np.abs(B.sum(axis=0) - 1).max()))
+
+
 def sinkhorn_scale(matrix, tol: float = 1e-10, max_iter: int = 10000) -> ScalingResult:
     """Alternating row/column normalization: A = D1 B D2 with B doubly
     stochastic to tolerance; the matrix capacity is prod(D1) * prod(D2),
@@ -172,9 +178,7 @@ def sinkhorn_scale(matrix, tol: float = 1e-10, max_iter: int = 10000) -> Scaling
     """
     if not tol > 0:
         raise InputError("tol must be positive")
-    _, B = _scalar_array(matrix, "float")
-    if B.ndim != 2 or B.shape[0] != B.shape[1] or B.shape[0] < 1:
-        raise InputError("sinkhorn_scale needs a nonempty square matrix")
+    _, B = _scalar_array(matrix, "float", 2)
     if np.any(B < 0):
         raise InputError("matrix entries must be nonnegative")
     n = B.shape[0]
@@ -193,8 +197,7 @@ def sinkhorn_scale(matrix, tol: float = 1e-10, max_iter: int = 10000) -> Scaling
         c = B.sum(axis=0)
         B = B / c[None, :]
         d2 *= c
-        dev = max(float(np.abs(B.sum(axis=1) - 1).max()),
-                  float(np.abs(B.sum(axis=0) - 1).max()))
+        dev = _stochastic_deviation(B)
         if dev <= tol:
             status = "converged"
             iterations = it

@@ -12,10 +12,7 @@ import numpy as np
 
 from .capacity import sinkhorn_scale
 from .errors import InputError
-from .polynomials import (
-    ProductFormPolynomial,
-    SparsePolynomial,
-)
+from .polynomials import ProductFormPolynomial, SparsePolynomial, _scalar_array
 
 
 def uniform_matrix(n: int):
@@ -106,20 +103,16 @@ def random_k_regular_doubly_stochastic(n: int, k: int, rng: np.random.Generator)
 
 
 def diagonal_psd_tuple(matrix):
-    """PSD tuple (diag of row 1, ..., diag of row n): its mixed "determinant"
-    polynomial det(sum x_i diag(row_i)) is the product form of matrix^T, so
-    the full mixed partial equals per(matrix)."""
-    rows = [tuple(r) for r in matrix]
-    n = len(rows)
-    if any(len(r) != n for r in rows):
-        raise InputError("matrix must be square")
-    if any(v < 0 for r in rows for v in r):
+    """PSD tuple (diag of row 1, ..., diag of row n), as an (n, n, n) array:
+    its mixed "determinant" polynomial det(sum x_i diag(row_i)) is the product
+    form of matrix^T, so the full mixed partial equals per(matrix)."""
+    _, A = _scalar_array(matrix, None, 2)
+    if (A < 0).any():
         raise InputError("matrix entries must be nonnegative")
-    mats = []
-    for r in rows:
-        mats.append(tuple(
-            tuple(r[j] if j == l else 0 for l in range(n)) for j in range(n)))
-    return tuple(mats)
+    n = len(A)
+    mats = np.zeros((n, n, n), dtype=A.dtype)
+    mats[:, range(n), range(n)] = A
+    return mats
 
 
 def doubly_stochastic_psd_tuple(n: int, rng: np.random.Generator):

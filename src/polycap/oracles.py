@@ -20,7 +20,7 @@ from math import inf, isfinite, nextafter, prod
 
 import numpy as np
 
-from .errors import InputError, ResourceLimitError
+from .errors import ResourceLimitError
 from .polynomials import (
     DeterminantalPolynomial,
     EvaluationOracle,
@@ -51,11 +51,8 @@ def permanent_ryser(matrix, mode: str | None = None):
     or 2^(n-1)+n if every +-1 sum is exact (small dyadic entries). For A >= 0
     that is at most Ryser's bound gamma_(2^n+n) sum_S |prod_i r_i(S)|, whose
     S = all columns term is prod_i sum_j a_ij."""
-    rows = [list(r) for r in matrix]
-    n = len(rows)
-    if n < 1 or any(len(r) != n for r in rows):
-        raise InputError("permanent needs a nonempty square matrix")
-    mode, a = _scalar_array(rows, mode)
+    mode, a = _scalar_array(matrix, mode, 2)
+    n = len(a)
     if mode == "exact":
         if n > RYSER_EXACT_CAP:
             raise ResourceLimitError(

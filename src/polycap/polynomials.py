@@ -10,7 +10,10 @@ Each polynomial carries an arithmetic ``mode``: ``"exact"`` keeps scalars as
 ``fractions.Fraction`` (evaluation at rational points is exact), ``"float"``
 uses IEEE doubles. The mode is inferred from the coefficient types unless
 passed explicitly. Each representation holds its data once, in one ndarray:
-float64 in float mode, an object array of Fractions in exact mode.
+float64 in float mode, an object array of Fractions in exact mode. One
+reader, ``_scalar_array``, builds that array for every matrix, pencil or
+coefficient input in the package: input that is ragged, wrongly shaped,
+non-numeric or non-finite ends in ``InputError``.
 
 All three implement the ``EvaluationOracle`` interface. ``evaluate_batch(X)``
 takes an ``(m, n_vars)`` array of points and returns the ``m`` values, with
@@ -107,15 +110,29 @@ def _integer_rows(a):
     return _cleared(a, d[..., None]), d
 
 
-def _scalar_array(values, mode):
-    """(mode, array): the nested sequences ``values`` as one ndarray, float64
-    in float mode or an object array of Fractions in exact mode. Without a
-    mode, exact when every scalar is an int or a Fraction. NaN and +-inf are
-    refused."""
+def _scalar_array(values, mode, ndim):
+    """(mode, array): the nested sequences ``values`` as one ndarray with
+    ``ndim`` axes, float64 in float mode or an object array of Fractions in
+    exact mode. Without a mode, exact when every scalar is an int or a
+    Fraction. The one reader of numeric input: ragged or wrongly shaped
+    input, an empty array, one of two or more axes that is not n x ... x n,
+    scalars numpy cannot read as real numbers, NaN and +-inf are refused."""
     if mode is not None:
         _check_mode(mode)
-    if mode != "float":
-        a = np.array(values, dtype=object)
+    shape = " x ".join("n" * ndim) + " array" if ndim > 1 else "list"
+    want = f"expected a nonempty {shape} of real numbers"
+
+    def read(source, dtype):
+        try:
+            return np.array(source, dtype=dtype)
+        except (ValueError, TypeError, OverflowError) as exc:
+            raise InputError(f"{want}; {exc}") from None
+
+    a = read(values, float if mode == "float" else object)
+    # Ragged rows make an object array of lists: shape before types.
+    if a.ndim != ndim or not a.size or len(set(a.shape)) > 1:
+        raise InputError(f"{want}; got shape {a.shape}")
+    if a.dtype == object:
         for v in a.flat:
             if not isinstance(v, _EXACT_TYPES):
                 if mode == "exact":
@@ -126,7 +143,7 @@ def _scalar_array(values, mode):
                 break
         else:
             return "exact", _to_fractions(a)
-    a = np.array(values, dtype=float)
+        a = read(a, float)
     if not np.isfinite(a).all():
         raise InputError(f"scalars must be finite; got {a[~np.isfinite(a)][0]}")
     return "float", a
@@ -296,10 +313,11 @@ class FunctionOracle(EvaluationOracle):
 
     def __init__(self, n_vars: int, degree: int, fn: Callable, mode: str = "float"):
         super().__init__()
-        if n_vars < 1 or degree < 0:
-            raise InputError("FunctionOracle needs n_vars >= 1 and degree >= 0")
-        self.n_vars = int(n_vars)
-        self.degree = int(degree)
+        if not (_is_int(n_vars) and n_vars >= 1 and _is_int(degree) and degree >= 0):
+            raise InputError("FunctionOracle needs integers n_vars >= 1 and "
+                             f"degree >= 0, got {n_vars!r} and {degree!r}")
+        self.n_vars = n_vars
+        self.degree = degree
         self.mode = _check_mode(mode)
         self._fn = fn
 
@@ -340,7 +358,7 @@ class SparsePolynomial(EvaluationOracle):
             cleaned[e] = coef
 
         exps = sorted(cleaned)
-        self.mode, coefs = _scalar_array([cleaned[e] for e in exps], mode)
+        self.mode, coefs = _scalar_array([cleaned[e] for e in exps], mode, 1)
         negative = np.flatnonzero(coefs < 0)
         if len(negative) and not allow_signed:
             raise InputError(
@@ -476,11 +494,7 @@ class ProductFormPolynomial(EvaluationOracle):
 
     def __init__(self, matrix, mode: str | None = None):
         super().__init__()
-        rows = [tuple(row) for row in matrix]
-        n = len(rows)
-        if n < 1 or any(len(r) != n for r in rows):
-            raise InputError("product-form matrix must be square and nonempty")
-        self.mode, self.matrix = _scalar_array(rows, mode)
+        self.mode, self.matrix = _scalar_array(matrix, mode, 2)
         negative = (self.matrix < 0).any(axis=1)
         bad = np.flatnonzero(negative | (self.matrix == 0).all(axis=1))
         if len(bad):
@@ -488,8 +502,7 @@ class ProductFormPolynomial(EvaluationOracle):
             if negative[i]:
                 raise InputError(f"row {i} has a negative entry; entries must be >= 0")
             raise InputError(f"row {i} is all zeros (polynomial would be identically 0)")
-        self.n_vars = n
-        self.degree = n
+        self.n_vars = self.degree = len(self.matrix)
 
     def _evaluate_batch(self, X):
         X, A, finish = self._operands(X, self.matrix, self.n_vars)
@@ -591,29 +604,24 @@ class DeterminantalPolynomial(EvaluationOracle):
 
     def __init__(self, matrices, mode: str | None = None):
         super().__init__()
-        mats = [tuple(tuple(row) for row in m) for m in matrices]
-        n = len(mats)
-        if n < 1:
-            raise InputError("determinantal polynomial needs at least one matrix")
-        for idx, m in enumerate(mats):
-            if len(m) != n or any(len(r) != n for r in m):
-                raise InputError(
-                    f"matrix {idx} is not {n}x{n}; need n matrices of size n x n"
-                )
-        self.mode, self.matrices = _scalar_array(mats, mode)
-        for idx, m in enumerate(self._float_view(self.matrices)):
-            if np.max(np.abs(m - m.T)) > 1e-12:
-                raise InputError(f"matrix {idx} is not symmetric (tolerance 1e-12)")
-            if np.linalg.eigvalsh(m).min() < -1e-10:
-                raise InputError(f"matrix {idx} is not PSD (min eigenvalue < -1e-10)")
-        self.n_vars = n
-        self.degree = n
+        self.mode, self.matrices = _scalar_array(matrices, mode, 3)
+        F = self._float_view(self.matrices)
+        asymmetric = np.abs(F - F.transpose(0, 2, 1)).max(axis=(1, 2)) > 1e-12
+        # One batched eigvalsh; the float ranks read these spectra.
+        self._spectra = np.linalg.eigvalsh(F)
+        bad = np.flatnonzero(asymmetric | (self._spectra.min(axis=1) < -1e-10))
+        if len(bad):
+            i = bad[0]
+            if asymmetric[i]:
+                raise InputError(f"matrix {i} is not symmetric (tolerance 1e-12)")
+            raise InputError(f"matrix {i} is not PSD (min eigenvalue < -1e-10)")
+        self.n_vars = self.degree = len(F)
 
     def _variable_degree(self, i):
         # Exact data gets its exact rank; float data its numerical rank.
         if self.mode == "exact":
             return _bareiss(_integer_rows(self.matrices[i])[0].tolist())[0]
-        eig = np.linalg.eigvalsh(self.matrices[i])
+        eig = self._spectra[i]
         scale = max(1.0, float(eig.max(initial=0.0)))
         return int((eig > 1e-9 * scale).sum())
 

@@ -198,19 +198,32 @@ class TestFunctionOracle:
         with pytest.raises(pc.InputError):
             pc.FunctionOracle(0, 2, lambda x: 1.0)
 
+    @pytest.mark.parametrize("n_vars, degree", [
+        (2.5, 2), (True, 2), ("3", 2), (2, 1.5), (2, False), (2, "2"), (2, -1),
+    ])
+    def test_integer_sizes_required(self, n_vars, degree):
+        # Neither truncated (2.5 -> 2) nor let through as a bool or a string.
+        with pytest.raises(pc.InputError, match="FunctionOracle needs integers"):
+            pc.FunctionOracle(n_vars, degree, lambda x: 1.0)
+
     def test_unknown_mode(self):
         with pytest.raises(pc.InputError, match="unknown mode 'bogus'"):
             pc.FunctionOracle(2, 2, lambda x: 1.0, mode="bogus")
 
 
+# Every reader of a matrix; a pencil gets the matrix as its first slot.
+_MATRIX_READERS = {
+    "product": pc.ProductFormPolynomial,
+    "pencil": lambda m, **kw: pc.DeterminantalPolynomial([m, [[1, 0], [0, 1]]], **kw),
+    "permanent": pc.permanent_ryser,
+    "sinkhorn": pc.sinkhorn_scale,
+    "sparse-bound": pc.sparse_permanent_bound,
+    "diagonal-tuple": fixtures.diagonal_psd_tuple,
+}
 _NUMERIC_ENTRY_POINTS = {
     "sparse": lambda v: pc.SparsePolynomial(2, {(1, 1): v, (2, 0): 1.0}),
-    "product": lambda v: pc.ProductFormPolynomial([[1.0, v], [1.0, 1.0]]),
-    "pencil": lambda v: pc.DeterminantalPolynomial(
-        [[[1.0, 0.0], [0.0, v]], [[1.0, 0.0], [0.0, 1.0]]]),
-    "permanent": lambda v: pc.permanent_ryser([[1.0, v], [1.0, 1.0]]),
-    "sinkhorn": lambda v: pc.sinkhorn_scale([[1.0, v], [1.0, 1.0]]),
-    "sparse-bound": lambda v: pc.sparse_permanent_bound([[0.5, v], [0.5, 0.5]]),
+    **{name: lambda v, read=read: read([[0.5, v], [0.5, 0.5]])
+       for name, read in _MATRIX_READERS.items()},
 }
 
 
@@ -221,6 +234,40 @@ def test_non_finite_scalars_refused(entry, value):
     # every numeric input goes through _scalar_array, which refuses them
     with pytest.raises(pc.InputError, match="scalars must be finite"):
         _NUMERIC_ENTRY_POINTS[entry](value)
+
+
+_MALFORMED_MATRICES = {
+    "ragged": [[0.5, 0.5], [1.0]],
+    "non-square": [[0.5, 0.5, 0.0], [0.5, 0.5, 0.0]],
+    "too-deep": [[[0.5, 0.5], [0.5, 0.5]], [[0.5, 0.5], [0.5, 0.5]]],
+    "empty": [],
+    "string": [[0.5, "1/2"], [0.5, 0.5]],
+    "complex": [[0.5, 0.5 + 1j], [0.5, 0.5]],
+}
+
+
+@pytest.mark.parametrize("case", sorted(_MALFORMED_MATRICES))
+@pytest.mark.parametrize("reader", sorted(_MATRIX_READERS))
+def test_malformed_matrices_refused(reader, case):
+    # _scalar_array checks shape and scalars for every reader, so no numpy
+    # ValueError or TypeError leaks
+    with pytest.raises(pc.InputError, match="^expected a nonempty n x n"):
+        _MATRIX_READERS[reader](_MALFORMED_MATRICES[case])
+
+
+@pytest.mark.parametrize("reader", ["product", "pencil", "permanent"])
+def test_ragged_exact_input_names_its_shape(reader):
+    # numpy builds ragged rows with dtype=object as an array of lists: the
+    # shape is tested before the exact-type scan, which would say "got list"
+    with pytest.raises(pc.InputError, match="of real numbers; got shape"):
+        _MATRIX_READERS[reader]([[1, 1], [1]], mode="exact")
+
+
+def test_sparse_coefficients_read_as_numbers():
+    with pytest.raises(pc.InputError, match="^expected a nonempty list"):
+        pc.SparsePolynomial(2, {(1, 1): "1/2"})
+    with pytest.raises(pc.InputError, match="^expected a nonempty list"):
+        pc.SparsePolynomial(2, {(1, 1): 1j})
 
 
 def _batch_cases():
@@ -442,6 +489,26 @@ class TestVariableDegree:
                                             [Fraction(1, 2), 0, Fraction(1, 2)]])
         p = pc.DeterminantalPolynomial(mats, mode="exact")
         assert [p.variable_degree(i) for i in range(3)] == [2, 2, 2]
+
+    @pytest.mark.parametrize("seed", range(5))
+    def test_float_pencil_ranks_match_a_fresh_eigvalsh(self, seed):
+        # The ranks read the spectra of the construction's PSD check.
+        rng = np.random.default_rng(seed)
+        n = 6
+        ranks = rng.integers(1, n + 1, size=n).tolist()
+        p = pc.DeterminantalPolynomial(
+            [g @ g.T for g in (rng.standard_normal((n, r)) for r in ranks)],
+            mode="float")
+        for i, m in enumerate(p.matrices):
+            eig = np.linalg.eigvalsh(m)
+            fresh = int((eig > 1e-9 * max(1.0, eig.max())).sum())
+            assert p.variable_degree(i) == fresh == ranks[i]
+
+    def test_float_pencil_rank_threshold(self):
+        # diag(1, 9e-10) sits below the 1e-9 threshold: numerical rank 1
+        p = pc.DeterminantalPolynomial([[[1.0, 0.0], [0.0, 9e-10]],
+                                        [[1.0, 0.0], [0.0, 1.0]]], mode="float")
+        assert [p.variable_degree(i) for i in range(2)] == [1, 2]
 
     def test_bareiss_rank_and_determinant(self):
         # Products B C of integer n x r and r x n factors have rank r (checked
