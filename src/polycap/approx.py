@@ -14,9 +14,16 @@ true mixed partial:
 so the multiplicative guarantee (n-k)^(n-k) / (n-k)! tightens as k grows,
 reaching exactness at k = n-1, at the price of 2^k * m oracle calls per
 evaluation, m = floor((n-k)/2) + 1. Oracle-call counts are tracked exactly.
+
+Newton on the slice needs its gradient and Hessian too. On product forms the
+same 2^k * m points give them in closed form (``jet_sum``), so each Newton
+step costs one batch of base calls; on other bases (pencils, sparse
+polynomials, plain oracles) the objective takes finite differences of slice
+evaluations.
 """
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -26,8 +33,9 @@ import numpy as np
 from .bounds import vdw_factor
 from .capacity import CapacityResult, capacity_minimize
 from .errors import InputError
-from .oracles import signed_sums
-from .polynomials import EvaluationOracle, _in_chunks, square_shape
+from .oracles import _TABLE_BITS, _sign_table
+from .polynomials import (EvaluationOracle, _in_chunks, _summed, _to_float,
+                          square_shape)
 
 _TINY = 1e-300
 
@@ -39,6 +47,16 @@ def guarantee_factor(n: int, k: int = 0) -> float:
     if not 0 <= k <= n - 1:
         raise InputError("need 0 <= k <= n-1")
     return float(1 / vdw_factor(n - k))
+
+
+@functools.cache
+def _nodes(m: int):
+    """(eps, weights), exact: the nodes eps_j = j/m, j = 1..m, and the Lagrange
+    weights at t = 0 over t_j = eps_j^2."""
+    eps = tuple(Fraction(j, m) for j in range(1, m + 1))
+    ts = [e * e for e in eps]
+    return eps, tuple(math.prod(ts[l] / (ts[l] - ts[j]) for l in range(m) if l != j)
+                      for j in range(m))
 
 
 class DerivativeSliceOracle(EvaluationOracle):
@@ -53,10 +71,16 @@ class DerivativeSliceOracle(EvaluationOracle):
     j = 1..m (scale 1 for a zero tail). Head and tail are then of one size,
     so the signed sum cancels no more at small or large tails than at tails
     of size 1, and the weights at t = 0 do not depend on the scale. The
-    sums are ``oracles.signed_sums`` at offsets (0, tail), scales eps_j, over
-    all 2^k patterns: b and -b do not pair, as the tail keeps its sign. Exact
-    inputs make this algebraically exact; float inputs report a condition
-    number for the last row of the most recent batch in `last_condition`.
+    sums run over all 2^k patterns: b and -b do not pair, as the tail keeps
+    its sign. Exact inputs make this algebraically exact; float inputs report
+    a condition number for the last row of the most recent batch in
+    `last_condition`.
+
+    The slice is linear in p, so with the nodes held fixed its gradient and
+    Hessian are the same signed, weighted sums of the base's. A base with
+    ``jet_sum`` (a product form, or a slice of one) gives all three from one
+    batch of points, and ``log_objective`` is then in closed form; any other
+    base keeps the finite-difference objective.
     """
 
     def __init__(self, base: EvaluationOracle, k: int):
@@ -73,37 +97,62 @@ class DerivativeSliceOracle(EvaluationOracle):
         # Nodes and weights are exact; each batch takes them in its dtype and
         # scales the nodes by its rows' sizes, which leaves the weights as
         # they are.
-        self.eps = [Fraction(j, self.m) for j in range(1, self.m + 1)]
-        ts = [e * e for e in self.eps]
-        self.weights = [math.prod(ts[l] / (ts[l] - ts[j])
-                                  for l in range(self.m) if l != j)
-                        for j in range(self.m)]
+        self.eps, self.weights = _nodes(self.m)
         self.calls_per_eval = (2 ** self.k) * self.m
         self.last_condition = None
+        # The head's sign patterns, with the product of each one's signs: the
+        # first _TABLE_BITS head variables tabulated once, and each pattern of
+        # the rest a shift of the table, so a base call gets at most
+        # 2^_TABLE_BITS points per node.
+        head = np.eye(k, dtype=int)
+        self._table, self._signs = _sign_table(head[:_TABLE_BITS])
+        self._shifts = list(zip(*_sign_table(head[_TABLE_BITS:])))
 
     def _row_entries(self):
         # Each row evaluates the base at calls_per_eval points.
         return self.calls_per_eval * self.base.n_vars
 
-    def _evaluate_batch(self, X):
-        # One row (eps_j, 0, tail) per tail and node; the kernel sums the
-        # head's sign patterns at offset (0, tail) and scale eps_j. That sum
-        # is 2^k eps_j^k h(eps_j^2).
-        dtype = X.dtype
+    def _eps(self, X, nodes):
+        """The nodes scaled by each row's size (1 for a zero row): (len(X), m)."""
         scale = np.abs(X).max(axis=1)
         scale[scale == 0] = 1
-        eps = scale[:, None] * np.array(self.eps, dtype=dtype)
-        n = self.base.n_vars
-        rows = np.zeros((len(X), self.m, 1 + n), dtype=dtype)
+        return scale[:, None] * nodes
+
+    def _points(self, eps, tails, shift):
+        """The base points (eps_t b, tail_t) for the head patterns b of the
+        table shifted by ``shift``, one block per node eps_t and tail row
+        tail_t, as rows."""
+        points = np.empty((len(eps), len(self._signs), self.base.n_vars),
+                          dtype=tails.dtype)
+        points[:, :, :self.k] = eps[:, None, None] * (self._table + shift)
+        points[:, :, self.k:] = tails[:, None, :]
+        return points.reshape(-1, self.base.n_vars)
+
+    def has_jets(self):
+        return self.base.has_jets()
+
+    def _evaluate_batch(self, X):
+        # One row (eps_j, tail) per tail and node, whose signed sum over the
+        # head's patterns is 2^k eps_j^k h(eps_j^2).
+        dtype = X.dtype
+        eps = self._eps(X, np.array(self.eps, dtype=dtype))
+        rows = np.empty((len(X), self.m, 1 + self.n_vars), dtype=dtype)
         rows[:, :, 0] = eps
-        rows[:, :, 1 + self.k:] = X[:, None, :]
-        vectors = np.eye(self.k, n, dtype=int)
+        rows[:, :, 1:] = X[:, None, :]
+
+        def pattern_sums(group):
+            sums = 0
+            # Python int signs: an np.int64 times an int past 2^63 overflows.
+            for shift, sign in self._shifts:
+                values = self.base.evaluate_batch(
+                    self._points(group[:, 0], group[:, 1:], shift))
+                sums = sums + int(sign) * (values.reshape(len(group), -1) @ self._signs)
+            return sums
+
         # A row past one chunk still builds about _BATCH_ENTRIES points at a
-        # time (one offset's 2^k at least): its offsets go in groups.
-        sums = _in_chunks(
-            lambda group: signed_sums(self.base.evaluate_batch, vectors,
-                                      group[:, 1:], group[:, 0]),
-            rows.reshape(-1, 1 + n), 2 ** self.k * n)
+        # time (one node's table at least): its nodes go in groups.
+        sums = _in_chunks(pattern_sums, rows.reshape(-1, 1 + self.n_vars),
+                          2 ** self.k * self.base.n_vars)
         h = sums.reshape(len(X), self.m) / (2 ** self.k * eps ** self.k)
         terms = h * np.array(self.weights, dtype=dtype)
         values = terms.sum(axis=1)
@@ -111,6 +160,55 @@ class DerivativeSliceOracle(EvaluationOracle):
             mag = np.abs(terms[-1]).sum()
             self.last_condition = float(mag / max(abs(values[-1]), _TINY))
         return values
+
+    def _jet_entries(self):
+        return self._row_entries()
+
+    def _jet(self, X, c, first):
+        # With its nodes held fixed the slice is linear in p: its jet is the
+        # base's over the points of each row's evaluation, weighted
+        # c_t w_j prod(b) / (2^k eps_j^k), in the base's variables k + first..
+        eps = self._eps(X, np.array(self.eps, dtype=float))
+        weights = np.array(self.weights, dtype=float)
+        w = c[:, None] * weights / (2 ** self.k * eps ** self.k)
+        tails = np.repeat(X, self.m, axis=0)
+        return _summed([self.base.jet_sum(
+            self._points(eps.ravel(), tails, shift),
+            (w[:, :, None] * (sign * self._signs)).ravel(), self.k + first)
+            for shift, sign in self._shifts])
+
+    def log_objective(self):
+        return _SliceObjective(self) if self.has_jets() else super().log_objective()
+
+
+class _SliceObjective:
+    """f(y) = log h(e^y) from the slice's ``jet_sum``: with x = e^y,
+    g = x o grad h / h and H = diag(g) + (x x^T) o Hess h / h - g g^T. The jet
+    at the last y is kept, so a line search's accepted value, then the
+    gradient and Hessian there, cost one slice evaluation."""
+
+    def __init__(self, oracle: DerivativeSliceOracle):
+        self.oracle = oracle
+        self._y = None
+
+    def _at(self, y):
+        if self._y is None or not np.array_equal(y, self._y):
+            x = np.exp(y)
+            self._y, self._jet = y.copy(), (x, *self.oracle.jet_sum(x[None], [1.0], 0))
+        return self._jet
+
+    def value(self, y):
+        h = self._at(y)[1]
+        return float(np.log(h)) if np.isfinite(h) and h > 0 else np.inf
+
+    def gradient(self, y):
+        x, h, dh, _ = self._at(y)
+        return x * dh / h
+
+    def hessian(self, y):
+        x, h, dh, d2h = self._at(y)
+        g = x * dh / h
+        return np.diag(g) + np.outer(x, x) * d2h / h - np.outer(g, g)
 
 
 @dataclass
@@ -131,7 +229,9 @@ def estimate_mixed_partial(poly: EvaluationOracle, k: int = 0,
     k controls the accuracy/cost trade-off: the first k variables are
     differentiated out through the slice oracle (2^k * m base calls per
     evaluation) before the capacity minimization runs on the remaining n-k
-    variables. oracle_calls counts evaluations of the *base* polynomial.
+    variables. oracle_calls counts evaluations of the *base* polynomial; on
+    a product form each also yields the point's gradient and Hessian, so one
+    Newton step costs one slice evaluation.
     """
     n = square_shape(poly, "estimate")
     if not 0 <= k <= n - 1:
@@ -147,7 +247,7 @@ def estimate_mixed_partial(poly: EvaluationOracle, k: int = 0,
         and target.last_condition is not None
         and target.last_condition >= 1e13  # no significant digits survive
     )
-    if not float(ones_value) > 0.0 or unreliable:
+    if not ones_value > 0 or unreliable:
         # The derivative slice vanishes at the all-ones point (or its value
         # sits below the extrapolation noise floor). Nonnegative coefficients
         # force p_k to vanish identically, so capacity and estimate are 0,
@@ -155,8 +255,8 @@ def estimate_mixed_partial(poly: EvaluationOracle, k: int = 0,
         cap = CapacityResult(0.0, (1.0,) * tail, 0, 0.0, "degenerate", None)
     elif k == n - 1:
         # One variable left: p_k is linear, so its capacity is its value at 1.
-        cap = CapacityResult(float(ones_value), (1.0,), 0, 0.0, "gradient",
-                             math.log(ones_value))
+        value = _to_float(ones_value)
+        cap = CapacityResult(value, (1.0,), 0, 0.0, "gradient", math.log(value))
     else:
         cap = capacity_minimize(target, tol=tol, max_iter=max_iter)
     oracle_calls = poly.calls - calls_before

@@ -8,8 +8,8 @@ mean and solves with H + 11^T/n, which is H on the hyperplane with a unit
 pivot along 1; a backtracking line search and a gradient fallback guard it.
 Each representation supplies f with its gradient and Hessian
 (``EvaluationOracle.log_objective`` in ``polynomials``): in closed form for
-the three structured representations, by finite differences for generic
-oracles.
+the three structured representations and for derivative slices of product
+forms, by finite differences for other oracles.
 
 Also here: Sinkhorn matrix scaling (matrix capacity as the product of the
 scalers).
@@ -91,9 +91,10 @@ def capacity_minimize(poly: EvaluationOracle, tol: float = 1e-10,
     if not tol > 0:
         raise InputError("tol must be positive")
     n = poly.n_vars
-    # p itself may overflow where f = log p does not; only its sign matters here.
+    # p itself may overflow where f = log p does not; only its sign matters
+    # here, so an exact value stays exact.
     with np.errstate(over="ignore"):
-        ones_value = float(poly.evaluate((1,) * n))
+        ones_value = poly.evaluate((1,) * n)
     if not ones_value > 0:
         raise InputError(f"p(1,...,1) = {ones_value}; capacity needs a positive value")
 

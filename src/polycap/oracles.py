@@ -109,18 +109,16 @@ def _sign_table(vectors):
     return table, signs
 
 
-def signed_sums(f, vectors, offsets, scales=None):
-    """sum over b in {-1,1}^k of prod(b) * f(offset_t + scale_t * sum_i b_i v_i)
-    for each row t of ``offsets``, as an array.
+def signed_sums(f, vectors, offsets):
+    """sum over b in {-1,1}^k of prod(b) * f(offset_t + sum_i b_i v_i) for
+    each row t of ``offsets``, as an array.
 
     ``f`` maps an array of points, one per row, to their values.
-    ``vectors`` is a (k, d) array and ``offsets`` a (T, d) one; without
-    ``scales`` every scale is 1 and a point is ``table + (shift + offset)``.
-    The first ``_TABLE_BITS`` vectors are tabulated once and each sign
-    pattern of the rest shifts the table, so every point is a fresh sum:
-    float sums do not drift. Object (Fraction) arrays stay exact. Every
-    offset goes into each call of ``f``, which gets T * 2^min(k,
-    _TABLE_BITS) points; a caller with many offsets passes them in groups.
+    ``vectors`` is a (k, d) array and ``offsets`` a (T, d) one. The first
+    ``_TABLE_BITS`` vectors are tabulated once and each sign pattern of the
+    rest shifts the table, so every point is a fresh sum: float sums do not
+    drift. Object (Fraction) arrays stay exact. Each call of ``f`` gets
+    T * 2^min(k, _TABLE_BITS) points.
     """
     table, signs = _sign_table(vectors[:_TABLE_BITS])
     shifts, shift_signs = _sign_table(vectors[_TABLE_BITS:])
@@ -128,10 +126,7 @@ def signed_sums(f, vectors, offsets, scales=None):
     sums = 0
     # Python int signs: an np.int64 times an int past 2^63 overflows.
     for shift, sign in zip(shifts, shift_signs.tolist()):
-        if scales is None:
-            points = table + (shift + offsets)
-        else:
-            points = offsets + scales[:, None, None] * (table + shift)
+        points = table + (shift + offsets)
         values = f(points.reshape(-1, table.shape[1]))
         sums = sums + sign * (values.reshape(-1, len(table)) @ signs)
     return sums

@@ -41,10 +41,15 @@ other module asks which representation it holds:
   x_1...x_n, the permanent of the matrix, the mixed discriminant of the
   pencil;
 * ``line_roots(points, direction)``, the roots of the slices t -> p(x - t d)
-  in closed form, with the backward error of the coefficients they came from.
+  in closed form, with the backward error of the coefficients they came from;
+* ``jet_sum(X, c, first)``, the c-weighted sums of p, its gradient and its
+  Hessian at float rows, for product forms (from leave-one-out and
+  leave-two-out products of the linear forms; ``has_jets()`` says whether
+  an oracle gives it).
 
-A plain oracle (``FunctionOracle``, ``approx.DerivativeSliceOracle``) keeps
-the finite-difference objective and raises ``InputError`` for the rest.
+A plain oracle keeps the finite-difference objective and raises
+``InputError`` for the rest. ``approx.DerivativeSliceOracle`` is one, but
+where its base gives ``jet_sum`` its objective is in closed form too.
 """
 from __future__ import annotations
 
@@ -103,6 +108,37 @@ def _in_chunks(fn, X, row_entries):
                            for i in range(0, max(len(X), 1), step)])
 
 
+def _leave_out(u):
+    """(L1, L2) over the last axis of u: L1_i = prod_{r != i} u_r and, for
+    i != l, L2_il = prod_{r != i, l} u_r (0 on the diagonal). Row i of W is u
+    with u_i set to 1, and the prefix and suffix products of W's rows leave
+    out one more entry each. No division, so a zero u_r is safe."""
+    eye = np.eye(u.shape[-1], dtype=bool)
+    W = np.where(eye, 1.0, u[..., None, :])
+    L = np.ones(W.shape)
+    L[..., 1:] = np.cumprod(W[..., :-1], axis=-1)
+    L[..., :-1] *= np.cumprod(W[..., :0:-1], axis=-1)[..., ::-1]
+    L1 = L[..., eye]
+    L[..., eye] = 0
+    return L1, L
+
+
+def _summed(parts):
+    """The parts' sums, entry by entry, added in order."""
+    return tuple(sum(part[1:], part[0]) for part in zip(*parts))
+
+
+def _to_float(value):
+    """value as a float, or an exact array as a float array; ResourceLimitError
+    for an exact value past the float range."""
+    try:
+        return value.astype(float) if isinstance(value, np.ndarray) else float(value)
+    except OverflowError:
+        raise ResourceLimitError("float conversion refused: an exact value "
+                                 "overflows the float range; rescale the input"
+                                 ) from None
+
+
 def _integer_rows(a):
     """(N, d): the rows (last axis) of the object array ``a`` of ints and
     Fractions as integer numerators N over each row's least common denominator d."""
@@ -116,9 +152,13 @@ def _scalar_array(values, mode, ndim):
     exact mode. Without a mode, exact when every scalar is an int or a
     Fraction. The one reader of numeric input: ragged or wrongly shaped
     input, an empty array, one of two or more axes that is not n x ... x n,
-    scalars numpy cannot read as real numbers, NaN and +-inf are refused."""
+    a complex array, scalars numpy cannot read as real numbers, NaN and
+    +-inf are refused."""
     if mode is not None:
         _check_mode(mode)
+    if isinstance(values, np.ndarray) and values.dtype.kind == "c":
+        # numpy's float cast would drop the imaginary parts with a warning.
+        raise InputError(f"expected real numbers; got a {values.dtype} array")
     shape = " x ".join("n" * ndim) + " array" if ndim > 1 else "list"
     want = f"expected a nonempty {shape} of real numbers"
 
@@ -217,7 +257,7 @@ class EvaluationOracle:
         if a.dtype != object:
             return a
         if self._floats is None:
-            self._floats = a.astype(float)
+            self._floats = _to_float(a)
         return self._floats
 
     def _row_entries(self):
@@ -252,6 +292,34 @@ class EvaluationOracle:
         """The convex objective f(y) = log p(e^y), with ``value``,
         ``gradient`` and ``hessian`` methods; here by finite differences."""
         return _OracleObjective(self)
+
+    def jet_sum(self, X, c, first: int):
+        """(sum_t c_t p(x_t), sum_t c_t grad p(x_t), sum_t c_t Hess p(x_t)) over
+        the float rows x_t of X and the weights c, with the derivatives taken
+        in the variables first.. only: a number, a vector and a matrix.
+        ``calls`` grows by len(X); each row also yields its derivatives. The
+        rows go through numpy in chunks of about _BATCH_ENTRIES entries."""
+        X = np.asarray(X, dtype=float)
+        if X.ndim != 2 or X.shape[1] != self.n_vars:
+            raise InputError(
+                f"points must have shape (m, {self.n_vars}), got {X.shape}")
+        c = np.asarray(c, dtype=float)
+        step = max(1, _BATCH_ENTRIES // self._jet_entries())
+        jets = _summed([self._jet(X[i:i + step], c[i:i + step], first)
+                        for i in range(0, max(len(X), 1), step)])
+        self._calls += len(X)
+        return jets
+
+    def _jet(self, X, c, first):
+        raise InputError(f"jet_sum is undefined for {type(self).__name__}")
+
+    def _jet_entries(self):
+        """Array entries one row costs in ``_jet``."""
+        return self.n_vars ** 2
+
+    def has_jets(self) -> bool:
+        """Whether ``jet_sum`` is defined here."""
+        return type(self)._jet is not EvaluationOracle._jet
 
     def mixed_partial(self):
         """d^n p / dx_1..dx_n, exactly, by the representation's own route
@@ -507,6 +575,17 @@ class ProductFormPolynomial(EvaluationOracle):
     def _evaluate_batch(self, X):
         X, A, finish = self._operands(X, self.matrix, self.n_vars)
         return finish(np.prod(X @ A.T, axis=1))
+
+    def _jet(self, X, c, first):
+        # p = prod_i u_i with u = Ax: grad p = B^T L1 and Hess p = B^T L2 B
+        # for B = A[:, first:], with c summed in before the matrix products.
+        A = self._float_view(self.matrix)
+        u = X @ A.T
+        L1, L2 = _leave_out(u)
+        B = A[:, first:]
+        n = len(A)
+        return (c @ np.prod(u, axis=1), (c @ L1) @ B,
+                B.T @ (c @ L2.reshape(-1, n * n)).reshape(n, n) @ B)
 
     def line_roots(self, points, direction):
         """(a_i.x)/(a_i.d), as p(x - t d) = prod_i (a_i.x - t a_i.d); formed

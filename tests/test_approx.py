@@ -6,9 +6,10 @@ import numpy as np
 import pytest
 
 import polycap as pc
-from polycap import fixtures, polynomials
+from polycap import approx, fixtures, polynomials
 from polycap.approx import DerivativeSliceOracle
-from polycap.polynomials import _BATCH_ENTRIES
+from polycap.capacity import log_objective
+from polycap.polynomials import _BATCH_ENTRIES, _OracleObjective
 
 
 class TestGuaranteeFactor:
@@ -158,6 +159,196 @@ class TestDerivativeSliceOracle:
         ref = pc.derivative_reduce(pc.derivative_reduce(p))
         x = tuple(Fraction(k, 3) for k in (2, 4, 1, 5))
         assert oracle.evaluate(x) == ref.evaluate(x)
+
+
+def _exact_jet(q, x, first):
+    """p, grad p and Hess p in the variables first.. at the point x, in Python
+    arithmetic (exact at integer points), from the terms of the sparse
+    polynomial q."""
+    def monomial(exponents):
+        return 0 if min(exponents) < 0 else math.prod(
+            v ** e for v, e in zip(x, exponents))
+
+    tail = range(first, q.n_vars)
+    value, grad = 0, [0] * len(tail)
+    hess = [[0] * len(tail) for _ in tail]
+    for r, a in q.terms.items():
+        value += a * monomial(r)
+        for j, J in enumerate(tail):
+            rj = list(r)
+            rj[J] -= 1
+            grad[j] += a * r[J] * monomial(rj)
+            for l, L in enumerate(tail):
+                rjl = list(rj)
+                rjl[L] -= 1
+                hess[j][l] += a * r[J] * rj[L] * monomial(rjl)
+    return value, grad, hess
+
+
+def _weighted_exact_jet(q, X, c, first):
+    """sum_t c_t of ``_exact_jet`` at the rows of X."""
+    refs = [_exact_jet(q, x, first) for x in X]
+    d = q.n_vars - first
+    return (sum(w * r[0] for w, r in zip(c, refs)),
+            [sum(w * r[1][j] for w, r in zip(c, refs)) for j in range(d)],
+            [[sum(w * r[2][j][l] for w, r in zip(c, refs)) for l in range(d)]
+             for j in range(d)])
+
+
+def _nested_slices(base):
+    # A slice of a slice: k = 1, then k = 1 again.
+    return DerivativeSliceOracle(DerivativeSliceOracle(base, 1), 1)
+
+
+class TestJets:
+    def test_jet_sum_is_exact_where_a_linear_form_vanishes(self):
+        # Small integers keep every float operation exact, so the closed form
+        # must equal the exact derivatives; a linear form that is 0 at a row
+        # rules out division by it.
+        A = [[1, 2, 0, 1], [3, 1, 1, 0], [0, 1, 2, 2], [1, 1, 1, 1]]
+        p = pc.ProductFormPolynomial(A, mode="exact")
+        X = [[2, -1, 0, 0], [1, 0, -1, 1], [3, 1, 2, 1]]
+        c = [3, -2, 5]
+        assert (np.array(X) @ np.array(A).T == 0).any(axis=1).tolist() == [
+            True, True, False]
+        for first in (0, 1, 2):
+            value, grad, hess = p.jet_sum(X, c, first)
+            ref = _weighted_exact_jet(p.expand(), X, c, first)
+            assert value == ref[0]
+            assert grad.tolist() == ref[1]
+            assert hess.tolist() == ref[2]
+        assert p.calls == 3 * len(X)
+
+    def test_other_oracles_have_no_jets(self):
+        f = pc.FunctionOracle(2, 2, lambda x: x[0] * x[1])
+        pencil = pc.DeterminantalPolynomial(np.array([np.eye(3)] * 3))
+        sparse = fixtures.random_product_polynomial(3, np.random.default_rng(1)).expand()
+        for base in (f, pencil, sparse):
+            assert not base.has_jets()
+            with pytest.raises(pc.InputError, match="jet_sum is undefined"):
+                base.jet_sum([[1.0] * base.n_vars], [1.0], 0)
+            assert base.calls == 0
+            o = DerivativeSliceOracle(base, 1)
+            assert not o.has_jets()
+            assert isinstance(o.log_objective(), _OracleObjective)
+            with pytest.raises(pc.InputError, match="jet_sum is undefined"):
+                o.jet_sum([[1.0] * o.n_vars], [1.0], 0)
+
+    def test_slice_jet_sum_matches_the_reduced_expansion(self):
+        rng = np.random.default_rng(5)
+        base = fixtures.random_product_polynomial(7, rng)
+        ref = pc.derivative_reduce(pc.derivative_reduce(base.expand()))
+        o = DerivativeSliceOracle(base, 2)
+        X = rng.uniform(0.5, 2.0, (4, 5))
+        c = rng.normal(size=4)
+        for first in (0, 2):
+            value, grad, hess = o.jet_sum(X, c, first)
+            ref_value, ref_grad, ref_hess = _weighted_exact_jet(ref, X, c, first)
+            assert value == pytest.approx(ref_value, rel=1e-12)
+            assert np.allclose(grad, ref_grad, rtol=1e-12, atol=0)
+            assert np.allclose(hess, ref_hess, rtol=1e-12, atol=0)
+        assert o.calls == 8 and base.calls == 8 * o.calls_per_eval
+
+    @pytest.mark.parametrize("n, k", [(4, 1), (5, 2), (6, 1), (7, 3), (8, 4)])
+    def test_closed_form_slice_objective_matches_the_reduced_expansion(self, n, k):
+        base = fixtures.random_product_polynomial(n, np.random.default_rng(n + k))
+        ref = base.expand()
+        for _ in range(k):
+            ref = pc.derivative_reduce(ref)
+        obj = DerivativeSliceOracle(base, k).log_objective()
+        assert not isinstance(obj, _OracleObjective)
+        exact = log_objective(ref)
+        rng = np.random.default_rng(n * k)
+        for _ in range(3):
+            y = rng.normal(0, 0.3, n - k)
+            assert abs(obj.value(y) - exact.value(y)) < 5e-14
+            assert np.abs(obj.gradient(y) - exact.gradient(y)).max() < 5e-14
+            assert np.abs(obj.hessian(y) - exact.hessian(y)).max() < 5e-14
+
+    def test_nested_slices_of_a_product_form_take_the_closed_form(self):
+        base = fixtures.random_product_polynomial(6, np.random.default_rng(7))
+        o = _nested_slices(base)
+        assert o.has_jets()
+        obj = o.log_objective()
+        assert not isinstance(obj, _OracleObjective)
+        exact = log_objective(pc.derivative_reduce(pc.derivative_reduce(base.expand())))
+        y = np.array([0.2, -0.1, 0.3, -0.4])
+        assert abs(obj.value(y) - exact.value(y)) < 1e-13
+        assert np.abs(obj.gradient(y) - exact.gradient(y)).max() < 1e-13
+        assert np.abs(obj.hessian(y) - exact.hessian(y)).max() < 1e-13
+
+    @pytest.mark.parametrize("kind", ["pencil", "function"])
+    def test_nested_slices_without_jets_take_finite_differences(self, kind):
+        base = fixtures.random_product_polynomial(5, np.random.default_rng(8))
+        same = _nested_slices(base)
+        if kind == "pencil":
+            # A diagonal pencil is the product form of the transposed matrix.
+            base = pc.DeterminantalPolynomial(fixtures.diagonal_psd_tuple(base.matrix.T))
+        else:
+            base = pc.FunctionOracle(5, 5, base.evaluate)
+        o = _nested_slices(base)
+        assert isinstance(o.log_objective(), _OracleObjective)
+        r = pc.capacity_minimize(o)
+        assert r.status == "converged"
+        assert r.value == pytest.approx(pc.capacity_minimize(same).value, rel=1e-8)
+
+    def test_slice_objective_keeps_its_last_point(self):
+        p = fixtures.random_product_polynomial(6, np.random.default_rng(3))
+        o = DerivativeSliceOracle(p, 2)
+        obj = o.log_objective()
+        y = np.array([0.1, -0.2, 0.3, -0.2])
+        obj.value(y)
+        obj.gradient(y)
+        obj.hessian(y)
+        assert o.calls == 1 and p.calls == o.calls_per_eval
+        obj.gradient(y + 0.1)
+        assert o.calls == 2 and p.calls == 2 * o.calls_per_eval
+
+    def test_points_per_base_call_stay_bounded_past_the_table(self, monkeypatch):
+        # Past _TABLE_BITS head variables each pattern of the rest shifts the
+        # table: a base call gets one node's 2^_TABLE_BITS points, not 2^k.
+        p = fixtures.random_product_polynomial(13, np.random.default_rng(2))
+        o = DerivativeSliceOracle(p, 12)
+        assert o.calls_per_eval == 2 ** 12
+        sizes, evaluate_batch, jet_sum = [], p.evaluate_batch, p.jet_sum
+        monkeypatch.setattr(p, "evaluate_batch",
+                            lambda X: sizes.append(len(X)) or evaluate_batch(X))
+        monkeypatch.setattr(p, "jet_sum",
+                            lambda X, *a: sizes.append(len(X)) or jet_sum(X, *a))
+        value = o.evaluate((1.5,))
+        assert sizes == [2 ** 10] * 4
+        sizes.clear()
+        jet_value = o.jet_sum([[1.5]], [1.0], 0)[0]
+        assert sizes == [2 ** 10] * 4
+        assert jet_value == pytest.approx(value, rel=1e-12)
+        # With one variable left the slice is per(A) x.
+        assert value == pytest.approx(1.5 * float(p.mixed_partial()), rel=1e-9)
+
+    def test_closed_form_estimate_matches_finite_differences(self):
+        # A FunctionOracle base has no jets, so its slice takes the
+        # finite-difference route on the same evaluations.
+        p = fixtures.random_product_polynomial(14, np.random.default_rng(0))
+        closed = pc.estimate_mixed_partial(p, k=7)
+        fd = pc.estimate_mixed_partial(pc.FunctionOracle(14, 14, p.evaluate), k=7)
+        assert closed.estimate == pytest.approx(fd.estimate, rel=1e-10)
+        assert closed.oracle_calls < fd.oracle_calls / 50
+
+    def test_one_base_batch_per_slice_evaluation(self, monkeypatch):
+        slices = []
+
+        class Recorded(DerivativeSliceOracle):
+            def __init__(self, *args):
+                super().__init__(*args)
+                slices.append(self)
+
+        monkeypatch.setattr(approx, "DerivativeSliceOracle", Recorded)
+        p = fixtures.random_product_polynomial(20, np.random.default_rng(0))
+        r = pc.estimate_mixed_partial(p, k=8)
+        (o,) = slices
+        assert r.capacity_result.status == "converged"
+        assert r.oracle_calls == o.calls_per_eval * o.calls
+        # The finite-difference route took 2,076,928 base calls here.
+        assert r.oracle_calls < 20_769
 
 
 class TestEstimateMixedPartial:

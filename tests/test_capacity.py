@@ -68,10 +68,12 @@ def _objective_case(kind, rng):
             fixtures.random_positive_matrix(3, rng), mode="float")
         return pc.FunctionOracle(3, 3, same.evaluate), same
     else:
-        base = pc.ProductFormPolynomial(
-            fixtures.random_positive_matrix(4, rng), mode="float")
-        return (pc.DerivativeSliceOracle(base, 1),
-                pc.derivative_reduce(base.expand()))
+        # A pencil base keeps the finite-difference objective. A diagonal
+        # pencil is the product form of the transposed matrix.
+        m = fixtures.random_positive_matrix(4, rng)
+        base = pc.DeterminantalPolynomial(fixtures.diagonal_psd_tuple(m))
+        same = pc.ProductFormPolynomial(np.array(m).T, mode="float").expand()
+        return pc.DerivativeSliceOracle(base, 1), pc.derivative_reduce(same)
     return poly, poly
 
 

@@ -56,6 +56,12 @@ def run_process(argv):
                           capture_output=True, text=True, env=env, timeout=60)
 
 
+# Exact documents with an entry past the float range.
+PAST_FLOATS = {
+    "product": {"kind": "product", "matrix": [["1e400", "1"], ["1", "1"]]},
+    "determinantal": {"kind": "determinantal", "matrices": [[["1e400"]]]},
+}
+
 CAPACITY_FIELDS = {"value", "minimizer", "iterations", "gradient_norm",
                    "stop_reason", "log_value", "status"}
 PROFILE_FIELDS = {"direction", "point", "roots", "max_imag", "all_real"}
@@ -319,6 +325,22 @@ class TestBoundCommand:
         assert main(["bound", str(path)]) == 2
         assert capsys.readouterr().err == (
             "error: variable 1 does not occur in p (rank 0)\n")
+
+    @pytest.mark.parametrize("kind, options", [
+        ("product", ["bound"]), ("product", ["approx"]),
+        ("product", ["approx", "--k", "1"]),
+        ("determinantal", ["bound"]), ("determinantal", ["approx"])],
+        ids=lambda v: v if isinstance(v, str) else "-".join(v))
+    def test_exact_entry_past_the_float_range_exits_3(self, tmp_path, capsys,
+                                                      kind, options):
+        path = write_doc(tmp_path / "past_floats.json", PAST_FLOATS[kind])
+        assert main([options[0], path, "--mode", "exact", *options[1:]]) == 3
+        assert "overflows the float range" in capsys.readouterr().err
+
+    def test_exact_permanent_needs_no_float_view(self, tmp_path, capsys):
+        path = write_doc(tmp_path / "past_floats.json", PAST_FLOATS["product"])
+        code, doc = run_json(capsys, ["permanent", path, "--mode", "exact"])
+        assert code == 0 and doc["result"]["permanent"] == str(10 ** 400 + 1)
 
     def test_infinite_capacity_exits_3(self, tmp_path, capsys):
         path = tmp_path / "huge.json"

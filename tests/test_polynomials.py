@@ -255,6 +255,18 @@ def test_malformed_matrices_refused(reader, case):
         _MATRIX_READERS[reader](_MALFORMED_MATRICES[case])
 
 
+@pytest.mark.parametrize("reader", sorted(_MATRIX_READERS))
+def test_complex_arrays_refused(reader):
+    # numpy's float cast would drop the imaginary parts with only a warning;
+    # the dtype says so before the cast.
+    m = np.array([[0.5, 0.5j], [0.5, 0.5]])
+    read, data = _MATRIX_READERS[reader], m
+    if reader == "pencil":
+        read, data = pc.DeterminantalPolynomial, np.array([m, np.eye(2)])
+    with pytest.raises(pc.InputError, match="^expected real numbers; got a complex128"):
+        read(data)
+
+
 @pytest.mark.parametrize("reader", ["product", "pencil", "permanent"])
 def test_ragged_exact_input_names_its_shape(reader):
     # numpy builds ragged rows with dtype=object as an array of lists: the
