@@ -34,8 +34,8 @@ from .bounds import vdw_factor
 from .capacity import CapacityResult, capacity_minimize
 from .errors import InputError
 from .oracles import _TABLE_BITS, _sign_table
-from .polynomials import (EvaluationOracle, _in_chunks, _summed, _to_float,
-                          square_shape)
+from .polynomials import (EvaluationOracle, _in_chunks, _last_point, _summed,
+                          _to_float, square_shape)
 
 _TINY = 1e-300
 
@@ -189,13 +189,11 @@ class _SliceObjective:
 
     def __init__(self, oracle: DerivativeSliceOracle):
         self.oracle = oracle
-        self._y = None
 
+    @_last_point
     def _at(self, y):
-        if self._y is None or not np.array_equal(y, self._y):
-            x = np.exp(y)
-            self._y, self._jet = y.copy(), (x, *self.oracle.jet_sum(x[None], [1.0], 0))
-        return self._jet
+        x = np.exp(y)
+        return (x, *self.oracle.jet_sum(x[None], [1.0], 0))
 
     def value(self, y):
         h = self._at(y)[1]

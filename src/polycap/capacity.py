@@ -9,7 +9,9 @@ pivot along 1; a backtracking line search and a gradient fallback guard it.
 Each representation supplies f with its gradient and Hessian
 (``EvaluationOracle.log_objective`` in ``polynomials``): in closed form for
 the three structured representations and for derivative slices of product
-forms, by finite differences for other oracles.
+forms, by finite differences for other oracles. A closed-form objective keeps
+what it computed at its last y, so the accepted line-search value, the
+gradient and the Hessian at one y share one factorization.
 
 Also here: Sinkhorn matrix scaling (matrix capacity as the product of the
 scalers).

@@ -6,9 +6,12 @@ does the loading and the printing, and a ``_cmd_*`` function the run:
 
     {"schema": "polycap/1", "command": ..., "inputs": ..., "result": ..., "meta": ...}
 
-Result objects go into the report as they are: the ``default`` hook of the
-one ``json.dumps`` call writes a result dataclass as its fields, a non-finite
-float field as null, a Fraction as its string and a complex root as [re, im].
+Result objects go into the report as they are. ``_json`` writes the report
+byte for byte as ``json.dumps(report, indent=2, sort_keys=True,
+default=_encode, allow_nan=False)`` would, joining each row of floats in one
+C-level call; ``_encode`` writes a result dataclass as its fields, a
+non-finite float field as null, a Fraction as its string and a complex root as
+[re, im].
 
 Exit codes: 0 success, 1 check-suite failure (or a failed diagnostic with
 --strict), 2 invalid input, 3 resource limit refused, 4 unexpected error.
@@ -43,6 +46,7 @@ from .polynomials import (
 )
 
 _EQUALITY_TOL = 1e-9
+_ascii = json.encoder.encode_basestring_ascii
 # How a refusal names the one representation a command needs.
 _KIND_NAMES = {
     ProductFormPolynomial: "'product' document (the matrix rows)",
@@ -58,7 +62,7 @@ def _finite(value):
 
 
 def _encode(obj):
-    """json.dumps default: what json cannot write by itself."""
+    """What json cannot write by itself (``json.dumps``'s ``default``)."""
     if dataclasses.is_dataclass(obj):
         return {f.name: _finite(getattr(obj, f.name))
                 for f in dataclasses.fields(obj)}
@@ -67,6 +71,58 @@ def _encode(obj):
     if isinstance(obj, complex):
         return [obj.real, obj.imag]
     raise TypeError(f"cannot write {type(obj).__name__} into a report")
+
+
+def _json(obj, pad: str = "\n") -> str:
+    """obj as ``json.dumps(obj, indent=2, sort_keys=True, default=_encode,
+    allow_nan=False)`` writes it, with ``pad`` the newline and indent of its
+    level. A list of finite floats is joined in one C-level call; any other
+    item (an int, a bool, a nested list) sends its list item by item, so an
+    error is the one json raises, at the same item."""
+    if isinstance(obj, str):
+        return _ascii(obj)
+    if obj is None:
+        return "null"
+    if obj is True:
+        return "true"
+    if obj is False:
+        return "false"
+    if isinstance(obj, int):
+        return int.__repr__(obj)
+    if isinstance(obj, float):
+        if not math.isfinite(obj):
+            raise ValueError(
+                f"Out of range float values are not JSON compliant: {obj!r}")
+        return float.__repr__(obj)
+    inner = pad + "  "
+    if isinstance(obj, (list, tuple)):
+        if not obj:
+            return "[]"
+        try:
+            if all(map(math.isfinite, obj)):
+                items = map(float.__repr__, obj)
+                return "[" + inner + ("," + inner).join(items) + pad + "]"
+        except Exception:  # written item by item below, as json would
+            pass
+        items = (_json(v, inner) for v in obj)
+        return "[" + inner + ("," + inner).join(items) + pad + "]"
+    if isinstance(obj, dict):
+        if not obj:
+            return "{}"
+        items = (f"{_ascii(_key(k))}: {_json(v, inner)}"
+                 for k, v in sorted(obj.items()))
+        return "{" + inner + ("," + inner).join(items) + pad + "}"
+    return _json(_encode(obj), pad)
+
+
+def _key(key) -> str:
+    """A dict key as json turns it into a string."""
+    if isinstance(key, str):
+        return key
+    if key is None or isinstance(key, (int, float)):
+        return _json(key)
+    raise TypeError(f"keys must be str, int, float, bool or None, "
+                    f"not {key.__class__.__name__}")
 
 
 def _emit(args, inputs: dict, result):
@@ -84,8 +140,7 @@ def _emit(args, inputs: dict, result):
         }
     # A non-finite float left outside a result field raises (exit 4) rather
     # than writing Infinity or NaN, which are not JSON.
-    text = json.dumps(report, indent=2, sort_keys=True, default=_encode,
-                      allow_nan=False)
+    text = _json(report)
     if args.output:
         try:
             with open(args.output, "w", encoding="utf-8") as fh:

@@ -102,6 +102,12 @@ def _root_profiles(poly: EvaluationOracle, points, direction) -> list:
             for x, r, e in zip(points.tolist(), roots, noise.tolist())]
 
 
+def _check_seed(seed):
+    # numpy refuses a negative seed with a bare ValueError.
+    if seed < 0:
+        raise InputError("seed must be >= 0")
+
+
 def root_profile(poly: EvaluationOracle, point, direction) -> RootProfile:
     """Restricted roots plus a real/complex classification for one slice:
     ``_root_profiles`` on one point."""
@@ -122,6 +128,7 @@ def real_rootedness_check(poly: EvaluationOracle, trials: int = 50,
     """
     if trials < 1:
         raise InputError("trials must be >= 1")
+    _check_seed(seed)
     n = poly.n_vars
     seeds = np.random.SeedSequence(seed)
     worst = None
@@ -145,6 +152,7 @@ def half_plane_sample_check(poly: EvaluationOracle, samples: int = 500,
     """
     if samples < 1:
         raise InputError("samples must be >= 1")
+    _check_seed(seed)
     n = poly.n_vars
     rng = np.random.default_rng(seed)
     draws = rng.standard_normal((samples, 2, n))

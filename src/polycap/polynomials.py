@@ -53,6 +53,7 @@ where its base gives ``jet_sum`` its objective is in closed form too.
 """
 from __future__ import annotations
 
+import functools
 from fractions import Fraction
 from typing import Callable, Mapping, Sequence
 
@@ -333,6 +334,21 @@ class EvaluationOracle:
         raise InputError(f"line_roots is undefined for {type(self).__name__}")
 
 
+def _last_point(method):
+    """method(self, y), its result at the last y kept on the instance: Newton
+    asks an objective for the accepted line-search value, then the gradient
+    and Hessian, at one y. A call that raises keeps nothing."""
+    key = "_last" + method.__name__
+
+    @functools.wraps(method)
+    def kept(self, y):
+        last = self.__dict__.get(key)
+        if last is None or not np.array_equal(y, last[0]):
+            last = self.__dict__[key] = (y.copy(), method(self, y))
+        return last[1]
+    return kept
+
+
 class _OracleObjective:
     """Finite-difference objective for generic evaluation oracles; the
     Hessian's diagonal comes from its row sums."""
@@ -536,6 +552,7 @@ class _SparseObjective:
         self.R = poly.exponents.astype(float)
         self.logc = np.log(poly._float_view(poly.coefficients))
 
+    @_last_point
     def _weights(self, y):
         v = self.logc + self.R @ y
         m = v.max()
@@ -637,6 +654,7 @@ class _ProductObjective:
             return np.inf
         return float(np.log(u).sum())
 
+    @_last_point
     def _row_weights(self, y):
         x = np.exp(y)
         un = self.A * x[None, :]
@@ -747,6 +765,7 @@ class _DeterminantalObjective:
     def __init__(self, poly: DeterminantalPolynomial):
         self.mats = poly._float_view(poly.matrices)
 
+    @_last_point
     def _chol(self, y):
         m = np.tensordot(np.exp(y), self.mats, axes=([0], [0]))
         return np.linalg.cholesky(m)
@@ -758,6 +777,7 @@ class _DeterminantalObjective:
             return np.inf
         return float(2.0 * np.log(np.diag(ell)).sum())
 
+    @_last_point
     def _whitened(self, y):
         ell = self._chol(y)
         # B_i = L^-1 A_i L^-T, so grad_i = e^{y_i} tr(B_i)

@@ -112,6 +112,35 @@ class TestObjectiveDerivatives:
             H = obj.hessian(y)
             assert np.abs(H.sum(axis=1)).max() <= 1e-10 * np.abs(H).max()
 
+    @pytest.mark.parametrize("kind", ["sparse", "product", "determinantal"])
+    def test_closed_forms_keep_only_their_last_point(self, kind):
+        # What an objective keeps from its last y never answers for another
+        # y, nor for that y changed in place.
+        rng = np.random.default_rng(46)
+        poly, _ = _objective_case(kind, rng)
+        obj = log_objective(poly)
+        y = rng.normal(0, 0.3, poly.n_vars)
+        for z in (y, y[::-1].copy(), y, y + 0.0):
+            fresh = log_objective(poly)
+            for method in ("value", "gradient", "hessian"):
+                np.testing.assert_array_equal(getattr(obj, method)(z),
+                                              getattr(fresh, method)(z))
+        y += 0.1
+        np.testing.assert_array_equal(obj.hessian(y),
+                                      log_objective(poly).hessian(y))
+
+    def test_pencil_factors_once_per_point(self, monkeypatch):
+        rng = np.random.default_rng(47)
+        poly, _ = _objective_case("determinantal", rng)
+        obj = log_objective(poly)
+        calls = []
+        cholesky = np.linalg.cholesky
+        monkeypatch.setattr(np.linalg, "cholesky",
+                            lambda m: calls.append(1) or cholesky(m))
+        for y in (np.zeros(poly.n_vars), rng.normal(0, 0.3, poly.n_vars)):
+            obj.value(y), obj.gradient(y), obj.hessian(y)
+        assert len(calls) == 2
+
     @pytest.mark.parametrize("kind", ["function", "derivative-slice"])
     def test_finite_difference_hessian_takes_its_diagonal_from_the_rows(self, kind):
         rng = np.random.default_rng(45)

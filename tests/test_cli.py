@@ -1,17 +1,21 @@
 """Command-line interface: JSON reports, exit codes, determinism."""
 import argparse
+import dataclasses
 import json
 import math
 import os
+import random
 import subprocess
 import sys
+from decimal import Decimal
+from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 import polycap as pc
-from polycap import bounds, cli, fixtures
+from polycap import bounds, capacity, cli, fixtures
 from polycap import io as pio
 from polycap.cli import main
 from polycap.polynomials import SLICE_DEGREE_CAP
@@ -108,6 +112,138 @@ class TestReportFields:
             assert len(worst["roots"]) == 3
             assert all(len(r) == 2 and all(isinstance(v, float) for v in r)
                        for r in worst["roots"])
+
+
+def dumps(obj) -> str:
+    """What the report writer must match, byte for byte."""
+    return json.dumps(obj, indent=2, sort_keys=True, default=cli._encode,
+                      allow_nan=False)
+
+
+@dataclasses.dataclass
+class Sample:
+    x: float
+    rows: tuple
+    label: str
+
+
+# Scalars the writer has to spell as json does.
+FLOATS = [0.0, -0.0, 1.0, -2.5, 0.1, 1 / 3, 5e-324, 2.2250738585072014e-308,
+          1.7976931348623157e308, 1e16, 1e-7, 123456789.125, -1e22]
+STRINGS = ["", "a", "polycap/1", "é中\U0001f600", "\ud800",
+           "quote\" back\\ slash/", "\n\r\t\b\f\x00\x1f\x7f"]
+
+
+def random_scalar(rng: random.Random):
+    kind = rng.randrange(11)
+    if kind == 0:
+        return rng.choice(FLOATS)
+    if kind == 1:
+        return np.float64(rng.uniform(-1e3, 1e3))
+    if kind == 2:
+        return rng.uniform(-1.0, 1.0) * 10.0 ** rng.randint(-320, 300)
+    if kind == 3:
+        return rng.choice([rng.randint(-5, 5), 10 ** rng.randint(17, 400),
+                           -(2 ** 64) - 1])
+    if kind == 4:
+        return rng.choice([True, False, None])
+    if kind == 5:
+        return rng.choice(STRINGS) + "".join(
+            chr(rng.randrange(0x20000)) for _ in range(rng.randrange(4)))
+    if kind == 6:
+        return Fraction(rng.randint(-10 ** 30, 10 ** 30), rng.randint(1, 99))
+    if kind == 7:
+        return complex(rng.choice(FLOATS), rng.uniform(-1, 1))
+    if kind == 8:
+        return Sample(rng.choice([float("inf"), float("nan"), 0.5]),
+                      tuple(rng.uniform(0, 1) for _ in range(rng.randrange(3))),
+                      rng.choice(STRINGS))
+    if kind == 9:
+        return capacity.CapacityResult(rng.uniform(0, 1), (1.0, 2.0), 3,
+                                       float("nan"), "gradient", None)
+    return rng.randrange(3)  # a small int inside a float row
+
+
+def random_object(rng: random.Random, depth=0):
+    kind = rng.randrange(7) if depth < 4 else 6
+    if kind == 0:  # a float row, numpy scalars among them
+        row = [rng.choice([rng.uniform(-1, 1), np.float64(rng.gauss(0, 1e5)),
+                           rng.choice(FLOATS)]) for _ in range(rng.randrange(6))]
+        return tuple(row) if rng.random() < 0.5 else row
+    if kind == 1:  # a row that falls back item by item
+        return [random_scalar(rng) for _ in range(rng.randrange(5))]
+    if kind == 2:
+        items = [random_object(rng, depth + 1) for _ in range(rng.randrange(4))]
+        return tuple(items) if rng.random() < 0.3 else items
+    if kind in (3, 4):
+        return {rng.choice(STRINGS) + str(rng.randrange(50)):
+                random_object(rng, depth + 1) for _ in range(rng.randrange(5))}
+    if kind == 5:  # keys json turns into strings, one type per dict
+        keys = rng.choice([lambda: rng.randint(-9, 9),
+                           lambda: rng.choice(FLOATS), lambda: rng.random()])
+        return {keys(): random_object(rng, depth + 1)
+                for _ in range(rng.randrange(4))}
+    return random_scalar(rng)
+
+
+class TestReportWriter:
+    """``cli._json`` writes what ``json.dumps(indent=2, sort_keys=True)``
+    writes, and fails where it fails."""
+
+    def test_matches_json_dumps_on_random_objects(self):
+        rng = random.Random(29)
+        for _ in range(3000):
+            obj = random_object(rng)
+            assert cli._json(obj) == dumps(obj), obj
+
+    @pytest.mark.parametrize("obj", [
+        {}, [], (), [[]], {"a": {}}, [1.0, [2.0], 3.0], [1.0, True, 2.0],
+        [np.float64(0.5), 1.5], [float(2 ** 60), 10 ** 400],
+        {True: 1, False: 2}, {None: [0.25]}, [Fraction(1, 3), 1j],
+        [0.5, Fraction(10 ** 400)],
+    ], ids=repr)
+    def test_matches_json_dumps_on_edge_cases(self, obj):
+        assert cli._json(obj) == dumps(obj)
+
+    @pytest.mark.parametrize("obj", [
+        [1.0, float("inf")], [float("nan")], (0.5, np.float64("-inf")),
+        {"x": [1, float("inf")]}, [0.5, [np.int64(1)], float("inf")],
+        [np.int64(3)], [1.0, np.bool_(True)], {"a": np.float32(1.0)},
+        {1: 1, "a": 2}, {(1, 2): 3}, [0.5, Decimal("sNaN")],
+    ], ids=repr)
+    def test_raises_what_json_dumps_raises(self, obj):
+        with pytest.raises((ValueError, TypeError)) as expected:
+            dumps(obj)
+        with pytest.raises(expected.type) as raised:
+            cli._json(obj)
+        assert str(raised.value) == str(expected.value)
+
+    @pytest.mark.parametrize("value, error", [
+        ([1.0, float("inf")],
+         "ValueError: Out of range float values are not JSON compliant: inf"),
+        (np.int64(3), "TypeError: cannot write int64 into a report"),
+        ([0.5, np.bool_(True)], "TypeError: cannot write "
+         f"{type(np.bool_(True)).__name__} into a report"),
+    ], ids=["inf-row", "int64", "bool_"])
+    def test_unwritable_result_exits_4(self, monkeypatch, capsys,
+                                       product_file, value, error):
+        monkeypatch.setattr(cli, "permanent_ryser", lambda *a, **k: value)
+        assert main(["permanent", product_file]) == 4
+        captured = capsys.readouterr()
+        assert captured.out == "" and captured.err == f"error: {error}\n"
+
+    @pytest.mark.parametrize("argv", [
+        ["scale"], ["bound"], ["capacity"], ["approx", "--k", "1"],
+        ["check-hyperbolic", "--trials", "5", "--samples", "20"],
+        ["bound", "--mode", "exact"],
+    ], ids=["scale", "bound", "capacity", "approx", "check-hyperbolic",
+            "bound-exact"])
+    @pytest.mark.parametrize("no_meta", [[], ["--no-meta"]], ids=["meta", "no-meta"])
+    def test_reports_are_json_dumps_indent_2(self, capsys, product_file, argv,
+                                             no_meta):
+        assert main(argv[:1] + [product_file] + argv[1:] + no_meta) == 0
+        out = capsys.readouterr().out
+        assert out == json.dumps(json.loads(out), indent=2, sort_keys=True) + "\n"
 
 
 class ReadRecorder(argparse.Namespace):
@@ -411,6 +547,10 @@ class TestCheckHyperbolicCommand:
         assert doc["result"]["passed"] is False
         assert main(["check-hyperbolic", path, "--trials", "5",
                      "--samples", "50", "--strict"]) == 1
+
+    def test_negative_seed_exits_2(self, capsys, product_file):
+        assert main(["check-hyperbolic", product_file, "--seed", "-1"]) == 2
+        assert capsys.readouterr().err == "error: seed must be >= 0\n"
 
 
 class TestScaleCommand:

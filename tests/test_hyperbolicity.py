@@ -382,3 +382,12 @@ class TestHalfPlaneSampleCheck:
     def test_samples_validation(self):
         with pytest.raises(pc.InputError):
             pc.half_plane_sample_check(two_squares(), samples=0)
+
+
+@pytest.mark.parametrize("check", [pc.real_rootedness_check,
+                                   pc.half_plane_sample_check])
+def test_negative_seed_refused_before_evaluation(check):
+    p = fixtures.uniform_product_polynomial(3, mode="float")
+    with pytest.raises(pc.InputError, match="seed must be >= 0"):
+        check(p, seed=-1)
+    assert p.calls == 0
