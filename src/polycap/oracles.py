@@ -6,12 +6,16 @@ sum, ``signed_sums``: a form of degree n polarized along n vectors with the
 first sign fixed, 2^(n-1) terms, as homogeneity pairs each sign pattern with
 its negation. Glynn's permanent polarizes x_1...x_n along the columns; a
 mixed form polarizes the polynomial along the canonical basis (for a
-determinantal polynomial, its mixed discriminant). Exact mode evaluates over
-ints, reading the data as integer numerators over one denominator (one per
-row for the permanent). In float mode the order of every sum is fixed, so
-results are bit-stable, and a sum that leaves the float range is refused
-with ResourceLimitError, not inf or nan. Each representation picks its exact
-mixed partial (``mixed_partial``); ``exact_mixed_partial`` checks the degree.
+determinantal polynomial, its mixed discriminant). The points come in
+point-major blocks, one C-contiguous (n, 2^10) array per shift of the sign
+table, so the permanent's row products run along whole rows of the block.
+Exact mode evaluates over ints, reading the data as integer numerators over
+one denominator (one per row for the permanent); the permanent takes its row
+sums and partial products in int64 wherever their bounds allow. In float
+mode the order of every sum is fixed, so results are bit-stable, and a sum
+that leaves the float range is refused with ResourceLimitError, not inf or
+nan. Each representation picks its exact mixed partial (``mixed_partial``);
+``exact_mixed_partial`` checks the degree.
 """
 from __future__ import annotations
 
@@ -34,8 +38,11 @@ RYSER_EXACT_CAP = 14
 POLARIZATION_FLOAT_CAP = 22
 POLARIZATION_EXACT_CAP = 14
 MIXED_DISC_CAP = 12
-# signed_sums tabulates this many vectors at once: 2^10 rows.
+# signed_sums tabulates this many vectors at once: 2^10 points. Another value
+# changes the order of the float sums, and so the float results.
 _TABLE_BITS = 10
+# int64 holds every partial product whose bound stays below this.
+_INT64_BOUND = 1 << 62
 
 
 def permanent_ryser(matrix, mode: str | None = None):
@@ -59,38 +66,74 @@ def permanent_ryser(matrix, mode: str | None = None):
                 f"exact permanent refused: n={n} exceeds the cap of {RYSER_EXACT_CAP}"
             )
         a, den = _integer_rows(a)
+        a, groups = _int64_groups(a)
     elif n > RYSER_FLOAT_CAP:
         raise ResourceLimitError(
             f"float permanent refused: n={n} exceeds the cap of {RYSER_FLOAT_CAP}"
         )
+    else:
+        groups = [slice(None)]
+
+    def row_products(P):
+        # Each group's rows multiplied in order down the block, as one
+        # np.prod per point would; exact groups are joined as Python ints.
+        parts = [np.multiply.reduce(P[g], axis=0) for g in groups]
+        if mode == "float":
+            return parts[0]
+        return prod(part.astype(object) for part in parts)
+
     # The polarization of x_1...x_n along the columns, with d_1 fixed to 1.
     with np.errstate(over="ignore", invalid="ignore"):
-        total = signed_sums(lambda rows: np.prod(rows, axis=1),
-                            a.T[1:], a.T[:1]).tolist()[0]
+        total = signed_sums(row_products, a.T[1:], a.T[0])
     if mode == "exact":
         return Fraction(total, prod(den.tolist()) << (n - 1))
     return _finite_sum(total / 2.0 ** (n - 1), "permanent")
 
 
+def _int64_groups(N):
+    """(N, groups): the integer numerators N as int64, with the rows split in
+    order into slices whose products of row bounds sum_j |N_ij| stay below
+    2^62, so every +-1 row sum and each group's product of them is exact in
+    int64. A row bound of 2^62 or more keeps N as Python ints, in one group."""
+    bounds = [sum(map(abs, row)) for row in N.tolist()]
+    if max(bounds) >= _INT64_BOUND:
+        return N, [slice(None)]
+    groups, start, product = [], 0, 1
+    for i, bound in enumerate(bounds):
+        if product * bound >= _INT64_BOUND:
+            groups.append(slice(start, i))
+            start, product = i, 1
+        product *= bound
+    groups.append(slice(start, len(bounds)))
+    return N.astype(np.int64), groups
+
+
 def _finite_sum(value: float, what: str) -> float:
-    """value, or ResourceLimitError if a float sum left the float range."""
+    """value as a Python float, or ResourceLimitError if a float sum left
+    the float range."""
     if not isfinite(value):
         raise ResourceLimitError(
             f"float {what} refused: the result overflows the float range; "
             "rescale the input or use exact mode")
-    return value
+    return float(value)
 
 
 def permanent_error_bound(matrix) -> float:
     """Upper bound on the error of the float ``permanent_ryser(matrix)``, the
     a-priori bound of its docstring: gamma_k prod_i sum_j |a_ij| over the
     float entries, with k = 2^(n-1)+n^2, gamma_k = k u / (1 - k u) and
-    u = 2^-53. It is formed in Fractions and rounded up, so it is itself an
-    upper bound; inf past the float range."""
-    rows = [[abs(Fraction(float(v))) for v in r] for r in matrix]
-    n = len(rows)
+    u = 2^-53. It is formed exactly, each row sum as an integer over the
+    row's largest power-of-two denominator, and rounded up, so it is itself
+    an upper bound; inf past the float range."""
+    nums, dens = [], []
+    for r in matrix:
+        ratios = [abs(float(v)).as_integer_ratio() for v in r]
+        den = max((q for _, q in ratios), default=1)
+        nums.append(sum(p * (den // q) for p, q in ratios))
+        dens.append(den)
+    n = len(nums)
     k = (1 << (n - 1)) + n * n
-    bound = Fraction(k, (1 << 53) - k) * prod(sum(r) for r in rows)
+    bound = Fraction(k * prod(nums), ((1 << 53) - k) * prod(dens))
     try:
         value = float(bound)
     except OverflowError:
@@ -109,27 +152,25 @@ def _sign_table(vectors):
     return table, signs
 
 
-def signed_sums(f, vectors, offsets):
-    """sum over b in {-1,1}^k of prod(b) * f(offset_t + sum_i b_i v_i) for
-    each row t of ``offsets``, as an array.
+def signed_sums(f, vectors, offset):
+    """sum over b in {-1,1}^k of prod(b) * f(offset + sum_i b_i v_i).
 
-    ``f`` maps an array of points, one per row, to their values.
-    ``vectors`` is a (k, d) array and ``offsets`` a (T, d) one. The first
+    ``vectors`` is a (k, d) array and ``offset`` a length-d vector. The first
     ``_TABLE_BITS`` vectors are tabulated once and each sign pattern of the
     rest shifts the table, so every point is a fresh sum: float sums do not
-    drift. Object (Fraction) arrays stay exact. Each call of ``f`` gets
-    T * 2^min(k, _TABLE_BITS) points.
+    drift. Object (Fraction or Python int) arrays stay exact. ``f`` gets the
+    points in point-major blocks: a C-contiguous (d, 2^min(k, _TABLE_BITS))
+    array whose columns are the points, and returns their values.
     """
     table, signs = _sign_table(vectors[:_TABLE_BITS])
     shifts, shift_signs = _sign_table(vectors[_TABLE_BITS:])
-    offsets = offsets[:, None, :]
-    sums = 0
+    # Contiguous, so that every block built from it is C-ordered too.
+    table = np.ascontiguousarray(table.T)
+    total = 0
     # Python int signs: an np.int64 times an int past 2^63 overflows.
     for shift, sign in zip(shifts, shift_signs.tolist()):
-        points = table + (shift + offsets)
-        values = f(points.reshape(-1, table.shape[1]))
-        sums = sums + sign * (values.reshape(-1, len(table)) @ signs)
-    return sums
+        total = total + sign * (f(table + (shift + offset)[:, None]) @ signs)
+    return total
 
 
 def mixed_form(poly: EvaluationOracle):
@@ -152,7 +193,8 @@ def mixed_form(poly: EvaluationOracle):
         )
     basis = np.eye(n, dtype=int)
     with np.errstate(over="ignore", invalid="ignore"):
-        s = signed_sums(poly.evaluate_batch, basis[1:], basis[:1]).tolist()[0]
+        s = signed_sums(lambda P: poly.evaluate_batch(np.ascontiguousarray(P.T)),
+                        basis[1:], basis[0])
     if exact:
         return s * Fraction(1, 1 << (n - 1))
     return _finite_sum(s / float(1 << (n - 1)), "polarization")

@@ -7,7 +7,8 @@ import numpy as np
 import pytest
 
 import polycap as pc
-from polycap import fixtures
+from polycap import fixtures, oracles
+from polycap.polynomials import _integer_rows
 
 
 def permanent_by_permutations(m):
@@ -24,6 +25,60 @@ def gamma(k):
 
 def dyadic(rows, den=1024):
     return [[Fraction(round(float(v) * den), den) for v in row] for row in rows]
+
+
+def permanent_by_expansion(m):
+    """per(m) by expansion along the rows in turn, one entry per column subset
+    of the rows still to expand (the bitmask form of the cofactor expansion)."""
+    n = len(m)
+    per = {0: 1}
+    for mask in range(1, 1 << n):
+        i = n - bin(mask).count("1")
+        per[mask] = sum(m[i][j] * per[mask ^ (1 << j)]
+                        for j in range(n) if mask >> j & 1)
+    return per[(1 << n) - 1]
+
+
+def glynn_row_major(m):
+    """The float Glynn sum as the row-major kernel formed it: (2^10, n) blocks
+    of points, one np.prod along each row, and the shifts of the 2^10-point
+    table summed in order."""
+    a = np.array(m, dtype=float)
+    n = len(a)
+
+    def sign_table(vectors):
+        table, signs = np.zeros((1, n)), np.ones(1, dtype=int)
+        for v in vectors:
+            table = np.concatenate([table + v, table - v])
+            signs = np.concatenate([signs, -signs])
+        return table, signs
+
+    table, signs = sign_table(a.T[1:11])
+    shifts, shift_signs = sign_table(a.T[11:])
+    total = 0
+    for shift, sign in zip(shifts, shift_signs.tolist()):
+        points = table + (shift + a.T[:1][:, None, :])
+        values = np.prod(points.reshape(-1, n), axis=1)
+        total = total + sign * (values.reshape(-1, len(table)) @ signs)
+    return total.tolist()[0] / 2.0 ** (n - 1)
+
+
+def int64_groups(m):
+    """The exact kernel's view of the rational matrix m: (numerators, row groups)."""
+    return oracles._int64_groups(_integer_rows(np.array(m, dtype=object))[0])
+
+
+def error_bound_by_fractions(m):
+    """The float permanent's error bound formed with one Fraction per entry."""
+    rows = [[abs(Fraction(float(v))) for v in r] for r in m]
+    n = len(rows)
+    k = (1 << (n - 1)) + n * n
+    bound = Fraction(k, (1 << 53) - k) * math.prod(sum(r) for r in rows)
+    try:
+        value = float(bound)
+    except OverflowError:
+        return math.inf
+    return value if value >= bound else math.nextafter(value, math.inf)
 
 
 class TestPermanentRyser:
@@ -87,13 +142,19 @@ class TestPermanentRyser:
                 gamma(2 ** (n - 1) + n * n) * scale
 
     def test_exact_past_int64(self):
-        # n = 12 with entries a/60: the integer numerators' row products pass
-        # 2^63, and column 12 sits past the 2^10-row table.
+        # n = 12 with entries a/60: each row's numerators over its common
+        # denominator (a divisor of 60) sum to at most 720, and the twelve
+        # row bounds multiply past 2^62, so the rows run in several int64
+        # groups; column 12 sits past the 2^10-point table.
         rng = np.random.default_rng(15)
         m = [[Fraction(int(v), 60) for v in row]
              for row in rng.integers(6, 61, size=(12, 12))]
+        N, groups = int64_groups(m)
+        assert N.dtype == np.int64 and len(groups) >= 2
+        assert [i for g in groups for i in range(12)[g]] == list(range(12))
         value = pc.permanent_ryser(m, mode="exact")
         assert isinstance(value, Fraction)
+        assert value == permanent_by_expansion(m)
         assert value == pc.mixed_form(pc.ProductFormPolynomial(m, mode="exact"))
 
     def test_float_within_bound_on_dyadic_families(self):
@@ -135,6 +196,65 @@ class TestPermanentRyser:
                 sum(abs(Fraction(v)) for v in row) for row in floats)
             error = Fraction(pc.permanent_ryser(floats, mode="float")) - exact
             assert abs(error) <= Fraction(bound)
+
+    @pytest.mark.parametrize("n", range(11, 21))
+    def test_float_equals_the_row_major_kernel(self, n):
+        # n >= 11 puts vectors past the 2^10-point table, so the shift loop
+        # runs: the point-major blocks must add and multiply in the same order.
+        rng = np.random.default_rng(70 + n)
+        m = rng.random((n, n)) * 10.0 ** rng.integers(-3, 4, (n, 1))
+        m[rng.random((n, n)) < 0.3] *= -1
+        value = pc.permanent_ryser(m.tolist(), mode="float")
+        assert type(value) is float
+        assert value == glynn_row_major(m)
+
+    def test_exact_numerator_of_2_to_70(self):
+        # A numerator of 2^70 leaves int64: the same sum runs over Python
+        # ints, in one group.
+        rng = np.random.default_rng(72)
+        m = [[Fraction(int(v), 3) for v in row]
+             for row in rng.integers(-9, 10, size=(11, 11))]
+        m[4][7] = Fraction(2 ** 70)
+        N, groups = int64_groups(m)
+        assert N.dtype == object and groups == [slice(None)]
+        assert pc.permanent_ryser(m, mode="exact") == permanent_by_expansion(m)
+
+    def test_exact_negative_entries(self):
+        rng = np.random.default_rng(73)
+        m = [[Fraction(int(a), int(b)) for a, b in zip(row, dens)]
+             for row, dens in zip(rng.integers(-30, 31, (12, 12)),
+                                  rng.integers(1, 30, (12, 12)))]
+        assert pc.permanent_ryser(m, mode="exact") == permanent_by_expansion(m)
+
+    def test_exact_row_of_one_huge_and_many_small_entries(self):
+        # Row 0's bound is just under 2^62, so it is a group on its own; row 1
+        # holds 1 beside entries 2^-40, numerators 2^40 and 1.
+        rng = np.random.default_rng(74)
+        n = 11
+        m = [[Fraction(int(v), 5) for v in row]
+             for row in rng.integers(0, 6, size=(n, n))]
+        m[0] = [Fraction(2 ** 61 + 1)] + [Fraction(1)] * (n - 1)
+        m[1] = [Fraction(1)] + [Fraction(1, 2 ** 40)] * (n - 1)
+        N, groups = int64_groups(m)
+        assert N.dtype == np.int64 and groups[0] == slice(0, 1)
+        assert pc.permanent_ryser(m, mode="exact") == permanent_by_expansion(m)
+
+    def test_error_bound_equals_the_fraction_formula(self):
+        rng = np.random.default_rng(75)
+        for n in range(1, 21):
+            m = rng.random((n, n)) * 10.0 ** rng.integers(-20, 0, (n, n))
+            m[rng.random((n, n)) < 0.3] *= -1
+            m[rng.random((n, n)) < 0.1] = 0.0
+            m[rng.random((n, n)) < 0.1] = 5e-324
+            m = m.tolist()
+            m[0][0] = 1e300
+            assert pc.permanent_error_bound(m) == error_bound_by_fractions(m)
+        for m in ([[0.0]], [[5e-324, -5e-324], [0.0, 1.0]],
+                  [[-0.5, 0.25, 1e-310], [1.0, 0.0, -3.0], [7.0, 0.1, 0.2]]):
+            assert pc.permanent_error_bound(m) == error_bound_by_fractions(m)
+        # Past the float range: inf from both.
+        big = [[1e300, -1e300], [1e300, 1e300]]
+        assert pc.permanent_error_bound(big) == error_bound_by_fractions(big) == math.inf
 
     def test_exact_cap(self):
         with pytest.raises(pc.ResourceLimitError):
