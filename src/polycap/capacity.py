@@ -181,11 +181,12 @@ def sinkhorn_scale(matrix, tol: float = 1e-10, max_iter: int = 10000) -> Scaling
     """
     if not tol > 0:
         raise InputError("tol must be positive")
-    _, B = _scalar_array(matrix, "float", 2)
+    _, B = _scalar_array(matrix, "float", 2)  # a private copy, scaled in place
     if np.any(B < 0):
         raise InputError("matrix entries must be nonnegative")
     n = B.shape[0]
-    if np.any(B.sum(axis=1) == 0) or np.any(B.sum(axis=0) == 0):
+    r = B.sum(axis=1)
+    if np.any(r == 0) or np.any(B.sum(axis=0) == 0):
         raise InputError("matrix has a zero row or column; capacity degenerates to 0")
 
     d1 = np.ones(n)
@@ -194,13 +195,15 @@ def sinkhorn_scale(matrix, tol: float = 1e-10, max_iter: int = 10000) -> Scaling
     iterations = max_iter
     dev = np.inf
     for it in range(1, max_iter + 1):
-        r = B.sum(axis=1)
-        B = B / r[:, None]
+        B /= r[:, None]
         d1 *= r
         c = B.sum(axis=0)
-        B = B / c[None, :]
+        B /= c
         d2 *= c
-        dev = _stochastic_deviation(B)
+        # The row sums measure this sweep's deviation and divide the next.
+        r = B.sum(axis=1)
+        dev = max(float(np.abs(r - 1).max()),
+                  float(np.abs(B.sum(axis=0) - 1).max()))
         if dev <= tol:
             status = "converged"
             iterations = it
@@ -209,6 +212,7 @@ def sinkhorn_scale(matrix, tol: float = 1e-10, max_iter: int = 10000) -> Scaling
     with np.errstate(over="ignore"):
         capacity = float(np.prod(d1) * np.prod(d2))
     log_capacity = float(np.log(d1).sum() + np.log(d2).sum())
-    return ScalingResult(tuple(d1), tuple(d2), tuple(map(tuple, B)), capacity,
-                         log_capacity, iterations, dev, status)
+    return ScalingResult(tuple(d1.tolist()), tuple(d2.tolist()),
+                         tuple(map(tuple, B.tolist())), capacity, log_capacity,
+                         iterations, dev, status)
 

@@ -8,16 +8,25 @@ Files are JSON with a ``kind`` discriminator::
 
 Scalars are decimal or rational strings ("0.5", "1/3", "6"), so exact inputs
 are written without rounding. Plain JSON numbers are accepted in float mode,
-and JSON integers in exact mode too. Each distinct string is parsed once per
-document, and its value is reused wherever it appears in that document.
-The package reads these documents and does not write them.
+and JSON integers in exact mode too. A document's strings go through one
+table: each distinct string is parsed once per load, in float mode in bulk
+(float(), or int(p) / int(q) for "p/q", with parse_scalar taking whatever
+those refuse), and each entry of a matrix of strings is then looked up in C,
+straight into a float array in float mode. A matrix that holds a JSON number
+or bool is parsed entry by entry. The package reads these documents and does
+not write them.
 """
 from __future__ import annotations
 
 import json
 import math
+import re
 from fractions import Fraction
+from itertools import chain
 from numbers import Integral, Real
+from operator import truediv
+
+import numpy as np
 
 from .errors import InputError
 from .polynomials import (
@@ -28,6 +37,8 @@ from .polynomials import (
 )
 
 SCHEMA = "polycap/1"
+# The strings _ratio reads without Fraction, for a bulk check.
+_RATIO_SHAPE = re.compile(r"[+-]?\d+/\d+")
 
 
 def _ratio(text: str):
@@ -85,36 +96,94 @@ def _check_list(value, where: str, of: str):
     return value
 
 
-def _scalar_parser(mode: str):
-    """parse_scalar for one document: each distinct string is parsed once and
-    its value reused. Only str values are remembered (True, 1 and 1.0 hash
-    alike but parse differently), a failed parse raises before it is stored,
-    and the memo is dropped with the parser, so nothing outlives a load."""
-    memo = {}
+def _bulk_floats(strings, table: dict):
+    """Store in table the float of each string that float mode can parse in
+    bulk, with parse_scalar's value: float() over the strings without '/',
+    and int(p) / int(q) over those of _ratio's shape [+-]digits/digits, a
+    digit being what str.isdecimal accepts. A group with any refusal
+    (ValueError, a non-finite value, a zero denominator, an overflow) is left
+    out whole, as is every other string, for parse_scalar to parse or
+    refuse."""
+    plain = [s for s in strings if "/" not in s]
+    ratios = (list(filter(_RATIO_SHAPE.fullmatch, strings))
+              if len(plain) < len(strings) else [])
+    try:
+        values = list(map(float, plain))
+        if all(map(math.isfinite, values)):
+            table.update(zip(plain, values))
+    except ValueError:
+        pass
+    if ratios:
+        # Each of them holds one '/', so the joined parts alternate p, q.
+        parts = "/".join(ratios).split("/")
+        try:
+            table.update(zip(ratios, list(map(
+                truediv, map(int, parts[::2]), map(int, parts[1::2])))))
+        except (ValueError, ZeroDivisionError, OverflowError):
+            pass
 
-    def parse(value):
+
+class _ScalarTable:
+    """The scalars of one document, keyed by their strings: each distinct
+    string is parsed once per load and its value reused. Only str keys are
+    stored (True, 1 and 1.0 hash alike but parse differently), a failed parse
+    raises before it is stored, and the table is dropped after the load."""
+
+    def __init__(self, mode: str):
+        self.mode = mode
+        self.values = {}
+
+    def parse(self, value):
+        """parse_scalar for one entry, through the table for a string."""
         if type(value) is not str:
-            return parse_scalar(value, mode)
-        parsed = memo.get(value)
+            return parse_scalar(value, self.mode)
+        parsed = self.values.get(value)
         if parsed is None:
-            parsed = memo[value] = parse_scalar(value, mode)
+            parsed = self.values[value] = parse_scalar(value, self.mode)
         return parsed
 
-    return parse
+    def rows(self, rows):
+        """The parsed scalars of a list of rows: one float ndarray for
+        rectangular rows in float mode, else lists. The new distinct strings
+        are parsed first, in bulk in float mode, and every entry is then
+        mapped through the table in C. Rows holding anything but strings (a
+        number, a bool, an unhashable value) are parsed entry by entry."""
+        try:
+            distinct = set(chain.from_iterable(rows))
+        except TypeError:
+            distinct = set()
+        if set(map(type, distinct)) != {str}:
+            return [[self.parse(v) for v in row] for row in rows]
+        values = self.values
+        new = list(distinct.difference(values))
+        size = len(values) + len(new)
+        if self.mode == "float":
+            _bulk_floats(new, values)
+        if len(values) < size:
+            # In row-major order, so the first refusal is the first bad entry.
+            for s in chain.from_iterable(rows):
+                if s not in values:
+                    values[s] = parse_scalar(s, self.mode)
+        get = values.__getitem__
+        width = len(rows[0])
+        if self.mode == "float" and set(map(len, rows)) == {width}:
+            return np.fromiter(map(get, chain.from_iterable(rows)), float,
+                               len(rows) * width).reshape(len(rows), width)
+        return [list(map(get, row)) for row in rows]
 
 
-def _parse_rows(rows, parse, where: str):
-    """parse over a list of rows. On failure the rows are scanned again to name
-    the bad entry, as in matrix[0][1], so success builds no label."""
+def _parse_rows(rows, table: _ScalarTable, where: str):
+    """table.rows over a list of rows. On failure the rows are scanned again
+    to name the bad entry, as in matrix[0][1], so success builds no label."""
     for i, row in enumerate(_check_list(rows, where, "rows")):
         _check_list(row, f"{where}[{i}]", "scalars")
     try:
-        return [[parse(v) for v in row] for row in rows]
+        return table.rows(rows)
     except InputError as exc:
         for i, row in enumerate(rows):
             for j, v in enumerate(row):
                 try:
-                    parse(v)
+                    table.parse(v)
                 except InputError:
                     raise InputError(f"{where}[{i}][{j}]: {exc}") from None
         raise
@@ -141,7 +210,7 @@ def polynomial_from_dict(obj, mode: str = "float"):
             raise InputError(
                 f"document pins mode {pinned!r} but {mode!r} was requested")
     kind = _require(obj, "kind", "polynomial document")
-    parse = _scalar_parser(mode)
+    table = _ScalarTable(mode)
     if kind == "sparse":
         n = _require(obj, "n", "sparse polynomial")
         if not _is_int(n) or n < 1:
@@ -157,16 +226,16 @@ def polynomial_from_dict(obj, mode: str = "float"):
             if not all(_is_int(k) for k in _check_list(exp, where, "integers")):
                 raise InputError(f"{where} must be a list of integers")
             try:
-                terms.append((exp, parse(coef)))
+                terms.append((exp, table.parse(coef)))
             except InputError as exc:
                 raise InputError(f"terms[{idx}].coef: {exc}") from None
         return SparsePolynomial(n, terms, mode=mode)
     if kind == "product":
         matrix = _require(obj, "matrix", "product polynomial")
-        return ProductFormPolynomial(_parse_rows(matrix, parse, "matrix"), mode=mode)
+        return ProductFormPolynomial(_parse_rows(matrix, table, "matrix"), mode=mode)
     if kind == "determinantal":
         matrices = _require(obj, "matrices", "determinantal polynomial")
-        mats = [_parse_rows(m, parse, f"matrices[{k}]")
+        mats = [_parse_rows(m, table, f"matrices[{k}]")
                 for k, m in enumerate(_check_list(matrices, "matrices", "matrices"))]
         return DeterminantalPolynomial(mats, mode=mode)
     raise InputError(

@@ -399,3 +399,73 @@ class TestSinkhorn:
         if r.status == "iteration-cap":
             assert r.iterations == 10
 
+
+def sinkhorn_reference(matrix, tol=1e-10, max_iter=10000):
+    """The Sinkhorn loop as it was before it kept its row sums: each sweep
+    sums the rows, divides into a new matrix twice, and measures the
+    deviation with capacity._stochastic_deviation. (scaled matrix, row
+    scalers, column scalers, iterations, deviation, status)."""
+    B = np.array(matrix, dtype=float)
+    n = B.shape[0]
+    d1 = np.ones(n)
+    d2 = np.ones(n)
+    status = "iteration-cap"
+    iterations = max_iter
+    dev = np.inf
+    for it in range(1, max_iter + 1):
+        r = B.sum(axis=1)
+        B = B / r[:, None]
+        d1 *= r
+        c = B.sum(axis=0)
+        B = B / c[None, :]
+        d2 *= c
+        dev = capacity._stochastic_deviation(B)
+        if dev <= tol:
+            status = "converged"
+            iterations = it
+            break
+    return B, d1, d2, iterations, dev, status
+
+
+def _k_regular(n, k, rng):
+    """Entries in [0.1, 1] on the union of k random permutation supports."""
+    support = np.zeros((n, n))
+    for _ in range(k):
+        support[np.arange(n), rng.permutation(n)] = 1
+    return support * rng.uniform(0.1, 1.0, (n, n))
+
+
+class TestSinkhornAgainstReference:
+    """sinkhorn_scale keeps every bit of the loop it replaced."""
+
+    @staticmethod
+    def _same(matrix, **kwargs):
+        B, d1, d2, iterations, dev, status = sinkhorn_reference(matrix, **kwargs)
+        r = pc.sinkhorn_scale(matrix, **kwargs)
+        assert np.array_equal(np.array(r.scaled_matrix), B)
+        assert r.row_scalers == tuple(d1.tolist())
+        assert r.col_scalers == tuple(d2.tolist())
+        assert (r.iterations, r.max_deviation, r.status) == \
+            (iterations, dev, status)
+        assert type(r.max_deviation) is float
+        assert all(type(v) is float for v in r.scaled_matrix[0] + r.row_scalers)
+        return r
+
+    @pytest.mark.parametrize("n", [2, 5, 17, 60])
+    def test_dense(self, n):
+        rng = np.random.default_rng(n)
+        for _ in range(3):
+            assert self._same(rng.uniform(0.1, 1.0, (n, n))).status == \
+                "converged"
+
+    @pytest.mark.parametrize("n, k", [(10, 2), (40, 3), (80, 4), (120, 5)])
+    def test_k_regular_support(self, n, k):
+        self._same(_k_regular(n, k, np.random.default_rng(n + k)))
+
+    def test_stopped_by_max_iter(self):
+        # A support with a row that meets no diagonal converges slowly.
+        m = np.triu(np.random.default_rng(3).uniform(0.1, 1.0, (6, 6)))
+        m[-1, 0] = 1e-3
+        r = self._same(m, tol=1e-14, max_iter=25)
+        assert (r.status, r.iterations) == ("iteration-cap", 25)
+

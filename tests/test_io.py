@@ -1,6 +1,7 @@
 """The JSON document format: scalars, documents, files, error diagnostics."""
 import json
 import math
+import re
 from fractions import Fraction
 
 import numpy as np
@@ -355,23 +356,212 @@ class TestScalarMemo:
          "matrix": [[f"{(7 * i + 3 * j) % 901 + 100}/1000" for j in range(60)]
                     for i in range(60)]},
         _pencil_doc(6, 0),
+        {"kind": "determinantal", "matrices": [
+            [["1/2", "0"], ["0", "1/2"]], [["1/2", "0"], ["0", "1/4"]]]},
         {"kind": "sparse", "n": 2, "terms": [
             {"exp": [2, 0], "coef": "1"}, {"exp": [1, 1], "coef": "0"},
             {"exp": [0, 2], "coef": "1"}]},
-    ], ids=["product-60", "pencil", "sparse"])
+        {"kind": "product", "matrix": [[" 1/2", "1/2", "0.5"],
+                                       ["3/4 ", "0.5", " 1/2"],
+                                       ["1/2", "3/4 ", "0.25"]]},
+    ], ids=["product-60", "pencil", "pencil-sharing-strings", "sparse",
+            "bulk-refusals"])
     def test_each_distinct_string_is_parsed_once_per_load(self, doc,
                                                           monkeypatch):
-        parsed = []
-        real = pio.parse_scalar
+        # A string enters a load's table parsed in bulk (_bulk_floats, float
+        # mode) or by parse_scalar; count the strings either one parses.
+        parsed, tables = [], []
+        bulk, one = pio._bulk_floats, pio.parse_scalar
 
-        def counting(value, mode):
+        def counting_bulk(strings, table):
+            bulk(strings, table)
+            parsed.extend(s for s in strings if s in table)
+
+        def counting_one(value, mode):
+            result = one(value, mode)
             parsed.append(value)
-            return real(value, mode)
+            return result
 
-        monkeypatch.setattr(pio, "parse_scalar", counting)
-        distinct = _distinct_strings(doc)
-        pio.polynomial_from_dict(doc, mode="float")
-        assert sorted(parsed) == sorted(distinct)
-        # A second load parses again: no memo outlives a load.
-        pio.polynomial_from_dict(doc, mode="float")
-        assert len(parsed) == 2 * len(distinct)
+        class Recorded(pio._ScalarTable):
+            def __init__(self, mode):
+                super().__init__(mode)
+                tables.append(self)
+
+        monkeypatch.setattr(pio, "_bulk_floats", counting_bulk)
+        monkeypatch.setattr(pio, "parse_scalar", counting_one)
+        monkeypatch.setattr(pio, "_ScalarTable", Recorded)
+        distinct = sorted(_distinct_strings(doc))
+        for mode in ("float", "exact"):
+            parsed.clear()
+            tables.clear()
+            pio.polynomial_from_dict(doc, mode=mode)
+            assert sorted(parsed) == distinct
+            assert sorted(tables[0].values) == distinct
+            # A second load parses again, into a new table: no table
+            # outlives a load.
+            pio.polynomial_from_dict(doc, mode=mode)
+            assert len(parsed) == 2 * len(distinct)
+            assert len(tables) == 2 and tables[1].values == tables[0].values
+
+
+def _entry_by_entry(doc, mode):
+    """What loading a product or pencil document gives with parse_scalar
+    called on every entry in row-major order: the polynomial, or the error's
+    type and the message that names the first bad entry."""
+    if doc["kind"] == "product":
+        named = [("matrix", doc["matrix"])]
+    else:
+        named = [(f"matrices[{k}]", m) for k, m in enumerate(doc["matrices"])]
+    mats = []
+    for where, rows in named:
+        mats.append([])
+        for i, row in enumerate(rows):
+            mats[-1].append([])
+            for j, v in enumerate(row):
+                try:
+                    mats[-1][-1].append(pio.parse_scalar(v, mode))
+                except pc.InputError as exc:
+                    return "InputError", f"{where}[{i}][{j}]: {exc}"
+    try:
+        if doc["kind"] == "product":
+            return pc.ProductFormPolynomial(mats[0], mode=mode)
+        return pc.DeterminantalPolynomial(mats, mode=mode)
+    except pc.PolycapError as exc:
+        return type(exc).__name__, str(exc)
+
+
+def _assert_loads_as_entry_by_entry(doc, mode):
+    want = _entry_by_entry(doc, mode)
+    try:
+        got = pio.polynomial_from_dict(doc, mode=mode)
+    except pc.PolycapError as exc:
+        got = type(exc).__name__, str(exc)
+    if isinstance(want, tuple):
+        assert got == want
+        return
+    a, b = ((q.matrix if doc["kind"] == "product" else q.matrices)
+            for q in (want, got))
+    assert (a.dtype, a.shape) == (b.dtype, b.shape)
+    if a.dtype == object:
+        assert [(type(v), v) for v in a.flat] == [(type(v), v) for v in b.flat]
+    else:
+        assert a.tobytes() == b.tobytes()
+
+
+# Strings the bulk step must parse as parse_scalar does, or leave to it.
+EDGE_STRINGS = [" 1/2", "1_000", "+3/4", "-0/7", "\u0663/\u0664", "1/0", "1/-2",
+                "1e400", "nan", "-inf", "0x10", "1" + "0" * 400 + "/3",
+                "-0", "0/5", "7", "2.5e-3", "1/" + "0" * 30 + "3"]
+
+
+class TestBulkTable:
+    """Loading through the table gives, bit for bit, what parse_scalar gives
+    entry by entry: the same arrays, or the same message and label."""
+
+    @pytest.mark.parametrize("mode", ["float", "exact"])
+    @pytest.mark.parametrize("text", EDGE_STRINGS)
+    def test_edge_string_in_a_product(self, text, mode):
+        matrix = [[f"{(3 * i + j) % 7 + 1}/8" for j in range(5)]
+                  for i in range(5)]
+        matrix[1][3] = matrix[4][0] = text
+        _assert_loads_as_entry_by_entry({"kind": "product", "matrix": matrix},
+                                        mode)
+
+    @pytest.mark.parametrize("mode", ["float", "exact"])
+    @pytest.mark.parametrize("text", EDGE_STRINGS)
+    def test_edge_string_in_a_pencil(self, text, mode):
+        mats = [[["1", "0", "0"], ["0", "0", "0"], ["0", "0", "1/3"]],
+                [["1/2", text, "0"], [text, "3/4", "0"], ["0", "0", "1/3"]],
+                [["0.5", "0", text], ["0", "1", "0"], [text, "0", "1/3"]]]
+        _assert_loads_as_entry_by_entry(
+            {"kind": "determinantal", "matrices": mats}, mode)
+
+    @pytest.mark.parametrize("mode", ["float", "exact"])
+    def test_random_strings(self, mode):
+        # Decimals, exponents, signed and unsigned ratios, in both orders of
+        # first occurrence, over a product form and a Gram pencil.
+        rng = np.random.default_rng(5)
+        pool = [f"{a}/{b}" for a, b in rng.integers(0, 999, (40, 2)) + 1]
+        pool += [f"+{a}/64" for a in rng.integers(0, 99, 10)]
+        pool += [f"{a}e-{b}" for a, b in rng.integers(1, 99, (10, 2))]
+        pool += [repr(v) for v in rng.uniform(0, 5, 20)] + ["-0/3", "0"]
+        matrix = rng.choice(pool, (30, 30)).tolist()
+        _assert_loads_as_entry_by_entry({"kind": "product", "matrix": matrix},
+                                        mode)
+        grams = [(w @ w.T).tolist() for w in rng.integers(-3, 4, (4, 4, 2))]
+        mats = [[[f"{v}/8" for v in row] for row in g] for g in grams]
+        _assert_loads_as_entry_by_entry(
+            {"kind": "determinantal", "matrices": mats}, mode)
+
+    @pytest.mark.parametrize("mode", ["float", "exact"])
+    @pytest.mark.parametrize("matrix", [
+        [["1/2", 1], [1, "1/2"]],
+        [["1", 1.0], ["1/2", "1"]],
+        [[1.0, "1/2"], ["1/2", 1]],
+        [["1/2", True], [True, "1/2"]],
+        [[True, "1"], ["1", 1]],
+        [["1", "1/2"], [None, "1"]],
+        [["1", ["1"]], ["1", "1"]],
+        [[3, 2], [1, 4]],
+    ], ids=["int", "float", "float-first", "bool", "bool-first", "null",
+            "nested-list", "no-strings"])
+    def test_strings_mixed_with_json_numbers(self, matrix, mode):
+        _assert_loads_as_entry_by_entry({"kind": "product", "matrix": matrix},
+                                        mode)
+
+    @pytest.mark.parametrize("mode", ["float", "exact"])
+    @pytest.mark.parametrize("matrix", [
+        [["1/2", "1/2"], ["1"]],
+        [["1/2"], ["1", "1/2"]],
+        [["1/2", "x"], ["1"]],
+        [["1", "1", "1"], ["1", "1", "1"]],
+        [[], []],
+        [],
+    ], ids=["short-row", "long-row", "ragged-bad-string", "wide", "empty-rows",
+            "no-rows"])
+    def test_ragged_and_empty_rows(self, matrix, mode):
+        _assert_loads_as_entry_by_entry({"kind": "product", "matrix": matrix},
+                                        mode)
+
+    @pytest.mark.parametrize("mode", ["float", "exact"])
+    @pytest.mark.parametrize("bad", ["x", "1/0", "nan", "1/-2"])
+    def test_pencil_with_a_bad_string_in_two_matrices(self, bad, mode):
+        good = [["1/2", "0", "0"], ["0", "1/2", "0"], ["0", "0", "1"]]
+        mats = [good, [["1", bad, "0"], [bad, "1", "0"], ["0", "0", "1"]],
+                [["1", "0", bad], ["0", "1", "0"], [bad, "0", "1"]]]
+        doc = {"kind": "determinantal", "matrices": mats}
+        _assert_loads_as_entry_by_entry(doc, mode)
+        with pytest.raises(pc.InputError) as info:
+            pio.polynomial_from_dict(doc, mode=mode)
+        assert str(info.value).startswith("matrices[1][0][1]: ")
+
+    @pytest.mark.parametrize("mode", ["float", "exact"])
+    def test_first_of_many_bad_strings_is_named(self, mode):
+        # Each bad string has its own message: the first in row-major order
+        # must be the one parsed, and named, first.
+        matrix = [[f"{i + j + 1}/9" for j in range(8)] for i in range(8)]
+        for k in range(20):
+            matrix[7 - k // 8][(5 * k) % 8] = f"bad{k}"
+        _assert_loads_as_entry_by_entry({"kind": "product", "matrix": matrix},
+                                        mode)
+
+    def test_pencils_of_different_shapes(self):
+        mats = [[["1", "0"], ["0", "1"]],
+                [["1", "0", "0"], ["0", "1", "0"], ["0", "0", "1"]]]
+        for mode in ("float", "exact"):
+            _assert_loads_as_entry_by_entry(
+                {"kind": "determinantal", "matrices": mats}, mode)
+
+    def test_ratio_shape_is_ratios(self):
+        # The bulk step's [+-]digits/digits is _ratio's test: \d is
+        # str.isdecimal, on every code point.
+        digit = re.compile(r"\d")
+        assert all(bool(digit.fullmatch(chr(c))) == chr(c).isdecimal()
+                   for c in range(0x110000))
+        for text in EDGE_STRINGS + ["+-1/2", "1/+2", "/2", "1/", "1//2",
+                                    "\u00b2/3", "1/2\n", "+/2", "12"]:
+            den = text.partition("/")[2]
+            if den and not den.strip("0"):
+                continue  # _ratio refuses q = 0 after the shape; so does //
+            assert bool(pio._RATIO_SHAPE.fullmatch(text)) == (
+                pio._ratio(text) is not None), text
