@@ -67,7 +67,14 @@ def _encode(obj):
         return {f.name: _finite(getattr(obj, f.name))
                 for f in dataclasses.fields(obj)}
     if isinstance(obj, Fraction):
-        return str(obj)
+        try:
+            return str(obj)
+        except ValueError:  # only the int-to-str digit limit raises here
+            raise ResourceLimitError(
+                "exact result refused: a numerator or denominator has more "
+                f"than {sys.get_int_max_str_digits()} digits, Python's limit "
+                "on writing an int (PYTHONINTMAXSTRDIGITS)"
+            ) from None
     if isinstance(obj, complex):
         return [obj.real, obj.imag]
     raise TypeError(f"cannot write {type(obj).__name__} into a report")

@@ -9,12 +9,13 @@ Files are JSON with a ``kind`` discriminator::
 Scalars are decimal or rational strings ("0.5", "1/3", "6"), so exact inputs
 are written without rounding. Plain JSON numbers are accepted in float mode,
 and JSON integers in exact mode too. A document's strings go through one
-table: each distinct string is parsed once per load, in float mode in bulk
-(float(), or int(p) / int(q) for "p/q", with parse_scalar taking whatever
-those refuse), and each entry of a matrix of strings is then looked up in C,
+table: each distinct string is parsed once per load, in bulk in either mode
+(float() or Fraction(), and int(p) / int(q) or Fraction(int(p), int(q)) for
+"p/q"), and each entry of a matrix of strings is then looked up in C,
 straight into a float array in float mode. A matrix that holds a JSON number
-or bool is parsed entry by entry. The package reads these documents and does
-not write them.
+or bool, or a string the bulk step refuses, is parsed entry by entry with
+parse_scalar, the reference parse. The package reads these documents and
+does not write them.
 """
 from __future__ import annotations
 
@@ -37,52 +38,30 @@ from .polynomials import (
 )
 
 SCHEMA = "polycap/1"
-# The strings _ratio reads without Fraction, for a bulk check.
+# The strings that _bulk reads as int(p) and int(q) around one '/'.
 _RATIO_SHAPE = re.compile(r"[+-]?\d+/\d+")
-
-
-def _ratio(text: str):
-    """(p, q) for a string that is exactly [+-]digits/digits with q != 0, else
-    None. Such a string needs no Fraction regex; every other string goes
-    through Fraction, so the accepted syntax stays Fraction's."""
-    num, slash, den = text.partition("/")
-    if slash and den.isdecimal() and (
-            num[1:] if num[:1] in ("+", "-") else num).isdecimal():
-        q = int(den)
-        if q:
-            return int(num), q
-    return None
 
 
 def parse_scalar(value, mode: str):
     """Parse a JSON scalar (string/int/float) into a Fraction, or in float
-    mode into a finite float.
-
-    A float-mode string 'p/q' is int(p) / int(q), which Python rounds
-    correctly; any other string goes through float(), or through Fraction if
-    it holds a '/' (a str without one skips the checks that lead there).
-    Every way, the float is the exact value rounded once.
-    """
-    plain = mode == "float" and type(value) is str and "/" not in value
-    if not plain:
-        if isinstance(value, bool):
-            raise InputError(f"cannot parse scalar {value!r}")
-        if not isinstance(value, (str, Real)):
-            raise InputError(f"cannot parse scalar of type {type(value).__name__}")
-        if mode == "exact" and not isinstance(value, (str, Integral)):
-            raise InputError(
-                f"float literal {value!r} in exact mode; quote it as a rational "
-                "string (e.g. \"1/3\") to preserve exactness"
-            )
+    mode into a finite float: float() for a number or a string without '/',
+    float(Fraction()) for a string with one, so the float is the exact value
+    rounded once. This is the reference parse that every loading path
+    matches."""
+    if isinstance(value, bool):
+        raise InputError(f"cannot parse scalar {value!r}")
+    if not isinstance(value, (str, Real)):
+        raise InputError(f"cannot parse scalar of type {type(value).__name__}")
+    if mode == "exact" and not isinstance(value, (str, Integral)):
+        raise InputError(
+            f"float literal {value!r} in exact mode; quote it as a rational "
+            "string (e.g. \"1/3\") to preserve exactness"
+        )
     try:
-        ratio = None if plain or not isinstance(value, str) else _ratio(value)
         if mode == "exact":
-            return Fraction(*ratio) if ratio else Fraction(value)
-        if ratio:
-            f = ratio[0] / ratio[1]
-        else:
-            f = float(Fraction(value) if isinstance(value, str) and "/" in value
-                      else value)
+            return Fraction(value)
+        f = float(Fraction(value) if isinstance(value, str) and "/" in value
+                  else value)
     except (ValueError, ZeroDivisionError, OverflowError) as exc:
         raise InputError(f"cannot parse scalar {value!r}: {exc}") from None
     if not math.isfinite(f):
@@ -96,20 +75,19 @@ def _check_list(value, where: str, of: str):
     return value
 
 
-def _bulk_floats(strings, table: dict):
-    """Store in table the float of each string that float mode can parse in
-    bulk, with parse_scalar's value: float() over the strings without '/',
-    and int(p) / int(q) over those of _ratio's shape [+-]digits/digits, a
-    digit being what str.isdecimal accepts. A group with any refusal
-    (ValueError, a non-finite value, a zero denominator, an overflow) is left
-    out whole, as is every other string, for parse_scalar to parse or
-    refuse."""
+def _bulk(strings, mode: str, table: dict):
+    """Store in table the value of each string that parses in bulk, with
+    parse_scalar's value: float(), or Fraction() in exact mode, over the
+    strings without '/'; int(p) / int(q), or Fraction(int(p), int(q)), over
+    those of the shape [+-]digits/digits. A group with any refusal (an
+    error, or a non-finite float) is left out whole, as is any other string."""
+    exact = mode == "exact"
     plain = [s for s in strings if "/" not in s]
     ratios = (list(filter(_RATIO_SHAPE.fullmatch, strings))
               if len(plain) < len(strings) else [])
     try:
-        values = list(map(float, plain))
-        if all(map(math.isfinite, values)):
+        values = list(map(Fraction if exact else float, plain))
+        if exact or all(map(math.isfinite, values)):
             table.update(zip(plain, values))
     except ValueError:
         pass
@@ -118,75 +96,56 @@ def _bulk_floats(strings, table: dict):
         parts = "/".join(ratios).split("/")
         try:
             table.update(zip(ratios, list(map(
-                truediv, map(int, parts[::2]), map(int, parts[1::2])))))
+                Fraction if exact else truediv,
+                map(int, parts[::2]), map(int, parts[1::2])))))
         except (ValueError, ZeroDivisionError, OverflowError):
             pass
 
 
-class _ScalarTable:
-    """The scalars of one document, keyed by their strings: each distinct
-    string is parsed once per load and its value reused. Only str keys are
-    stored (True, 1 and 1.0 hash alike but parse differently), a failed parse
-    raises before it is stored, and the table is dropped after the load."""
-
-    def __init__(self, mode: str):
-        self.mode = mode
-        self.values = {}
-
-    def parse(self, value):
-        """parse_scalar for one entry, through the table for a string."""
+def _parse_one(value, mode: str, table: dict, where: str, *index):
+    """parse_scalar for one entry, through the table for a string (only str
+    keys are stored: True, 1 and 1.0 hash alike but parse differently). A
+    refusal is labelled where.format(*index), as in matrix[0][1]."""
+    try:
         if type(value) is not str:
-            return parse_scalar(value, self.mode)
-        parsed = self.values.get(value)
+            return parse_scalar(value, mode)
+        parsed = table.get(value)
         if parsed is None:
-            parsed = self.values[value] = parse_scalar(value, self.mode)
+            parsed = table[value] = parse_scalar(value, mode)
         return parsed
-
-    def rows(self, rows):
-        """The parsed scalars of a list of rows: one float ndarray for
-        rectangular rows in float mode, else lists. The new distinct strings
-        are parsed first, in bulk in float mode, and every entry is then
-        mapped through the table in C. Rows holding anything but strings (a
-        number, a bool, an unhashable value) are parsed entry by entry."""
-        try:
-            distinct = set(chain.from_iterable(rows))
-        except TypeError:
-            distinct = set()
-        if set(map(type, distinct)) != {str}:
-            return [[self.parse(v) for v in row] for row in rows]
-        values = self.values
-        new = list(distinct.difference(values))
-        size = len(values) + len(new)
-        if self.mode == "float":
-            _bulk_floats(new, values)
-        if len(values) < size:
-            # In row-major order, so the first refusal is the first bad entry.
-            for s in chain.from_iterable(rows):
-                if s not in values:
-                    values[s] = parse_scalar(s, self.mode)
-        get = values.__getitem__
-        width = len(rows[0])
-        if self.mode == "float" and set(map(len, rows)) == {width}:
-            return np.fromiter(map(get, chain.from_iterable(rows)), float,
-                               len(rows) * width).reshape(len(rows), width)
-        return [list(map(get, row)) for row in rows]
+    except InputError as exc:
+        raise InputError(f"{where.format(*index)}: {exc}") from None
 
 
-def _parse_rows(rows, table: _ScalarTable, where: str):
-    """table.rows over a list of rows. On failure the rows are scanned again
-    to name the bad entry, as in matrix[0][1], so success builds no label."""
+def _parse_rows(rows, mode: str, table: dict, where: str):
+    """The parsed scalars of a list of rows: one float ndarray for
+    rectangular rows in float mode, else lists. The new distinct strings are
+    parsed in bulk and every entry is then mapped through the table in C.
+    Rows holding anything but strings, or a string the bulk step left out,
+    are parsed entry by entry, so the first refusal names the first bad
+    entry in row-major order."""
     for i, row in enumerate(_check_list(rows, where, "rows")):
         _check_list(row, f"{where}[{i}]", "scalars")
     try:
-        return table.rows(rows)
-    except InputError as exc:
-        for i, row in enumerate(rows):
-            for j, v in enumerate(row):
-                try:
-                    table.parse(v)
-                except InputError:
-                    raise InputError(f"{where}[{i}][{j}]: {exc}") from None
-        raise
+        distinct = set(chain.from_iterable(rows))
+    except TypeError:
+        distinct = set()
+    bulk = set(map(type, distinct)) == {str}
+    if bulk:
+        new = list(distinct.difference(table))
+        size = len(table) + len(new)
+        _bulk(new, mode, table)
+        bulk = len(table) == size
+    if not bulk:
+        where += "[{}][{}]"
+        return [[_parse_one(v, mode, table, where, i, j)
+                 for j, v in enumerate(row)] for i, row in enumerate(rows)]
+    get = table.__getitem__
+    width = len(rows[0])
+    if mode == "float" and set(map(len, rows)) == {width}:
+        return np.fromiter(map(get, chain.from_iterable(rows)), float,
+                           len(rows) * width).reshape(len(rows), width)
+    return [list(map(get, row)) for row in rows]
 
 
 def _require(obj: dict, field: str, where: str):
@@ -210,7 +169,7 @@ def polynomial_from_dict(obj, mode: str = "float"):
             raise InputError(
                 f"document pins mode {pinned!r} but {mode!r} was requested")
     kind = _require(obj, "kind", "polynomial document")
-    table = _ScalarTable(mode)
+    table = {}  # each distinct string's value, for this load only
     if kind == "sparse":
         n = _require(obj, "n", "sparse polynomial")
         if not _is_int(n) or n < 1:
@@ -225,17 +184,16 @@ def polynomial_from_dict(obj, mode: str = "float"):
             where = f"terms[{idx}].exp"
             if not all(_is_int(k) for k in _check_list(exp, where, "integers")):
                 raise InputError(f"{where} must be a list of integers")
-            try:
-                terms.append((exp, table.parse(coef)))
-            except InputError as exc:
-                raise InputError(f"terms[{idx}].coef: {exc}") from None
+            coef = _parse_one(coef, mode, table, "terms[{}].coef", idx)
+            terms.append((exp, coef))
         return SparsePolynomial(n, terms, mode=mode)
     if kind == "product":
         matrix = _require(obj, "matrix", "product polynomial")
-        return ProductFormPolynomial(_parse_rows(matrix, table, "matrix"), mode=mode)
+        return ProductFormPolynomial(_parse_rows(matrix, mode, table, "matrix"),
+                                     mode=mode)
     if kind == "determinantal":
         matrices = _require(obj, "matrices", "determinantal polynomial")
-        mats = [_parse_rows(m, table, f"matrices[{k}]")
+        mats = [_parse_rows(m, mode, table, f"matrices[{k}]")
                 for k, m in enumerate(_check_list(matrices, "matrices", "matrices"))]
         return DeterminantalPolynomial(mats, mode=mode)
     raise InputError(

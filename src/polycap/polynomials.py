@@ -74,7 +74,9 @@ SLICE_DEGREE_CAP = 46
 _SLICE_NOISE = 1e-14  # relative rounding of a sparse slice's coefficients
 
 _EXACT_TYPES = (int, Fraction)
-_to_fractions = np.frompyfunc(Fraction, 1, 1)
+_to_fractions = np.frompyfunc(
+    lambda v: v if type(v) is Fraction else Fraction(v), 1, 1)
+_numerators = np.frompyfunc(lambda v: v.numerator, 1, 1)
 _denominators = np.frompyfunc(lambda v: v.denominator, 1, 1)
 _cleared = np.frompyfunc(lambda v, d: v.numerator * (d // v.denominator), 2, 1)
 
@@ -580,8 +582,12 @@ class ProductFormPolynomial(EvaluationOracle):
     def __init__(self, matrix, mode: str | None = None):
         super().__init__()
         self.mode, self.matrix = _scalar_array(matrix, mode, 2)
-        negative = (self.matrix < 0).any(axis=1)
-        bad = np.flatnonzero(negative | (self.matrix == 0).all(axis=1))
+        # An exact entry has its numerator's sign: ints compare faster than
+        # Fractions.
+        signs = (self.matrix if self.mode == "float"
+                 else _numerators(self.matrix))
+        negative = (signs < 0).any(axis=1)
+        bad = np.flatnonzero(negative | (signs == 0).all(axis=1))
         if len(bad):
             i = bad[0]
             if negative[i]:

@@ -401,6 +401,18 @@ class TestPermanentCommand:
         assert main(["permanent", path, "--mode", "exact"]) == 3
         assert "error" in capsys.readouterr().err
 
+    def test_exact_result_past_the_int_digit_limit_exits_3(self, tmp_path,
+                                                           capsys):
+        # Each entry's denominator has 2,201 digits and the permanent's
+        # 4,401, past the 4,300 digits Python writes by default; the limit
+        # is not lifted, so parsing keeps its guard.
+        path = write_doc(tmp_path / "tiny.json", {
+            "kind": "product", "matrix": [[f"1/{10 ** 2200}"] * 2] * 2})
+        assert main(["permanent", path, "--mode", "exact"]) == 3
+        out, err = capsys.readouterr()
+        assert out == "" and err.startswith("error: exact result refused: ")
+        assert f"{sys.get_int_max_str_digits()} digits" in err
+
 
 class TestMixedDiscCommand:
     def test_identity_pair(self, capsys, determinantal_file):
