@@ -15,9 +15,9 @@ so the multiplicative guarantee (n-k)^(n-k) / (n-k)! tightens as k grows,
 reaching exactness at k = n-1, at the price of 2^k * m oracle calls per
 evaluation, m = floor((n-k)/2) + 1. Oracle-call counts are tracked exactly.
 
-Newton on the slice needs its gradient and Hessian too. On product forms the
-same 2^k * m points give them in closed form (``jet_sum``), so each Newton
-step costs one batch of base calls; on other bases (pencils, sparse
+Newton on the slice needs its gradient and Hessian too. On product forms and
+pencils the same 2^k * m points give them in closed form (``jet_sum``), so
+each Newton step costs one batch of base calls; on other bases (sparse
 polynomials, plain oracles) the objective takes finite differences of slice
 evaluations.
 """
@@ -78,9 +78,9 @@ class DerivativeSliceOracle(EvaluationOracle):
 
     The slice is linear in p, so with the nodes held fixed its gradient and
     Hessian are the same signed, weighted sums of the base's. A base with
-    ``jet_sum`` (a product form, or a slice of one) gives all three from one
-    batch of points, and ``log_objective`` is then in closed form; any other
-    base keeps the finite-difference objective.
+    ``jet_sum`` (a product form, a pencil, or a slice of either) gives all
+    three from one batch of points, and ``log_objective`` is then in closed
+    form; any other base keeps the finite-difference objective.
     """
 
     def __init__(self, base: EvaluationOracle, k: int):
@@ -96,8 +96,11 @@ class DerivativeSliceOracle(EvaluationOracle):
         self.m = self.n_vars // 2 + 1
         # Nodes and weights are exact; each batch takes them in its dtype and
         # scales the nodes by its rows' sizes, which leaves the weights as
-        # they are.
+        # they are. Their exact and float arrays are made once.
         self.eps, self.weights = _nodes(self.m)
+        self._exact_nodes, self._float_nodes = (
+            (np.array(self.eps, dtype=dtype), np.array(self.weights, dtype=dtype))
+            for dtype in (object, float))
         self.calls_per_eval = (2 ** self.k) * self.m
         self.last_condition = None
         # The head's sign patterns, with the product of each one's signs: the
@@ -112,11 +115,16 @@ class DerivativeSliceOracle(EvaluationOracle):
         # Each row evaluates the base at calls_per_eval points.
         return self.calls_per_eval * self.base.n_vars
 
-    def _eps(self, X, nodes):
-        """The nodes scaled by each row's size (1 for a zero row): (len(X), m)."""
+    def _scaled_nodes(self, X):
+        """(eps, weights) in X's dtype: the nodes scaled by each row's size
+        (1 for a zero row), (len(X), m), and the weights, (m,)."""
+        if X.dtype == object:
+            nodes, weights = self._exact_nodes
+        else:
+            nodes, weights = (a.astype(X.dtype, copy=False) for a in self._float_nodes)
         scale = np.abs(X).max(axis=1)
         scale[scale == 0] = 1
-        return scale[:, None] * nodes
+        return scale[:, None] * nodes, weights
 
     def _points(self, eps, tails, shift):
         """The base points (eps_t b, tail_t) for the head patterns b of the
@@ -134,9 +142,8 @@ class DerivativeSliceOracle(EvaluationOracle):
     def _evaluate_batch(self, X):
         # One row (eps_j, tail) per tail and node, whose signed sum over the
         # head's patterns is 2^k eps_j^k h(eps_j^2).
-        dtype = X.dtype
-        eps = self._eps(X, np.array(self.eps, dtype=dtype))
-        rows = np.empty((len(X), self.m, 1 + self.n_vars), dtype=dtype)
+        eps, weights = self._scaled_nodes(X)
+        rows = np.empty((len(X), self.m, 1 + self.n_vars), dtype=X.dtype)
         rows[:, :, 0] = eps
         rows[:, :, 1:] = X[:, None, :]
 
@@ -154,22 +161,21 @@ class DerivativeSliceOracle(EvaluationOracle):
         sums = _in_chunks(pattern_sums, rows.reshape(-1, 1 + self.n_vars),
                           2 ** self.k * self.base.n_vars)
         h = sums.reshape(len(X), self.m) / (2 ** self.k * eps ** self.k)
-        terms = h * np.array(self.weights, dtype=dtype)
+        terms = h * weights
         values = terms.sum(axis=1)
         if self.mode == "float" and len(X):
             mag = np.abs(terms[-1]).sum()
             self.last_condition = float(mag / max(abs(values[-1]), _TINY))
         return values
 
-    def _jet_entries(self):
+    def _jet_entries(self, first):
         return self._row_entries()
 
     def _jet(self, X, c, first):
         # With its nodes held fixed the slice is linear in p: its jet is the
         # base's over the points of each row's evaluation, weighted
         # c_t w_j prod(b) / (2^k eps_j^k), in the base's variables k + first..
-        eps = self._eps(X, np.array(self.eps, dtype=float))
-        weights = np.array(self.weights, dtype=float)
+        eps, weights = self._scaled_nodes(X)
         w = c[:, None] * weights / (2 ** self.k * eps ** self.k)
         tails = np.repeat(X, self.m, axis=0)
         return _summed([self.base.jet_sum(
@@ -228,8 +234,8 @@ def estimate_mixed_partial(poly: EvaluationOracle, k: int = 0,
     differentiated out through the slice oracle (2^k * m base calls per
     evaluation) before the capacity minimization runs on the remaining n-k
     variables. oracle_calls counts evaluations of the *base* polynomial; on
-    a product form each also yields the point's gradient and Hessian, so one
-    Newton step costs one slice evaluation.
+    a product form or a pencil each also yields the point's gradient and
+    Hessian, so one Newton step costs one slice evaluation.
     """
     n = square_shape(poly, "estimate")
     if not 0 <= k <= n - 1:

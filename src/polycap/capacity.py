@@ -9,12 +9,14 @@ pivot along 1; a backtracking line search and a gradient fallback guard it.
 Each representation supplies f with its gradient and Hessian
 (``EvaluationOracle.log_objective`` in ``polynomials``): in closed form for
 the three structured representations and for derivative slices of product
-forms, by finite differences for other oracles. A closed-form objective keeps
-what it computed at its last y, so the accepted line-search value, the
-gradient and the Hessian at one y share one factorization.
+forms and pencils, by finite differences for other oracles. A closed-form
+objective keeps what it computed at its last y, so the accepted line-search
+value, the gradient and the Hessian at one y share one factorization.
 
 Also here: Sinkhorn matrix scaling (matrix capacity as the product of the
-scalers).
+scalers). A sweep's column sums are 1 to rounding, so each sweep measures
+its row deviation, and the column deviation only once the rows are within
+tolerance, or after the last sweep.
 """
 from __future__ import annotations
 
@@ -200,14 +202,17 @@ def sinkhorn_scale(matrix, tol: float = 1e-10, max_iter: int = 10000) -> Scaling
         c = B.sum(axis=0)
         B /= c
         d2 *= c
-        # The row sums measure this sweep's deviation and divide the next.
+        # The row sums measure this sweep's deviation and divide the next. The
+        # column sums, 1 to rounding after the column step, are measured only
+        # once the rows are within tol, and after the last sweep.
         r = B.sum(axis=1)
-        dev = max(float(np.abs(r - 1).max()),
-                  float(np.abs(B.sum(axis=0) - 1).max()))
-        if dev <= tol:
-            status = "converged"
-            iterations = it
-            break
+        dev = float(np.abs(r - 1).max())
+        if dev <= tol or it == max_iter:
+            dev = max(dev, float(np.abs(B.sum(axis=0) - 1).max()))
+            if dev <= tol:
+                status = "converged"
+                iterations = it
+                break
 
     with np.errstate(over="ignore"):
         capacity = float(np.prod(d1) * np.prod(d2))

@@ -43,9 +43,9 @@ other module asks which representation it holds:
 * ``line_roots(points, direction)``, the roots of the slices t -> p(x - t d)
   in closed form, with the backward error of the coefficients they came from;
 * ``jet_sum(X, c, first)``, the c-weighted sums of p, its gradient and its
-  Hessian at float rows, for product forms (from leave-one-out and
-  leave-two-out products of the linear forms; ``has_jets()`` says whether
-  an oracle gives it).
+  Hessian at float rows, from leave-one-out and leave-two-out products: of
+  the linear forms for product forms, of the eigenvalues of A(x) for pencils
+  (``has_jets()`` says whether an oracle gives it).
 
 A plain oracle keeps the finite-difference objective and raises
 ``InputError`` for the rest. ``approx.DerivativeSliceOracle`` is one, but
@@ -176,6 +176,10 @@ def _scalar_array(values, mode, ndim):
     if a.ndim != ndim or not a.size or len(set(a.shape)) > 1:
         raise InputError(f"{want}; got shape {a.shape}")
     if a.dtype == object:
+        # Loaded documents hold Fractions only: one pass over the types, then
+        # nothing to check or convert.
+        if set(map(type, a.flat)) == {Fraction}:
+            return "exact", a
         for v in a.flat:
             if not isinstance(v, _EXACT_TYPES):
                 if mode == "exact":
@@ -307,7 +311,7 @@ class EvaluationOracle:
             raise InputError(
                 f"points must have shape (m, {self.n_vars}), got {X.shape}")
         c = np.asarray(c, dtype=float)
-        step = max(1, _BATCH_ENTRIES // self._jet_entries())
+        step = max(1, _BATCH_ENTRIES // self._jet_entries(first))
         jets = _summed([self._jet(X[i:i + step], c[i:i + step], first)
                         for i in range(0, max(len(X), 1), step)])
         self._calls += len(X)
@@ -316,7 +320,7 @@ class EvaluationOracle:
     def _jet(self, X, c, first):
         raise InputError(f"jet_sum is undefined for {type(self).__name__}")
 
-    def _jet_entries(self):
+    def _jet_entries(self, first):
         """Array entries one row costs in ``_jet``."""
         return self.n_vars ** 2
 
@@ -736,6 +740,30 @@ class DeterminantalPolynomial(EvaluationOracle):
         M = np.tensordot(X, A, axes=([1], [0]))
         return finish([_bareiss(m)[1] for m in M.tolist()] if X.dtype == object
                       else np.linalg.det(M))
+
+    def _jet(self, X, c, first):
+        # In the eigenbasis of A(x) = Q diag(lam) Q^T, with B_j = Q^T A_j Q:
+        # grad_j p = sum_a L1_a B_j,aa and
+        # Hess_jk p = sum_{a != b} L2_ab (B_j,aa B_k,bb - B_j,ab B_k,ab), the
+        # first- and second-order terms of det(diag(lam) + E). No inverse, so
+        # a singular or indefinite A(x) is safe.
+        A = self._float_view(self.matrices)
+        m, d, n = len(X), len(A) - first, len(A)
+        lam, Q = np.linalg.eigh((X @ A.reshape(n, n * n)).reshape(m, n, n))
+        B = Q.transpose(0, 2, 1)[:, None] @ A[first:] @ Q[:, None]
+        L1, L2 = _leave_out(lam)
+        flat = B.reshape(m, d, n * n)
+        diag = flat[:, :, ::n + 1]
+        L2 = c[:, None, None] * L2
+        hess = (diag @ L2 @ diag.transpose(0, 2, 1)
+                - (flat * L2.reshape(m, 1, n * n)) @ flat.transpose(0, 2, 1))
+        return (c @ np.prod(lam, axis=1),
+                diag.transpose(1, 0, 2).reshape(d, m * n) @ (c[:, None] * L1).ravel(),
+                hess.sum(axis=0))
+
+    def _jet_entries(self, first):
+        # Q and B hold (n - first + 1) n^2 entries per row.
+        return (self.n_vars - first + 1) * self.n_vars ** 2
 
     def line_roots(self, points, direction):
         """The eigenvalues of A(d)^-1 A(x), real for A(d) positive definite;

@@ -195,9 +195,55 @@ def _weighted_exact_jet(q, X, c, first):
              for j in range(d)])
 
 
+def _taylor(p, x, v):
+    """The coefficients of t and t^2 in t -> p(x + t v), exactly: p is
+    evaluated at t = 0..degree in exact mode and interpolated by Lagrange."""
+    d = p.degree
+    values = [p.evaluate([Fraction(a) + t * b for a, b in zip(x, v)])
+              for t in range(d + 1)]
+    coefficients = [Fraction(0)] * (d + 1)
+    for i, y in enumerate(values):
+        basis, scale = [Fraction(1)], Fraction(1)
+        for j in range(d + 1):
+            if j != i:
+                # basis times (t - j)
+                basis = [(basis[r - 1] if r else 0)
+                         - j * (basis[r] if r < len(basis) else 0)
+                         for r in range(len(basis) + 1)]
+                scale *= i - j
+        for r, b in enumerate(basis):
+            coefficients[r] += y * b / scale
+    return coefficients[1], coefficients[2]
+
+
+def _exact_pencil_jet(p, x, first):
+    """grad p and Hess p in the variables first.. at x, exactly: from the
+    Taylor coefficients along e_j and along e_j + e_k."""
+    n = p.n_vars
+    e = np.eye(n, dtype=int)
+    tail = range(first, n)
+    half = {j: _taylor(p, x, e[j])[1] for j in tail}
+    return ([_taylor(p, x, e[j])[0] for j in tail],
+            [[2 * half[j] if j == k else _taylor(p, x, e[j] + e[k])[1]
+              - half[j] - half[k] for k in tail] for j in tail])
+
+
 def _nested_slices(base):
     # A slice of a slice: k = 1, then k = 1 again.
     return DerivativeSliceOracle(DerivativeSliceOracle(base, 1), 1)
+
+
+def _assert_closed_form_of_reduced(o, base):
+    """o, two slices of a polynomial that ``base`` expands, takes the
+    closed-form objective, and it matches the twice-reduced expansion."""
+    assert o.has_jets()
+    obj = o.log_objective()
+    assert isinstance(obj, approx._SliceObjective)
+    exact = log_objective(pc.derivative_reduce(pc.derivative_reduce(base.expand())))
+    y = np.array([0.2, -0.1, 0.3, -0.4])
+    assert abs(obj.value(y) - exact.value(y)) < 1e-13
+    assert np.abs(obj.gradient(y) - exact.gradient(y)).max() < 1e-13
+    assert np.abs(obj.hessian(y) - exact.hessian(y)).max() < 1e-13
 
 
 class TestJets:
@@ -219,11 +265,51 @@ class TestJets:
             assert hess.tolist() == ref[2]
         assert p.calls == 3 * len(X)
 
+    def test_diagonal_pencil_jet_sum_matches_its_product_form(self):
+        # A diagonal pencil is the product form of the transposed matrix.
+        rng = np.random.default_rng(9)
+        m = fixtures.random_positive_matrix(6, rng)
+        pencil = pc.DeterminantalPolynomial(fixtures.diagonal_psd_tuple(m))
+        product = pc.ProductFormPolynomial(np.array(m).T, mode="float")
+        assert pencil.has_jets()
+        X = rng.uniform(-1.0, 2.0, (5, 6))
+        c = rng.normal(size=5)
+        for first in (0, 2, 5):
+            for got, want in zip(pencil.jet_sum(X, c, first),
+                                 product.jet_sum(X, c, first)):
+                np.testing.assert_allclose(got, want, rtol=1e-12, atol=0)
+        assert pencil.calls == 3 * len(X)
+
+    def test_pencil_jet_is_exact_where_the_pencil_is_singular(self):
+        # Rank-deficient Gram matrices, and A_0 = A_1: A(x) is singular at
+        # e_0, zero at e_0 - e_1, and singular and indefinite at the third
+        # point, yet the jet has no inverse to blow up.
+        rng = np.random.default_rng(10)
+        G = [rng.integers(-2, 3, (4, r)) for r in (2, 2, 3, 1)]
+        G[1] = G[0]
+        mats = [g @ g.T for g in G]
+        exact = pc.DeterminantalPolynomial(mats, mode="exact")
+        floats = pc.DeterminantalPolynomial(mats, mode="float")
+        X = [[1, 0, 0, 0], [1, -1, 0, 0], [2, -3, 0, 1], [1, 1, 1, 1]]
+        assert [np.linalg.matrix_rank(np.tensordot(x, mats, axes=1))
+                for x in X] == [2, 0, 3, 4]
+        for x in X:
+            for first in (0, 1):
+                value, grad, hess = floats.jet_sum([x], [1.0], first)
+                ref_grad, ref_hess = _exact_pencil_jet(exact, x, first)
+                assert np.isfinite(grad).all() and np.isfinite(hess).all()
+                scale = max(1.0, np.abs(np.array(ref_hess, dtype=float)).max())
+                assert value == pytest.approx(float(exact.evaluate(x)),
+                                              abs=1e-12 * scale)
+                np.testing.assert_allclose(grad, np.array(ref_grad, dtype=float),
+                                           rtol=1e-12, atol=1e-12 * scale)
+                np.testing.assert_allclose(hess, np.array(ref_hess, dtype=float),
+                                           rtol=1e-12, atol=1e-12 * scale)
+
     def test_other_oracles_have_no_jets(self):
         f = pc.FunctionOracle(2, 2, lambda x: x[0] * x[1])
-        pencil = pc.DeterminantalPolynomial(np.array([np.eye(3)] * 3))
         sparse = fixtures.random_product_polynomial(3, np.random.default_rng(1)).expand()
-        for base in (f, pencil, sparse):
+        for base in (f, sparse):
             assert not base.has_jets()
             with pytest.raises(pc.InputError, match="jet_sum is undefined"):
                 base.jet_sum([[1.0] * base.n_vars], [1.0], 0)
@@ -267,25 +353,20 @@ class TestJets:
 
     def test_nested_slices_of_a_product_form_take_the_closed_form(self):
         base = fixtures.random_product_polynomial(6, np.random.default_rng(7))
-        o = _nested_slices(base)
-        assert o.has_jets()
-        obj = o.log_objective()
-        assert not isinstance(obj, _OracleObjective)
-        exact = log_objective(pc.derivative_reduce(pc.derivative_reduce(base.expand())))
-        y = np.array([0.2, -0.1, 0.3, -0.4])
-        assert abs(obj.value(y) - exact.value(y)) < 1e-13
-        assert np.abs(obj.gradient(y) - exact.gradient(y)).max() < 1e-13
-        assert np.abs(obj.hessian(y) - exact.hessian(y)).max() < 1e-13
+        _assert_closed_form_of_reduced(_nested_slices(base), base)
 
-    @pytest.mark.parametrize("kind", ["pencil", "function"])
+    def test_nested_slices_of_a_pencil_take_the_closed_form(self):
+        # A diagonal pencil is the product form of the transposed matrix.
+        base = fixtures.random_product_polynomial(6, np.random.default_rng(7))
+        pencil = pc.DeterminantalPolynomial(fixtures.diagonal_psd_tuple(base.matrix.T))
+        _assert_closed_form_of_reduced(_nested_slices(pencil), base)
+
+    @pytest.mark.parametrize("kind", ["sparse", "function"])
     def test_nested_slices_without_jets_take_finite_differences(self, kind):
         base = fixtures.random_product_polynomial(5, np.random.default_rng(8))
         same = _nested_slices(base)
-        if kind == "pencil":
-            # A diagonal pencil is the product form of the transposed matrix.
-            base = pc.DeterminantalPolynomial(fixtures.diagonal_psd_tuple(base.matrix.T))
-        else:
-            base = pc.FunctionOracle(5, 5, base.evaluate)
+        base = (base.expand() if kind == "sparse"
+                else pc.FunctionOracle(5, 5, base.evaluate))
         o = _nested_slices(base)
         assert isinstance(o.log_objective(), _OracleObjective)
         r = pc.capacity_minimize(o)

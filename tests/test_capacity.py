@@ -67,9 +67,14 @@ def _objective_case(kind, rng):
         same = pc.ProductFormPolynomial(
             fixtures.random_positive_matrix(3, rng), mode="float")
         return pc.FunctionOracle(3, 3, same.evaluate), same
+    elif kind == "derivative-slice":
+        # A sparse base keeps the finite-difference objective.
+        same = pc.ProductFormPolynomial(
+            fixtures.random_positive_matrix(4, rng), mode="float").expand()
+        return pc.DerivativeSliceOracle(same, 1), pc.derivative_reduce(same)
     else:
-        # A pencil base keeps the finite-difference objective. A diagonal
-        # pencil is the product form of the transposed matrix.
+        # A pencil base gives the slice its jets. A diagonal pencil is the
+        # product form of the transposed matrix.
         m = fixtures.random_positive_matrix(4, rng)
         base = pc.DeterminantalPolynomial(fixtures.diagonal_psd_tuple(m))
         same = pc.ProductFormPolynomial(np.array(m).T, mode="float").expand()
@@ -77,17 +82,23 @@ def _objective_case(kind, rng):
     return poly, poly
 
 
+# Kinds whose objective is in closed form, and kinds that take finite
+# differences.
+_CLOSED = ["sparse", "product", "determinantal", "pencil-slice"]
+_PLAIN = ["function", "derivative-slice"]
+
+
 class TestObjectiveDerivatives:
-    @pytest.mark.parametrize("kind", ["sparse", "product", "determinantal",
-                                      "function", "derivative-slice"])
+    @pytest.mark.parametrize("kind", _CLOSED + _PLAIN)
     def test_gradient_and_hessian_match_finite_differences(self, kind):
         rng = np.random.default_rng(42)
         poly, same = _objective_case(kind, rng)
-        # A plain oracle gets the finite-difference objective, checked against
-        # the closed form of the same polynomial as a structured representation.
+        # A plain oracle gets the finite-difference objective; it and a slice
+        # are checked against the closed form of the same polynomial as a
+        # structured representation.
         obj = log_objective(poly)
         ref = log_objective(same)
-        assert isinstance(obj, _OracleObjective) == (same is not poly)
+        assert isinstance(obj, _OracleObjective) == (kind in _PLAIN)
         y = rng.normal(0, 0.3, poly.n_vars)
         h = 1e-6
         eye = np.eye(poly.n_vars)
@@ -99,7 +110,7 @@ class TestObjectiveDerivatives:
         assert np.abs(obj.gradient(y) - fd_g).max() < 1e-6
         assert np.abs(obj.hessian(y) - fd_h).max() < 1e-5
 
-    @pytest.mark.parametrize("kind", ["sparse", "product", "determinantal"])
+    @pytest.mark.parametrize("kind", _CLOSED)
     def test_closed_forms_obey_eulers_identity(self, kind):
         # Homogeneity of degree d: f(y + c1) = f(y) + d c, so g.1 = d and
         # H 1 = 0, which the capacity solver's Newton step relies on.
@@ -112,7 +123,7 @@ class TestObjectiveDerivatives:
             H = obj.hessian(y)
             assert np.abs(H.sum(axis=1)).max() <= 1e-10 * np.abs(H).max()
 
-    @pytest.mark.parametrize("kind", ["sparse", "product", "determinantal"])
+    @pytest.mark.parametrize("kind", _CLOSED)
     def test_closed_forms_keep_only_their_last_point(self, kind):
         # What an objective keeps from its last y never answers for another
         # y, nor for that y changed in place.
@@ -141,7 +152,7 @@ class TestObjectiveDerivatives:
             obj.value(y), obj.gradient(y), obj.hessian(y)
         assert len(calls) == 2
 
-    @pytest.mark.parametrize("kind", ["function", "derivative-slice"])
+    @pytest.mark.parametrize("kind", _PLAIN)
     def test_finite_difference_hessian_takes_its_diagonal_from_the_rows(self, kind):
         rng = np.random.default_rng(45)
         poly, _ = _objective_case(kind, rng)
@@ -469,3 +480,15 @@ class TestSinkhornAgainstReference:
         r = self._same(m, tol=1e-14, max_iter=25)
         assert (r.status, r.iterations) == ("iteration-cap", 25)
 
+
+    @pytest.mark.parametrize("n, tol, max_iter", [
+        (17, 1e-10, 0), (17, 1e-10, 1), (17, 1e-10, 3),
+        # Past convergence: the last sweep's rows are off by one ulp and its
+        # columns by two.
+        (40, 1e-300, 100)])
+    def test_capped_runs_measure_their_last_sweep(self, n, tol, max_iter):
+        # The column sums are measured only on a sweep whose rows are within
+        # tol, and after the last sweep of a capped run.
+        r = self._same(np.random.default_rng(1).uniform(0.1, 1.0, (n, n)),
+                       tol=tol, max_iter=max_iter)
+        assert (r.status, r.iterations) == ("iteration-cap", max_iter)

@@ -9,7 +9,7 @@ import polycap as pc
 from polycap import fixtures
 from polycap.approx import DerivativeSliceOracle
 from polycap.oracles import mixed_form
-from polycap.polynomials import _bareiss
+from polycap.polynomials import _bareiss, _scalar_array
 from test_bounds import product_with_sparse_first_column
 
 
@@ -273,6 +273,46 @@ def test_ragged_exact_input_names_its_shape(reader):
     # shape is tested before the exact-type scan, which would say "got list"
     with pytest.raises(pc.InputError, match="of real numbers; got shape"):
         _MATRIX_READERS[reader]([[1, 1], [1]], mode="exact")
+
+
+_HALF, _THIRD = Fraction(1, 2), Fraction(1, 3)
+# (rows, mode) -> the mode and values read, or the refusal. Rows of
+# Fractions only pass through as they are; any other type set is checked
+# entry by entry.
+_SCALAR_TYPE_SETS = {
+    "fractions": ([[_HALF, _THIRD], [_THIRD, _HALF]], None,
+                  ("exact", [_HALF, _THIRD, _THIRD, _HALF])),
+    "fractions-exact": ([[_HALF, _THIRD], [_THIRD, _HALF]], "exact",
+                        ("exact", [_HALF, _THIRD, _THIRD, _HALF])),
+    "bools": ([[True, _HALF], [False, _THIRD]], None,
+              ("exact", [Fraction(1), _HALF, Fraction(0), _THIRD])),
+    "ints": ([[1, _HALF], [2, 3]], "exact",
+             ("exact", [Fraction(1), _HALF, Fraction(2), Fraction(3)])),
+    "numpy-ints": ([[np.int64(1), _HALF], [_THIRD, np.int64(2)]], None,
+                   ("float", [1.0, 0.5, 1 / 3, 2.0])),
+    "numpy-ints-exact": ([[np.int64(1), _HALF], [_THIRD, np.int64(2)]], "exact",
+                         "got int64 (pass rationals, or use float mode)"),
+    "floats": ([[0.5, 0.25], [1.0, 2.0]], None, ("float", [0.5, 0.25, 1.0, 2.0])),
+    "floats-exact": ([[_HALF, 0.25], [_THIRD, _HALF]], "exact",
+                     "got float (pass rationals, or use float mode)"),
+    "mixed": ([[_HALF, 0.25], [1, True]], None, ("float", [0.5, 0.25, 1.0, 1.0])),
+}
+
+
+@pytest.mark.parametrize("case", sorted(_SCALAR_TYPE_SETS))
+def test_scalar_types_read_as_numbers(case):
+    rows, mode, want = _SCALAR_TYPE_SETS[case]
+    if isinstance(want, str):
+        with pytest.raises(pc.InputError) as info:
+            _scalar_array(rows, mode, 2)
+        assert str(info.value) == "exact mode requires int or Fraction scalars; " + want
+        return
+    got_mode, a = _scalar_array(rows, mode, 2)
+    values = a.ravel().tolist()
+    assert (got_mode, values) == want
+    assert a.dtype == (object if got_mode == "exact" else float)
+    assert all(type(v) is (Fraction if got_mode == "exact" else float)
+               for v in values)
 
 
 def test_sparse_coefficients_read_as_numbers():
