@@ -16,9 +16,10 @@ reaching exactness at k = n-1, at the price of 2^k * m oracle calls per
 evaluation, m = floor((n-k)/2) + 1. Oracle-call counts are tracked exactly.
 
 Newton on the slice needs its gradient and Hessian too. On product forms and
-pencils the same 2^k * m points give them in closed form (``jet_sum``), so
-each Newton step costs one batch of base calls; on other bases (sparse
-polynomials, plain oracles) the objective takes finite differences of slice
+pencils the same 2^k * m points give them in closed form (``jet_sum``), and
+``EvaluationOracle.log_objective`` picks the jet objective for such a slice,
+so each Newton step costs one batch of base calls; on other bases (sparse
+polynomials, plain oracles) it takes finite differences of slice
 evaluations.
 """
 from __future__ import annotations
@@ -34,8 +35,8 @@ from .bounds import vdw_factor
 from .capacity import CapacityResult, capacity_minimize
 from .errors import InputError
 from .oracles import _TABLE_BITS, _sign_table
-from .polynomials import (EvaluationOracle, _in_chunks, _last_point, _summed,
-                          _to_float, square_shape)
+from .polynomials import (EvaluationOracle, _is_int, _summed, _to_float,
+                          square_shape)
 
 _TINY = 1e-300
 
@@ -44,8 +45,8 @@ def guarantee_factor(n: int, k: int = 0) -> float:
     """Worst-case ratio (upper estimate / true value) after fixing k
     variables: 1/vdw_factor(n-k) = (n-k)^(n-k) / (n-k)!. Decreases strictly
     in k; equals 1 at k = n-1 (and n = 1)."""
-    if not 0 <= k <= n - 1:
-        raise InputError("need 0 <= k <= n-1")
+    if not (_is_int(n) and _is_int(k) and 0 <= k <= n - 1):
+        raise InputError(f"need integers 0 <= k <= n-1, got n={n!r} and k={k!r}")
     return float(1 / vdw_factor(n - k))
 
 
@@ -79,20 +80,21 @@ class DerivativeSliceOracle(EvaluationOracle):
     The slice is linear in p, so with the nodes held fixed its gradient and
     Hessian are the same signed, weighted sums of the base's. A base with
     ``jet_sum`` (a product form, a pencil, or a slice of either) gives all
-    three from one batch of points, and ``log_objective`` is then in closed
-    form; any other base keeps the finite-difference objective.
+    three from one batch of points, and the base class's ``log_objective``
+    then takes the jet objective; any other base keeps finite differences.
+    Values and jets read one set of points, ``_signed_points``.
     """
 
     def __init__(self, base: EvaluationOracle, k: int):
-        if not 1 <= k < base.n_vars:
-            raise InputError("need 1 <= k < n_vars")
+        if not (_is_int(k) and 1 <= k < base.n_vars):
+            raise InputError(f"need an integer 1 <= k < n_vars, got {k!r}")
         square_shape(base, "slice oracle")
         super().__init__()
+        self.k = k = int(k)
         self.n_vars = base.n_vars - k
         self.degree = base.degree - k
         self.mode = base.mode
         self.base = base
-        self.k = k
         self.m = self.n_vars // 2 + 1
         # Nodes and weights are exact; each batch takes them in its dtype and
         # scales the nodes by its rows' sizes, which leaves the weights as
@@ -108,8 +110,9 @@ class DerivativeSliceOracle(EvaluationOracle):
         # the rest a shift of the table, so a base call gets at most
         # 2^_TABLE_BITS points per node.
         head = np.eye(k, dtype=int)
-        self._table, self._signs = _sign_table(head[:_TABLE_BITS])
-        self._shifts = list(zip(*_sign_table(head[_TABLE_BITS:])))
+        self._table, signs = _sign_table(head[:_TABLE_BITS])
+        self._shifts = [(shift, sign * signs)
+                        for shift, sign in zip(*_sign_table(head[_TABLE_BITS:]))]
 
     def _row_entries(self):
         # Each row evaluates the base at calls_per_eval points.
@@ -126,41 +129,31 @@ class DerivativeSliceOracle(EvaluationOracle):
         scale[scale == 0] = 1
         return scale[:, None] * nodes, weights
 
-    def _points(self, eps, tails, shift):
-        """The base points (eps_t b, tail_t) for the head patterns b of the
-        table shifted by ``shift``, one block per node eps_t and tail row
-        tail_t, as rows."""
-        points = np.empty((len(eps), len(self._signs), self.base.n_vars),
-                          dtype=tails.dtype)
-        points[:, :, :self.k] = eps[:, None, None] * (self._table + shift)
-        points[:, :, self.k:] = tails[:, None, :]
-        return points.reshape(-1, self.base.n_vars)
+    def _signed_points(self, eps, X):
+        """For each shift of the sign table: the base points (eps_j b, x) for
+        every row x of X, its nodes eps_j (a row of ``eps``) and the patterns
+        b of the shifted table, as rows in (row, node, pattern) order, with
+        each pattern's sign prod(b). One buffer, refilled per shift: its rows
+        are valid until the next one."""
+        points = np.empty((len(X), self.m, len(self._table), self.base.n_vars),
+                          dtype=X.dtype)
+        points[..., self.k:] = X[:, None, None, :]
+        for shift, signs in self._shifts:
+            points[..., :self.k] = eps[:, :, None, None] * (self._table + shift)
+            yield points.reshape(-1, self.base.n_vars), signs
 
     def has_jets(self):
         return self.base.has_jets()
 
     def _evaluate_batch(self, X):
-        # One row (eps_j, tail) per tail and node, whose signed sum over the
-        # head's patterns is 2^k eps_j^k h(eps_j^2).
+        # The signed sum of each row and node over the head's patterns is
+        # 2^k eps_j^k h(eps_j^2).
         eps, weights = self._scaled_nodes(X)
-        rows = np.empty((len(X), self.m, 1 + self.n_vars), dtype=X.dtype)
-        rows[:, :, 0] = eps
-        rows[:, :, 1:] = X[:, None, :]
-
-        def pattern_sums(group):
-            sums = 0
-            # Python int signs: an np.int64 times an int past 2^63 overflows.
-            for shift, sign in self._shifts:
-                values = self.base.evaluate_batch(
-                    self._points(group[:, 0], group[:, 1:], shift))
-                sums = sums + int(sign) * (values.reshape(len(group), -1) @ self._signs)
-            return sums
-
-        # A row past one chunk still builds about _BATCH_ENTRIES points at a
-        # time (one node's table at least): its nodes go in groups.
-        sums = _in_chunks(pattern_sums, rows.reshape(-1, 1 + self.n_vars),
-                          2 ** self.k * self.base.n_vars)
-        h = sums.reshape(len(X), self.m) / (2 ** self.k * eps ** self.k)
+        sums = 0
+        for points, signs in self._signed_points(eps, X):
+            values = self.base.evaluate_batch(points)
+            sums = sums + values.reshape(eps.size, -1) @ signs
+        h = sums.reshape(eps.shape) / (2 ** self.k * eps ** self.k)
         terms = h * weights
         values = terms.sum(axis=1)
         if self.mode == "float" and len(X):
@@ -176,43 +169,9 @@ class DerivativeSliceOracle(EvaluationOracle):
         # base's over the points of each row's evaluation, weighted
         # c_t w_j prod(b) / (2^k eps_j^k), in the base's variables k + first..
         eps, weights = self._scaled_nodes(X)
-        w = c[:, None] * weights / (2 ** self.k * eps ** self.k)
-        tails = np.repeat(X, self.m, axis=0)
-        return _summed([self.base.jet_sum(
-            self._points(eps.ravel(), tails, shift),
-            (w[:, :, None] * (sign * self._signs)).ravel(), self.k + first)
-            for shift, sign in self._shifts])
-
-    def log_objective(self):
-        return _SliceObjective(self) if self.has_jets() else super().log_objective()
-
-
-class _SliceObjective:
-    """f(y) = log h(e^y) from the slice's ``jet_sum``: with x = e^y,
-    g = x o grad h / h and H = diag(g) + (x x^T) o Hess h / h - g g^T. The jet
-    at the last y is kept, so a line search's accepted value, then the
-    gradient and Hessian there, cost one slice evaluation."""
-
-    def __init__(self, oracle: DerivativeSliceOracle):
-        self.oracle = oracle
-
-    @_last_point
-    def _at(self, y):
-        x = np.exp(y)
-        return (x, *self.oracle.jet_sum(x[None], [1.0], 0))
-
-    def value(self, y):
-        h = self._at(y)[1]
-        return float(np.log(h)) if np.isfinite(h) and h > 0 else np.inf
-
-    def gradient(self, y):
-        x, h, dh, _ = self._at(y)
-        return x * dh / h
-
-    def hessian(self, y):
-        x, h, dh, d2h = self._at(y)
-        g = x * dh / h
-        return np.diag(g) + np.outer(x, x) * d2h / h - np.outer(g, g)
+        w = (c[:, None] * weights / (2 ** self.k * eps ** self.k))[:, :, None]
+        return _summed([self.base.jet_sum(points, (w * signs).ravel(), self.k + first)
+                        for points, signs in self._signed_points(eps, X)])
 
 
 @dataclass
@@ -238,8 +197,9 @@ def estimate_mixed_partial(poly: EvaluationOracle, k: int = 0,
     Hessian, so one Newton step costs one slice evaluation.
     """
     n = square_shape(poly, "estimate")
-    if not 0 <= k <= n - 1:
-        raise InputError("need 0 <= k <= n-1")
+    if not (_is_int(k) and 0 <= k <= n - 1):
+        raise InputError(f"need an integer 0 <= k <= n-1, got {k!r}")
+    k = int(k)
 
     calls_before = poly.calls
     target = DerivativeSliceOracle(poly, k) if k > 0 else poly

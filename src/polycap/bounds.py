@@ -32,6 +32,7 @@ from .errors import InputError, ResourceLimitError
 from .oracles import exact_mixed_partial, permanent_ryser
 from .polynomials import (
     EvaluationOracle,
+    _is_int,
     _scalar_array,
     derivative_reduce,
     square_shape,
@@ -40,8 +41,9 @@ from .polynomials import (
 
 def vdw_factor(n: int) -> Fraction:
     """n!/n^n, the sharp constant relating Cap(p) to the mixed partial."""
-    if n < 1:
-        raise InputError("n must be >= 1")
+    if not _is_int(n) or n < 1:
+        raise InputError(f"n must be an integer >= 1, got {n!r}")
+    n = int(n)
     return Fraction(math.factorial(n), n ** n)
 
 
@@ -91,10 +93,8 @@ def entropic_inequality_check(c) -> tuple:
 
     Returns (lhs, rhs) after asserting lhs >= rhs - 1e-12.
     """
-    c = [float(v) for v in c]
+    c = _scalar_array(c, "float", 1)[1].tolist()
     n = len(c)
-    if n < 1:
-        raise InputError("c must be nonempty")
     for i, v in enumerate(c):
         if not -1e-10 <= v <= 1 + 1e-10:
             raise InputError(f"c[{i}] = {v} is outside [0, 1]")
@@ -117,10 +117,8 @@ def repeated_column_permanent(a) -> Fraction:
     remaining n-1 columns are all b with b_i = (1 - a_i)/(n - 1); requires
     a_i >= 0 and sum(a) = 1. Asserts it is >= n!/n^n (0^0 := 1 at n = 1).
     """
-    a = [Fraction(v) if not isinstance(v, Fraction) else v for v in a]
+    a = list(map(Fraction, _scalar_array(a, None, 1)[1].tolist()))
     n = len(a)
-    if n < 1:
-        raise InputError("a must be nonempty")
     if any(v < 0 for v in a):
         raise InputError("entries of a must be nonnegative")
     if sum(a) != 1:
@@ -151,10 +149,10 @@ def univariate_linear_bound_check(a, b) -> tuple:
 
     Returns (d1, C, bound) after asserting the inequality to 1e-10 relative.
     """
-    a = [Fraction(v) if not isinstance(v, Fraction) else v for v in a]
-    b = [Fraction(v) if not isinstance(v, Fraction) else v for v in b]
-    if len(a) != len(b) or not a:
-        raise InputError("a and b must be equal-length nonempty sequences")
+    a, b = (list(map(Fraction, _scalar_array(v, None, 1)[1].tolist()))
+            for v in (a, b))
+    if len(a) != len(b):
+        raise InputError("a and b must be of equal length")
     if any(v < 0 for v in a) or any(v < 0 for v in b):
         raise InputError("coefficients must be nonnegative")
     n = len(a)

@@ -35,8 +35,9 @@ other module asks which representation it holds:
 * ``expand()`` into a ``SparsePolynomial``, for sparse polynomials and
   product forms (a pencil raises ``InputError``);
 * ``log_objective()``, the convex capacity objective f(y) = log p(e^y) with
-  its gradient and Hessian: in closed form for the three representations,
-  by finite differences of evaluations for any other oracle;
+  its gradient and Hessian: in closed form for the three representations;
+  the base class picks the jet objective for any other oracle with
+  ``jet_sum``, finite differences of evaluations for the rest;
 * ``mixed_partial()``, the exact d^n p / dx_1..dx_n: the coefficient of
   x_1...x_n, the permanent of the matrix, the mixed discriminant of the
   pencil;
@@ -49,7 +50,8 @@ other module asks which representation it holds:
 
 A plain oracle keeps the finite-difference objective and raises
 ``InputError`` for the rest. ``approx.DerivativeSliceOracle`` is one, but
-where its base gives ``jet_sum`` its objective is in closed form too.
+where its base gives ``jet_sum`` so does the slice, and the base class then
+gives it the jet objective.
 """
 from __future__ import annotations
 
@@ -82,8 +84,8 @@ _cleared = np.frompyfunc(lambda v, d: v.numerator * (d // v.denominator), 2, 1)
 
 
 def _is_int(value) -> bool:
-    """An int that is not a bool."""
-    return isinstance(value, int) and not isinstance(value, bool)
+    """An int or a numpy integer that is not a bool."""
+    return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
 
 
 def _check_mode(mode):
@@ -297,8 +299,9 @@ class EvaluationOracle:
 
     def log_objective(self):
         """The convex objective f(y) = log p(e^y), with ``value``,
-        ``gradient`` and ``hessian`` methods; here by finite differences."""
-        return _OracleObjective(self)
+        ``gradient`` and ``hessian`` methods: from ``jet_sum`` where the
+        oracle gives it, by finite differences otherwise."""
+        return _JetObjective(self) if self.has_jets() else _OracleObjective(self)
 
     def jet_sum(self, X, c, first: int):
         """(sum_t c_t p(x_t), sum_t c_t grad p(x_t), sum_t c_t Hess p(x_t)) over
@@ -311,6 +314,11 @@ class EvaluationOracle:
             raise InputError(
                 f"points must have shape (m, {self.n_vars}), got {X.shape}")
         c = np.asarray(c, dtype=float)
+        if c.shape != (len(X),):
+            raise InputError(f"weights must have shape ({len(X)},), got {c.shape}")
+        if not (_is_int(first) and 0 <= first <= self.n_vars):
+            raise InputError(
+                f"first must be an integer in 0..{self.n_vars}, got {first!r}")
         step = max(1, _BATCH_ENTRIES // self._jet_entries(first))
         jets = _summed([self._jet(X[i:i + step], c[i:i + step], first)
                         for i in range(0, max(len(X), 1), step)])
@@ -396,6 +404,34 @@ class _OracleObjective:
         # promises it: f(y + c1) = f(y) + d c, so H 1 = 0 fixes the diagonal.
         np.fill_diagonal(H, -H.sum(axis=1))
         return H
+
+
+class _JetObjective:
+    """f(y) = log p(e^y) from the oracle's ``jet_sum``: with x = e^y,
+    g = x o grad p / p and H = diag(g) + (x x^T) o Hess p / p - g g^T. The jet
+    at the last y is kept, so a line search's accepted value, then the
+    gradient and Hessian there, cost one evaluation."""
+
+    def __init__(self, poly: EvaluationOracle):
+        self.poly = poly
+
+    @_last_point
+    def _at(self, y):
+        x = np.exp(y)
+        return (x, *self.poly.jet_sum(x[None], [1.0], 0))
+
+    def value(self, y):
+        p = self._at(y)[1]
+        return float(np.log(p)) if np.isfinite(p) and p > 0 else np.inf
+
+    def gradient(self, y):
+        x, p, dp, _ = self._at(y)
+        return x * dp / p
+
+    def hessian(self, y):
+        x, p, dp, d2p = self._at(y)
+        g = x * dp / p
+        return np.diag(g) + np.outer(x, x) * d2p / p - np.outer(g, g)
 
 
 class FunctionOracle(EvaluationOracle):

@@ -9,7 +9,8 @@ import polycap as pc
 from polycap import approx, fixtures, polynomials
 from polycap.approx import DerivativeSliceOracle
 from polycap.capacity import log_objective
-from polycap.polynomials import _BATCH_ENTRIES, _OracleObjective
+from polycap.oracles import _TABLE_BITS
+from polycap.polynomials import _BATCH_ENTRIES, _JetObjective, _OracleObjective
 
 
 class TestGuaranteeFactor:
@@ -41,6 +42,15 @@ class TestGuaranteeFactor:
         with pytest.raises(pc.InputError):
             pc.guarantee_factor(3, -1)
 
+    @pytest.mark.parametrize("n, k", [(4, 2.0), (4, 2.5), (4, True), (4.0, 2),
+                                      (True, 0), ("4", 2)])
+    def test_non_integers_are_refused(self, n, k):
+        with pytest.raises(pc.InputError, match="integers"):
+            pc.guarantee_factor(n, k)
+
+    def test_numpy_integers_are_accepted(self):
+        assert pc.guarantee_factor(np.int64(4), np.int32(2)) == 2.0
+
 
 class TestDerivativeSliceOracle:
     def test_validation(self):
@@ -52,6 +62,11 @@ class TestDerivativeSliceOracle:
         q = pc.SparsePolynomial(2, {(3, 1): 1}, mode="exact")
         with pytest.raises(pc.InputError):
             DerivativeSliceOracle(q, 1)
+        for k in (2.0, 2.5, True, "2"):
+            with pytest.raises(pc.InputError, match="integer"):
+                DerivativeSliceOracle(p, k)
+        o = DerivativeSliceOracle(p, np.int64(2))
+        assert type(o.k) is int and o.n_vars == 1
 
     def test_shape_bookkeeping(self):
         p = fixtures.uniform_product_polynomial(6)
@@ -123,19 +138,28 @@ class TestDerivativeSliceOracle:
         assert values.tolist() == [o.evaluate(x) for x in X]
         assert p.calls == 100 * o.calls_per_eval
 
-    def test_large_row_goes_to_the_base_in_groups(self, monkeypatch):
-        p = fixtures.random_product_polynomial(12, np.random.default_rng(0))
-        o = DerivativeSliceOracle(p, 8)
+    @pytest.mark.parametrize("n, k", [(12, 8), (13, 11)])
+    def test_large_row_goes_to_the_base_once_per_shift(self, monkeypatch, n, k):
+        # A row past one chunk still gives the base one batch per shift of the
+        # sign table, all its nodes at once; the base's own chunks bound the
+        # memory.
+        p = fixtures.random_product_polynomial(n, np.random.default_rng(0))
+        o = DerivativeSliceOracle(p, k)
         assert o._row_entries() > _BATCH_ENTRIES
-        sizes, evaluate_batch = [], p.evaluate_batch
+        batches, chunks = [], []
+        evaluate_batch, evaluate_chunk = p.evaluate_batch, p._evaluate_batch
         monkeypatch.setattr(p, "evaluate_batch",
-                            lambda X: sizes.append(len(X)) or evaluate_batch(X))
-        value = o.evaluate((1.0, 2.0, 0.5, 1.5))
-        assert sum(sizes) == o.calls_per_eval and len(sizes) == o.m
-        assert max(sizes) * p.n_vars <= _BATCH_ENTRIES
-        monkeypatch.setattr(polynomials, "_BATCH_ENTRIES", o._row_entries())
-        assert o.evaluate((1.0, 2.0, 0.5, 1.5)) == pytest.approx(value, rel=1e-12)
-        assert len(sizes) == o.m + 1
+                            lambda X: batches.append(len(X)) or evaluate_batch(X))
+        monkeypatch.setattr(p, "_evaluate_batch",
+                            lambda X: chunks.append(X.size) or evaluate_chunk(X))
+        x = np.linspace(0.5, 2.0, n - k)
+        value = o.evaluate(x)
+        shifts = 2 ** max(k - _TABLE_BITS, 0)
+        assert batches == [o.m * 2 ** min(k, _TABLE_BITS)] * shifts
+        assert sum(batches) == o.calls_per_eval
+        assert len(chunks) > shifts and max(chunks) <= _BATCH_ENTRIES
+        monkeypatch.setattr(polynomials, "_BATCH_ENTRIES", 1 << 16)
+        assert o.evaluate(x) == pytest.approx(value, rel=1e-12)
 
     @pytest.mark.parametrize("n, k", [(12, 4), (14, 7)])
     def test_float_slices_match_exact_at_every_scale(self, n, k):
@@ -238,7 +262,7 @@ def _assert_closed_form_of_reduced(o, base):
     closed-form objective, and it matches the twice-reduced expansion."""
     assert o.has_jets()
     obj = o.log_objective()
-    assert isinstance(obj, approx._SliceObjective)
+    assert isinstance(obj, _JetObjective)
     exact = log_objective(pc.derivative_reduce(pc.derivative_reduce(base.expand())))
     y = np.array([0.2, -0.1, 0.3, -0.4])
     assert abs(obj.value(y) - exact.value(y)) < 1e-13
@@ -305,6 +329,48 @@ class TestJets:
                                            rtol=1e-12, atol=1e-12 * scale)
                 np.testing.assert_allclose(hess, np.array(ref_hess, dtype=float),
                                            rtol=1e-12, atol=1e-12 * scale)
+
+    @pytest.mark.parametrize("c, first, match", [
+        (np.ones((1, 3)), 0, "weights"), (np.ones(2), 0, "weights"),
+        (np.ones(3), -1, "first"), (np.ones(3), 5, "first"),
+        (np.ones(3), 1.0, "first"), (np.ones(3), True, "first")])
+    def test_jet_sum_refuses_wrong_weights_and_first(self, c, first, match):
+        p = fixtures.random_product_polynomial(4, np.random.default_rng(1))
+        with pytest.raises(pc.InputError, match=match):
+            p.jet_sum(np.ones((3, 4)), c, first)
+        assert p.calls == 0
+        value, grad, hess = p.jet_sum(np.ones((3, 4)), np.ones(3), np.int64(4))
+        assert value == pytest.approx(3 * p.evaluate((1.0,) * 4), rel=1e-12)
+        assert grad.shape == (0,) and hess.shape == (0, 0)
+
+    @pytest.mark.parametrize("n, k", [(6, 3), (13, 12)])
+    @pytest.mark.parametrize("kind", ["product", "pencil"])
+    def test_slice_values_and_jets_agree(self, kind, n, k):
+        # Values and jets read the same signed points, within the table
+        # (k = 3) and over several shifts of it (k = 12).
+        rng = np.random.default_rng(k)
+        base = (fixtures.random_product_polynomial(n, rng) if kind == "product"
+                else pc.DeterminantalPolynomial(
+                    fixtures.doubly_stochastic_psd_tuple(n, rng)))
+        o = DerivativeSliceOracle(base, k)
+        X = rng.uniform(0.5, 2.0, (2, n - k))
+        values = o.evaluate_batch(X)
+        for x, v in zip(X, values):
+            assert o.jet_sum([x], [1.0], 0)[0] == pytest.approx(v, rel=1e-12)
+        c = rng.normal(size=2)
+        assert o.jet_sum(X, c, 0)[0] == pytest.approx(c @ values, rel=1e-12)
+
+    def test_slice_of_a_slice_past_the_table(self):
+        # The inner slice refills its points once per shift while the outer
+        # one's points are still in use; with one variable left the result
+        # is per(A) x.
+        p = fixtures.random_product_polynomial(13, np.random.default_rng(4))
+        o = DerivativeSliceOracle(DerivativeSliceOracle(p, 11), 1)
+        per = float(p.mixed_partial())
+        X = np.array([[0.5], [1.5], [3.0]])
+        np.testing.assert_allclose(o.evaluate_batch(X), per * X[:, 0], rtol=1e-9)
+        for x in X:
+            assert o.jet_sum([x], [1.0], 0)[0] == pytest.approx(per * x[0], rel=1e-9)
 
     def test_other_oracles_have_no_jets(self):
         f = pc.FunctionOracle(2, 2, lambda x: x[0] * x[1])
@@ -519,3 +585,9 @@ class TestEstimateMixedPartial:
         p = fixtures.uniform_product_polynomial(3, mode="float")
         with pytest.raises(pc.InputError):
             pc.estimate_mixed_partial(p, k=3)
+        for k in (2.0, 1.5, True, None):
+            with pytest.raises(pc.InputError, match="integer"):
+                pc.estimate_mixed_partial(p, k=k)
+        r = pc.estimate_mixed_partial(p, k=np.int64(2))
+        assert r.estimate == pytest.approx(2 / 9, rel=1e-12)
+        assert type(r.k_used) is int

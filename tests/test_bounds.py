@@ -30,6 +30,11 @@ class TestFactors:
     def test_vdw_factor_validation(self):
         with pytest.raises(pc.InputError):
             pc.vdw_factor(0)
+        for n in (3.0, 2.5, True, "3"):
+            with pytest.raises(pc.InputError, match="integer"):
+                pc.vdw_factor(n)
+        # numpy integers are read as Python ints: n^n does not wrap at n = 16.
+        assert pc.vdw_factor(np.int64(16)) == pc.vdw_factor(16)
 
     def test_phi_values(self):
         assert _phi(1) == 1
@@ -284,6 +289,16 @@ class TestRepeatedColumnPermanent:
         with pytest.raises(pc.InputError):
             pc.repeated_column_permanent((Fraction(3, 2), Fraction(-1, 2)))
 
+    @pytest.mark.parametrize("a", [[1j, 1], ["1/2", "1/2"], [], [[0.5, 0.5]],
+                                   [float("nan"), 1]])
+    def test_non_numeric_input_is_refused(self, a):
+        with pytest.raises(pc.InputError):
+            pc.repeated_column_permanent(a)
+
+    def test_floats_are_read_exactly(self):
+        assert pc.repeated_column_permanent([0.25, 0.75]) == \
+            pc.repeated_column_permanent([Fraction(1, 4), Fraction(3, 4)])
+
 
 class TestEntropicInequality:
     def test_two_variable_equality(self):
@@ -323,6 +338,11 @@ class TestEntropicInequality:
         with pytest.raises(pc.InputError):
             pc.entropic_inequality_check((1.5, 0.5, 0.0))
 
+    @pytest.mark.parametrize("c", [["a", 1], [1j, 1], [], [float("inf"), 0]])
+    def test_non_numeric_input_is_refused(self, c):
+        with pytest.raises(pc.InputError):
+            pc.entropic_inequality_check(c)
+
 
 class TestUnivariateLinearBound:
     def test_equality_pair(self):
@@ -348,6 +368,12 @@ class TestUnivariateLinearBound:
             pc.univariate_linear_bound_check((1.0, -0.1), (0.5, 0.5))
         with pytest.raises(pc.InputError):
             pc.univariate_linear_bound_check((1.0,), (0.5, 0.5))
+
+    @pytest.mark.parametrize("a, b", [([float("inf")], [1]), ([1], [1j]),
+                                      (["1/2"], [1]), ([], [])])
+    def test_non_numeric_input_is_refused(self, a, b):
+        with pytest.raises(pc.InputError):
+            pc.univariate_linear_bound_check(a, b)
 
 
 class TestContraction:
