@@ -203,8 +203,7 @@ def estimate_mixed_partial(poly: EvaluationOracle, k: int = 0,
 
     calls_before = poly.calls
     target = DerivativeSliceOracle(poly, k) if k > 0 else poly
-    tail = n - k
-    ones_value = target.evaluate((1,) * tail)
+    ones_value = target.evaluate((1,) * (n - k))
     unreliable = (
         k > 0
         and target.mode == "float"
@@ -216,11 +215,14 @@ def estimate_mixed_partial(poly: EvaluationOracle, k: int = 0,
         # sits below the extrapolation noise floor). Nonnegative coefficients
         # force p_k to vanish identically, so capacity and estimate are 0,
         # which keeps the lower-bound guarantee valid.
-        cap = CapacityResult(0.0, (1.0,) * tail, 0, 0.0, "degenerate", None)
+        cap = CapacityResult(0.0, None, 0, 0.0, "degenerate", None)
     elif k == n - 1:
         # One variable left: p_k is linear, so its capacity is its value at 1.
+        # An exact value below the float range has a log all the same.
         value = _to_float(ones_value)
-        cap = CapacityResult(value, (1.0,), 0, 0.0, "gradient", math.log(value))
+        log_value = (math.log(value) if value else math.log(ones_value.numerator)
+                     - math.log(ones_value.denominator))
+        cap = CapacityResult(value, (1.0,), 0, 0.0, "gradient", log_value)
     else:
         cap = capacity_minimize(target, tol=tol, max_iter=max_iter)
     oracle_calls = poly.calls - calls_before

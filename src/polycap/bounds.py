@@ -34,6 +34,7 @@ from .polynomials import (
     EvaluationOracle,
     _is_int,
     _scalar_array,
+    _to_float,
     derivative_reduce,
     square_shape,
 )
@@ -238,7 +239,7 @@ def rank_ladder_bound(poly: EvaluationOracle, tol: float = 1e-10,
         for factor in (vdw_factor(n), ladder, uniform))
 
     try:
-        exact_value = float(exact_mixed_partial(poly))
+        exact_value = _to_float(exact_mixed_partial(poly))
     except (ResourceLimitError, InputError):
         exact_value = None
 

@@ -8,10 +8,11 @@ mean and solves with H + 11^T/n, which is H on the hyperplane with a unit
 pivot along 1; a backtracking line search and a gradient fallback guard it.
 Each representation supplies f with its gradient and Hessian
 (``EvaluationOracle.log_objective`` in ``polynomials``): in closed form for
-the three structured representations and for derivative slices of product
-forms and pencils, by finite differences for other oracles. A closed-form
-objective keeps what it computed at its last y, so the accepted line-search
-value, the gradient and the Hessian at one y share one factorization.
+sparse polynomials and product forms, from the jets of pencils and of
+derivative slices of product forms and pencils, by finite differences for
+other oracles. A closed-form or jet objective keeps what it computed at its
+last y, so the accepted line-search value, the gradient and the Hessian at
+one y share one factorization.
 
 Also here: Sinkhorn matrix scaling (matrix capacity as the product of the
 scalers). A sweep's column sums are 1 to rounding, so each sweep measures
@@ -24,7 +25,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import InputError
+from .errors import InputError, ResourceLimitError
 from .polynomials import EvaluationOracle, _scalar_array
 
 # f must drop this far below its start, while the gradient stays large,
@@ -48,7 +49,7 @@ _STATUS = {
 @dataclass
 class CapacityResult:
     value: float
-    minimizer: tuple
+    minimizer: tuple | None  # None if degenerate or past the float range
     iterations: int
     gradient_norm: float
     stop_reason: str  # a key of _STATUS
@@ -108,8 +109,7 @@ def capacity_minimize(poly: EvaluationOracle, tol: float = 1e-10,
     if not np.isfinite(f):
         # p vanishes on the whole positive orthant slice (e.g. a PSD pencil
         # with a common kernel): the infimum is 0.
-        return CapacityResult(0.0, tuple(np.exp(y)), 0, float("nan"),
-                              "degenerate", None)
+        return CapacityResult(0.0, None, 0, float("nan"), "degenerate", None)
     f_init = f
     g = obj.gradient(y)
     gr = g - g.mean()
@@ -123,8 +123,7 @@ def capacity_minimize(poly: EvaluationOracle, tol: float = 1e-10,
             reason = "gradient"
             break
         if f < f_init - _DEGENERATE_DROP and gnorm >= max(0.01 * g0, tol):
-            return CapacityResult(0.0, tuple(np.exp(y - y.mean())), iterations,
-                                  gnorm, "degenerate", None)
+            return CapacityResult(0.0, None, iterations, gnorm, "degenerate", None)
         Hr = obj.hessian(y) + 1.0 / n  # H + 11^T/n
         try:
             np.linalg.cholesky(Hr)
@@ -163,11 +162,11 @@ def capacity_minimize(poly: EvaluationOracle, tol: float = 1e-10,
 
     if gnorm <= tol:
         reason = "gradient"
-    minimizer = np.exp(y - y.mean())
     with np.errstate(over="ignore"):
+        minimizer = np.exp(y - y.mean())
         value = float(poly.evaluate(tuple(minimizer)))
-    return CapacityResult(value, tuple(minimizer), iterations, gnorm, reason,
-                          float(f))
+    return CapacityResult(value, tuple(minimizer) if np.isfinite(minimizer).all()
+                          else None, iterations, gnorm, reason, float(f))
 
 
 def _stochastic_deviation(B) -> float:
@@ -176,10 +175,13 @@ def _stochastic_deviation(B) -> float:
                float(np.abs(B.sum(axis=0) - 1).max()))
 
 
+@np.errstate(over="ignore", divide="ignore", invalid="ignore")
 def sinkhorn_scale(matrix, tol: float = 1e-10, max_iter: int = 10000) -> ScalingResult:
     """Alternating row/column normalization: A = D1 B D2 with B doubly
-    stochastic to tolerance; the matrix capacity is prod(D1) * prod(D2),
-    and its log sum(log D1) + sum(log D2).
+    stochastic to tolerance; the matrix capacity is prod(D1) * prod(D2)
+    (inf past the float range), and its log sum(log D1) + sum(log D2). A
+    scaler that leaves the float range (inf, 0 or nan) is refused with
+    ResourceLimitError, so no floating-point warning is left to print.
     """
     if not tol > 0:
         raise InputError("tol must be positive")
@@ -214,8 +216,11 @@ def sinkhorn_scale(matrix, tol: float = 1e-10, max_iter: int = 10000) -> Scaling
                 iterations = it
                 break
 
-    with np.errstate(over="ignore"):
-        capacity = float(np.prod(d1) * np.prod(d2))
+    scalers = np.concatenate((d1, d2))
+    if not ((0 < scalers) & (scalers < np.inf)).all():  # also refuses nan
+        raise ResourceLimitError("scaling refused: a row or column scaler left "
+                                 "the float range; rescale the input")
+    capacity = float(np.prod(d1) * np.prod(d2))
     log_capacity = float(np.log(d1).sum() + np.log(d2).sum())
     return ScalingResult(tuple(d1.tolist()), tuple(d2.tolist()),
                          tuple(map(tuple, B.tolist())), capacity, log_capacity,

@@ -35,18 +35,20 @@ other module asks which representation it holds:
 * ``expand()`` into a ``SparsePolynomial``, for sparse polynomials and
   product forms (a pencil raises ``InputError``);
 * ``log_objective()``, the convex capacity objective f(y) = log p(e^y) with
-  its gradient and Hessian: in closed form for the three representations;
-  the base class picks the jet objective for any other oracle with
-  ``jet_sum``, finite differences of evaluations for the rest;
+  its gradient and Hessian: in closed form for sparse polynomials and
+  product forms; the base class picks the jet objective for pencils and any
+  other oracle with ``jet_sum``, finite differences of evaluations for the
+  rest;
 * ``mixed_partial()``, the exact d^n p / dx_1..dx_n: the coefficient of
   x_1...x_n, the permanent of the matrix, the mixed discriminant of the
   pencil;
 * ``line_roots(points, direction)``, the roots of the slices t -> p(x - t d)
   in closed form, with the backward error of the coefficients they came from;
 * ``jet_sum(X, c, first)``, the c-weighted sums of p, its gradient and its
-  Hessian at float rows, from leave-one-out and leave-two-out products: of
-  the linear forms for product forms, of the eigenvalues of A(x) for pencils
-  (``has_jets()`` says whether an oracle gives it).
+  Hessian at float rows over a scale e^s, with s, from leave-one-out and
+  leave-two-out products: of the linear forms for product forms (s = 0),
+  of the eigenvalues of A(x) over their geometric mean for pencils, so no
+  determinant overflows (``has_jets()`` says whether an oracle gives it).
 
 A plain oracle keeps the finite-difference objective and raises
 ``InputError`` for the rest. ``approx.DerivativeSliceOracle`` is one, but
@@ -129,8 +131,14 @@ def _leave_out(u):
 
 
 def _summed(parts):
-    """The parts' sums, entry by entry, added in order."""
-    return tuple(sum(part[1:], part[0]) for part in zip(*parts))
+    """The (s, value, gradient, Hessian) jets ``parts`` as one: their sums
+    over e^s, s the largest part's scale, added in order. A single part is
+    returned as it is."""
+    if len(parts) == 1:
+        return parts[0]
+    s = max(part[0] for part in parts)
+    scaled = [[np.exp(part[0] - s) * v for v in part[1:]] for part in parts]
+    return (s, *(sum(terms[1:], terms[0]) for terms in zip(*scaled)))
 
 
 def _to_float(value):
@@ -304,9 +312,10 @@ class EvaluationOracle:
         return _JetObjective(self) if self.has_jets() else _OracleObjective(self)
 
     def jet_sum(self, X, c, first: int):
-        """(sum_t c_t p(x_t), sum_t c_t grad p(x_t), sum_t c_t Hess p(x_t)) over
-        the float rows x_t of X and the weights c, with the derivatives taken
-        in the variables first.. only: a number, a vector and a matrix.
+        """(s, v, g, H): sum_t c_t p(x_t), sum_t c_t grad p(x_t) and
+        sum_t c_t Hess p(x_t) over the float rows x_t of X and the weights c
+        are e^s v, e^s g and e^s H, with the derivatives taken in the
+        variables first.. only: a log scale, a number, a vector and a matrix.
         ``calls`` grows by len(X); each row also yields its derivatives. The
         rows go through numpy in chunks of about _BATCH_ENTRIES entries."""
         X = np.asarray(X, dtype=float)
@@ -407,29 +416,39 @@ class _OracleObjective:
 
 
 class _JetObjective:
-    """f(y) = log p(e^y) from the oracle's ``jet_sum``: with x = e^y,
-    g = x o grad p / p and H = diag(g) + (x x^T) o Hess p / p - g g^T. The jet
-    at the last y is kept, so a line search's accepted value, then the
-    gradient and Hessian there, cost one evaluation."""
+    """f(y) = log p(e^y) = s + log p from the oracle's ``jet_sum`` (p, grad p
+    and Hess p over its scale e^s, which cancels below): with x = e^y,
+    g = x o grad p / p and H = diag(g) + (x x^T) o Hess p / p - g g^T. f is
+    inf where e^y overflows or the jet fails (``LinAlgError``). The jet at
+    the last y is kept, so a line search's accepted value, then the gradient
+    and Hessian there, cost one evaluation."""
 
     def __init__(self, poly: EvaluationOracle):
         self.poly = poly
 
     @_last_point
     def _at(self, y):
-        x = np.exp(y)
-        return (x, *self.poly.jet_sum(x[None], [1.0], 0))
+        with np.errstate(over="ignore"):
+            x = np.exp(y)
+        if not np.isfinite(x).all():
+            return None
+        try:
+            return (x, *self.poly.jet_sum(x[None], [1.0], 0))
+        except np.linalg.LinAlgError:
+            return None
 
     def value(self, y):
-        p = self._at(y)[1]
-        return float(np.log(p)) if np.isfinite(p) and p > 0 else np.inf
+        jet = self._at(y)
+        if jet is None or not jet[2] > 0:
+            return np.inf
+        return float(jet[1] + np.log(jet[2]))
 
     def gradient(self, y):
-        x, p, dp, _ = self._at(y)
+        x, _, p, dp, _ = self._at(y)
         return x * dp / p
 
     def hessian(self, y):
-        x, p, dp, d2p = self._at(y)
+        x, _, p, dp, d2p = self._at(y)
         g = x * dp / p
         return np.diag(g) + np.outer(x, x) * d2p / p - np.outer(g, g)
 
@@ -647,7 +666,7 @@ class ProductFormPolynomial(EvaluationOracle):
         L1, L2 = _leave_out(u)
         B = A[:, first:]
         n = len(A)
-        return (c @ np.prod(u, axis=1), (c @ L1) @ B,
+        return (0.0, c @ np.prod(u, axis=1), (c @ L1) @ B,
                 B.T @ (c @ L2.reshape(-1, n * n)).reshape(n, n) @ B)
 
     def line_roots(self, points, direction):
@@ -782,10 +801,20 @@ class DeterminantalPolynomial(EvaluationOracle):
         # grad_j p = sum_a L1_a B_j,aa and
         # Hess_jk p = sum_{a != b} L2_ab (B_j,aa B_k,bb - B_j,ab B_k,ab), the
         # first- and second-order terms of det(diag(lam) + E). No inverse, so
-        # a singular or indefinite A(x) is safe.
+        # a singular or indefinite A(x) is safe. A row's jet is e^(n log g)
+        # times that of A(x)/g, g the geometric mean of its nonzero |lam|:
+        # lam/g, and B/g from Q/sqrt(g). The rows add up over e^s, s the
+        # largest n log g, so no product overflows.
         A = self._float_view(self.matrices)
         m, d, n = len(X), len(A) - first, len(A)
         lam, Q = np.linalg.eigh((X @ A.reshape(n, n * n)).reshape(m, n, n))
+        mag = np.abs(lam)
+        logs = np.log(mag, out=np.zeros_like(mag), where=mag > 0)
+        log_g = logs.sum(axis=1) / np.maximum((mag > 0).sum(axis=1), 1)
+        s = float(n * log_g.max()) if m else 0.0
+        lam = lam / np.exp(log_g)[:, None]
+        Q = Q / np.exp(log_g / 2)[:, None, None]
+        c = c * np.exp(n * log_g - s)
         B = Q.transpose(0, 2, 1)[:, None] @ A[first:] @ Q[:, None]
         L1, L2 = _leave_out(lam)
         flat = B.reshape(m, d, n * n)
@@ -793,7 +822,7 @@ class DeterminantalPolynomial(EvaluationOracle):
         L2 = c[:, None, None] * L2
         hess = (diag @ L2 @ diag.transpose(0, 2, 1)
                 - (flat * L2.reshape(m, 1, n * n)) @ flat.transpose(0, 2, 1))
-        return (c @ np.prod(lam, axis=1),
+        return (s, c @ np.prod(lam, axis=1),
                 diag.transpose(1, 0, 2).reshape(d, m * n) @ (c[:, None] * L1).ravel(),
                 hess.sum(axis=0))
 
@@ -810,9 +839,6 @@ class DeterminantalPolynomial(EvaluationOracle):
             np.linalg.solve(np.tensordot(direction, A, axes=1), Ax)),
             np.zeros(len(points)))
 
-    def log_objective(self):
-        return _DeterminantalObjective(self)
-
     def mixed_partial(self):
         """The mixed discriminant D(A_1, ..., A_n), by polarization: 2^(n-1)
         determinants."""
@@ -827,45 +853,6 @@ class DeterminantalPolynomial(EvaluationOracle):
 
     def __repr__(self):
         return f"DeterminantalPolynomial(n={self.n_vars}, mode={self.mode!r})"
-
-
-class _DeterminantalObjective:
-    """f(y) = log det(sum_i e^{y_i} A_i) via Cholesky; trace-form derivatives."""
-
-    def __init__(self, poly: DeterminantalPolynomial):
-        self.mats = poly._float_view(poly.matrices)
-
-    @_last_point
-    def _chol(self, y):
-        m = np.tensordot(np.exp(y), self.mats, axes=([0], [0]))
-        return np.linalg.cholesky(m)
-
-    def value(self, y):
-        try:
-            ell = self._chol(y)
-        except np.linalg.LinAlgError:
-            return np.inf
-        return float(2.0 * np.log(np.diag(ell)).sum())
-
-    @_last_point
-    def _whitened(self, y):
-        ell = self._chol(y)
-        # B_i = L^-1 A_i L^-T, so grad_i = e^{y_i} tr(B_i)
-        half = np.linalg.solve(ell, self.mats.transpose(1, 0, 2).reshape(len(ell), -1))
-        half = half.reshape(len(ell), -1, len(ell)).transpose(1, 0, 2)
-        B = np.linalg.solve(ell, half.transpose(0, 2, 1)).transpose(0, 2, 1)
-        return B
-
-    def gradient(self, y):
-        B = self._whitened(y)
-        return np.exp(y) * np.trace(B, axis1=1, axis2=2)
-
-    def hessian(self, y):
-        B = self._whitened(y)
-        g = np.exp(y) * np.trace(B, axis1=1, axis2=2)
-        cross = np.einsum("iab,jba->ij", B, B)
-        e = np.exp(y)
-        return np.diag(g) - cross * np.outer(e, e)
 
 
 def derivative_reduce(q: SparsePolynomial) -> SparsePolynomial:

@@ -252,6 +252,12 @@ def _exact_pencil_jet(p, x, first):
               - half[j] - half[k] for k in tail] for j in tail])
 
 
+def _unscaled(jet):
+    """The value, gradient and Hessian of a ``jet_sum``, each times e^s."""
+    s, *parts = jet
+    return [np.exp(s) * part for part in parts]
+
+
 def _nested_slices(base):
     # A slice of a slice: k = 1, then k = 1 again.
     return DerivativeSliceOracle(DerivativeSliceOracle(base, 1), 1)
@@ -282,8 +288,9 @@ class TestJets:
         assert (np.array(X) @ np.array(A).T == 0).any(axis=1).tolist() == [
             True, True, False]
         for first in (0, 1, 2):
-            value, grad, hess = p.jet_sum(X, c, first)
+            s, value, grad, hess = p.jet_sum(X, c, first)
             ref = _weighted_exact_jet(p.expand(), X, c, first)
+            assert s == 0.0  # product forms carry no scale
             assert value == ref[0]
             assert grad.tolist() == ref[1]
             assert hess.tolist() == ref[2]
@@ -299,8 +306,8 @@ class TestJets:
         X = rng.uniform(-1.0, 2.0, (5, 6))
         c = rng.normal(size=5)
         for first in (0, 2, 5):
-            for got, want in zip(pencil.jet_sum(X, c, first),
-                                 product.jet_sum(X, c, first)):
+            for got, want in zip(_unscaled(pencil.jet_sum(X, c, first)),
+                                 _unscaled(product.jet_sum(X, c, first))):
                 np.testing.assert_allclose(got, want, rtol=1e-12, atol=0)
         assert pencil.calls == 3 * len(X)
 
@@ -319,7 +326,7 @@ class TestJets:
                 for x in X] == [2, 0, 3, 4]
         for x in X:
             for first in (0, 1):
-                value, grad, hess = floats.jet_sum([x], [1.0], first)
+                value, grad, hess = _unscaled(floats.jet_sum([x], [1.0], first))
                 ref_grad, ref_hess = _exact_pencil_jet(exact, x, first)
                 assert np.isfinite(grad).all() and np.isfinite(hess).all()
                 scale = max(1.0, np.abs(np.array(ref_hess, dtype=float)).max())
@@ -339,7 +346,7 @@ class TestJets:
         with pytest.raises(pc.InputError, match=match):
             p.jet_sum(np.ones((3, 4)), c, first)
         assert p.calls == 0
-        value, grad, hess = p.jet_sum(np.ones((3, 4)), np.ones(3), np.int64(4))
+        _, value, grad, hess = p.jet_sum(np.ones((3, 4)), np.ones(3), np.int64(4))
         assert value == pytest.approx(3 * p.evaluate((1.0,) * 4), rel=1e-12)
         assert grad.shape == (0,) and hess.shape == (0, 0)
 
@@ -356,9 +363,9 @@ class TestJets:
         X = rng.uniform(0.5, 2.0, (2, n - k))
         values = o.evaluate_batch(X)
         for x, v in zip(X, values):
-            assert o.jet_sum([x], [1.0], 0)[0] == pytest.approx(v, rel=1e-12)
+            assert _unscaled(o.jet_sum([x], [1.0], 0))[0] == pytest.approx(v, rel=1e-12)
         c = rng.normal(size=2)
-        assert o.jet_sum(X, c, 0)[0] == pytest.approx(c @ values, rel=1e-12)
+        assert _unscaled(o.jet_sum(X, c, 0))[0] == pytest.approx(c @ values, rel=1e-12)
 
     def test_slice_of_a_slice_past_the_table(self):
         # The inner slice refills its points once per shift while the outer
@@ -370,7 +377,8 @@ class TestJets:
         X = np.array([[0.5], [1.5], [3.0]])
         np.testing.assert_allclose(o.evaluate_batch(X), per * X[:, 0], rtol=1e-9)
         for x in X:
-            assert o.jet_sum([x], [1.0], 0)[0] == pytest.approx(per * x[0], rel=1e-9)
+            assert _unscaled(o.jet_sum([x], [1.0], 0))[0] == pytest.approx(
+                per * x[0], rel=1e-9)
 
     def test_other_oracles_have_no_jets(self):
         f = pc.FunctionOracle(2, 2, lambda x: x[0] * x[1])
@@ -394,7 +402,7 @@ class TestJets:
         X = rng.uniform(0.5, 2.0, (4, 5))
         c = rng.normal(size=4)
         for first in (0, 2):
-            value, grad, hess = o.jet_sum(X, c, first)
+            value, grad, hess = _unscaled(o.jet_sum(X, c, first))
             ref_value, ref_grad, ref_hess = _weighted_exact_jet(ref, X, c, first)
             assert value == pytest.approx(ref_value, rel=1e-12)
             assert np.allclose(grad, ref_grad, rtol=1e-12, atol=0)
@@ -465,7 +473,7 @@ class TestJets:
         value = o.evaluate((1.5,))
         assert sizes == [2 ** 10] * 4
         sizes.clear()
-        jet_value = o.jet_sum([[1.5]], [1.0], 0)[0]
+        jet_value = _unscaled(o.jet_sum([[1.5]], [1.0], 0))[0]
         assert sizes == [2 ** 10] * 4
         assert jet_value == pytest.approx(value, rel=1e-12)
         # With one variable left the slice is per(A) x.

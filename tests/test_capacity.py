@@ -9,7 +9,7 @@ import polycap as pc
 from polycap import capacity, fixtures
 from polycap.capacity import log_objective
 from polycap.cli import main
-from polycap.polynomials import _OracleObjective
+from polycap.polynomials import _JetObjective, _OracleObjective
 
 
 class TestKnownValues:
@@ -141,16 +141,25 @@ class TestObjectiveDerivatives:
                                       log_objective(poly).hessian(y))
 
     def test_pencil_factors_once_per_point(self, monkeypatch):
+        # One eigendecomposition of A(e^y) gives the value, the gradient and
+        # the Hessian at y.
         rng = np.random.default_rng(47)
         poly, _ = _objective_case("determinantal", rng)
         obj = log_objective(poly)
         calls = []
-        cholesky = np.linalg.cholesky
-        monkeypatch.setattr(np.linalg, "cholesky",
-                            lambda m: calls.append(1) or cholesky(m))
+        eigh = np.linalg.eigh
+        monkeypatch.setattr(np.linalg, "eigh", lambda m: calls.append(1) or eigh(m))
         for y in (np.zeros(poly.n_vars), rng.normal(0, 0.3, poly.n_vars)):
             obj.value(y), obj.gradient(y), obj.hessian(y)
         assert len(calls) == 2
+
+    def test_pencil_objective_is_inf_where_the_exponential_overflows(self):
+        # A pencil takes the jet objective; a line search may try any y.
+        poly, _ = _objective_case("determinantal", np.random.default_rng(48))
+        obj = log_objective(poly)
+        assert isinstance(obj, _JetObjective)
+        assert obj.value(np.array([800.0, -800.0, 0.0, 0.0])) == np.inf
+        assert np.isfinite(obj.value(np.array([300.0, -300.0, 0.0, 0.0])))
 
     @pytest.mark.parametrize("kind", _PLAIN)
     def test_finite_difference_hessian_takes_its_diagonal_from_the_rows(self, kind):

@@ -60,6 +60,15 @@ def run_process(argv):
                           capture_output=True, text=True, env=env, timeout=60)
 
 
+def wide_product(seed):
+    """A 5 x 5 product document whose entries U(0.1, 1) 10^U(-300, 300)
+    (numpy default_rng(seed)) are written with repr(float)."""
+    rng = np.random.default_rng(seed)
+    m = rng.uniform(0.1, 1, (5, 5)) * 10.0 ** rng.uniform(-300, 300, (5, 5))
+    return {"kind": "product", "matrix": [[repr(v) for v in row]
+                                          for row in m.tolist()]}
+
+
 # Exact documents with an entry past the float range.
 PAST_FLOATS = {
     "product": {"kind": "product", "matrix": [["1e400", "1"], ["1", "1"]]},
@@ -348,6 +357,37 @@ class TestCapacityCommand:
         assert code == 0
         assert "meta" not in doc
 
+    def test_degenerate_run_reports_a_null_minimizer(self, tmp_path, capsys):
+        # x_6 occurs in no term: Newton drives it to 0, and the exponentials
+        # of the last iterate overflow.
+        path = write_doc(tmp_path / "absent.json", {"kind": "sparse", "n": 6, "terms": [
+            {"exp": e, "coef": "1"} for e in ([1, 1, 1, 3, 0, 0], [2, 1, 2, 1, 0, 0],
+                                              [0, 2, 2, 0, 2, 0], [1, 1, 1, 2, 1, 0])]})
+        code, doc = run_json(capsys, ["capacity", path, "--no-meta"])
+        assert code == 0 and capsys.readouterr().err == ""
+        r = doc["result"]
+        assert r["status"] == "degenerate-zero" and r["value"] == 0.0
+        assert r["minimizer"] is None and r["log_value"] is None
+
+    def test_pencil_whose_determinant_overflows(self, tmp_path, capsys):
+        # The slots sigma d_i A_i of the 40 x 40 doubly stochastic tuple A,
+        # sigma = 1e9: p's values pass 1e360, so the value is null, and
+        # Cap = sigma^40 prod(d) Cap(A) with Cap(A) = 1. The slot scales d_i
+        # make Newton take steps.
+        rng = np.random.default_rng(0)
+        mats = np.array(fixtures.doubly_stochastic_psd_tuple(40, rng))
+        d = rng.uniform(0.5, 2.0, 40)
+        path = write_doc(tmp_path / "pencil40.json", {
+            "kind": "determinantal",
+            "matrices": (1e9 * d[:, None, None] * mats).tolist()})
+        code, doc = run_json(capsys, ["capacity", path, "--no-meta"])
+        assert code == 0 and capsys.readouterr().err == ""
+        r = doc["result"]
+        assert r["value"] is None and r["status"] == "converged"
+        assert r["iterations"] > 0
+        assert r["log_value"] == pytest.approx(
+            40 * math.log(1e9) + np.log(d).sum(), abs=1e-9)
+
     def test_output_file_determinism(self, tmp_path, product_file):
         f1, f2 = str(tmp_path / "a.json"), str(tmp_path / "b.json")
         assert main(["capacity", product_file, "--no-meta", "--output", f1]) == 0
@@ -490,6 +530,15 @@ class TestBoundCommand:
         code, doc = run_json(capsys, ["permanent", path, "--mode", "exact"])
         assert code == 0 and doc["result"]["permanent"] == str(10 ** 400 + 1)
 
+    def test_exact_value_past_the_float_range_is_null(self, tmp_path):
+        # per(A) is about 10^926; Newton stops at degenerate-zero on this
+        # input, so the capacity and the bounds are finite.
+        path = write_doc(tmp_path / "wide.json", wide_product(0))
+        proc = run_process(["bound", path, "--mode", "exact", "--no-meta"])
+        assert proc.returncode == 0 and "error:" not in proc.stderr
+        r = json.loads(proc.stdout)["result"]
+        assert r["exact_value"] is None and "equality_rank" not in r
+
     def test_infinite_capacity_exits_3(self, tmp_path, capsys):
         path = tmp_path / "huge.json"
         path.write_text(json.dumps({
@@ -508,6 +557,20 @@ class TestApproxCommand:
         assert r["k_used"] == 1
         assert r["estimate"] >= 2 / 9 - 1e-9
         assert r["estimate"] <= r["guarantee_factor"] * (2 / 9) * (1 + 1e-7)
+
+    @pytest.mark.parametrize("s", ["1e-4", "1e-6", "1e-8"])
+    def test_small_pencil_slot(self, tmp_path, capsys, s):
+        # Newton's line search on the slice of (I, s I, I) tries points whose
+        # exponentials overflow; the objective reads them as inf. The
+        # mixed partial is 12 s; Cap of the slice is 12 s too.
+        eye = np.eye(3)
+        path = write_doc(tmp_path / "pencil.json", {
+            "kind": "determinantal",
+            "matrices": [eye.tolist(), (float(s) * eye).tolist(), eye.tolist()]})
+        code, doc = run_json(capsys, ["approx", path, "--k", "1", "--no-meta"])
+        assert code == 0 and capsys.readouterr().err == ""
+        if s == "1e-4":
+            assert doc["result"]["estimate"] == pytest.approx(0.0012, rel=1e-6)
 
 
 class TestCheckHyperbolicCommand:
@@ -603,6 +666,15 @@ class TestScaleCommand:
         r = json.loads(proc.stdout)["result"]
         assert r["capacity"] is None and r["status"] == "converged"
         assert r["log_capacity"] == pytest.approx(2156.8101550, abs=1e-6)
+
+
+    def test_scaler_past_the_float_range_exits_3(self, tmp_path, capsys):
+        path = write_doc(tmp_path / "wide.json", wide_product(5))
+        assert main(["scale", path]) == 3
+        captured = capsys.readouterr()
+        assert captured.out == "" and captured.err == (
+            "error: scaling refused: a row or column scaler left the float "
+            "range; rescale the input\n")
 
 
 class TestSparseBoundCommand:
