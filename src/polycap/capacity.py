@@ -7,12 +7,14 @@ so f(y + c1) = f(y) + d c (Euler) and H 1 = 0: Newton removes the gradient's
 mean and solves with H + 11^T/n, which is H on the hyperplane with a unit
 pivot along 1; a backtracking line search and a gradient fallback guard it.
 Each representation supplies f with its gradient and Hessian
-(``EvaluationOracle.log_objective`` in ``polynomials``): in closed form for
-sparse polynomials and product forms, from the jets of pencils and of
-derivative slices of product forms and pencils, by finite differences for
-other oracles. A closed-form or jet objective keeps what it computed at its
-last y, so the accepted line-search value, the gradient and the Hessian at
-one y share one factorization.
+(``EvaluationOracle.log_objective`` in ``polynomials``): sparse polynomials
+and product forms pass their log-sum-exps, one block of terms for a sparse
+polynomial and one per row of A for a product form, to one objective that
+works in the log domain; pencils and derivative slices of product forms and
+pencils take theirs from jets; other oracles by finite differences. A
+log-sum-exp or jet objective keeps what it computed at its last y, so the
+accepted line-search value, the gradient and the Hessian at one y share one
+set of exponentials or one factorization.
 
 Also here: Sinkhorn matrix scaling (matrix capacity as the product of the
 scalers). A sweep's column sums are 1 to rounding, so each sweep measures
@@ -164,9 +166,11 @@ def capacity_minimize(poly: EvaluationOracle, tol: float = 1e-10,
         reason = "gradient"
     with np.errstate(over="ignore"):
         minimizer = np.exp(y - y.mean())
-        value = float(poly.evaluate(tuple(minimizer)))
-    return CapacityResult(value, tuple(minimizer) if np.isfinite(minimizer).all()
-                          else None, iterations, gnorm, reason, float(f))
+        # A minimizer past the float range holds inf and 0, where p reads nan.
+        finite = np.isfinite(minimizer).all()
+        value = float(poly.evaluate(tuple(minimizer)) if finite else np.exp(f))
+    return CapacityResult(value, tuple(minimizer) if finite else None,
+                          iterations, gnorm, reason, float(f))
 
 
 def _stochastic_deviation(B) -> float:

@@ -35,10 +35,11 @@ other module asks which representation it holds:
 * ``expand()`` into a ``SparsePolynomial``, for sparse polynomials and
   product forms (a pencil raises ``InputError``);
 * ``log_objective()``, the convex capacity objective f(y) = log p(e^y) with
-  its gradient and Hessian: in closed form for sparse polynomials and
-  product forms; the base class picks the jet objective for pencils and any
-  other oracle with ``jet_sum``, finite differences of evaluations for the
-  rest;
+  its gradient and Hessian: sparse polynomials and product forms share one
+  log-sum-exp of linear forms in y, taken in the log domain (one block of
+  terms for a sparse polynomial, one per row of A for a product form); the
+  base class picks the jet objective for pencils and any other oracle with
+  ``jet_sum``, finite differences of evaluations for the rest;
 * ``mixed_partial()``, the exact d^n p / dx_1..dx_n: the coefficient of
   x_1...x_n, the permanent of the matrix, the mixed discriminant of the
   pencil;
@@ -453,6 +454,42 @@ class _JetObjective:
         return np.diag(g) + np.outer(x, x) * d2p / p - np.outer(g, g)
 
 
+class _LogSumExpObjective:
+    """f(y) = sum_b log sum_t C_bt e^<r_t, y>, over the rows b of C and the
+    exponent rows r_t of R: one block for a sparse polynomial, one per row of
+    A for a product form. With the softmax weights W of each block, taken
+    from exponents shifted by the block's largest, nothing overflows:
+    g = G R and H = Q^T Q - P^T P for G = sum_b W_b, Q = sqrt(G) R and
+    P = W R. The weights at the last y are kept, so the accepted line-search
+    value, the gradient and the Hessian there share one set of exponentials."""
+
+    def __init__(self, C, R):
+        # A zero C_bt is a term that is not there: log 0 = -inf weighs 0.
+        with np.errstate(divide="ignore"):
+            self.logC = np.log(C)
+        self.R = R
+
+    @_last_point
+    def _at(self, y):
+        V = self.logC + self.R @ y
+        m = V.max(axis=1, keepdims=True)
+        W = np.exp(V - m)
+        z = W.sum(axis=1, keepdims=True)
+        return float((m + np.log(z)).sum()), W / z
+
+    def value(self, y):
+        return self._at(y)[0]
+
+    def gradient(self, y):
+        return self._at(y)[1].sum(axis=0) @ self.R
+
+    def hessian(self, y):
+        W = self._at(y)[1]
+        Q = np.sqrt(W.sum(axis=0))[:, None] * self.R
+        P = W @ self.R
+        return Q.T @ Q - P.T @ P
+
+
 class FunctionOracle(EvaluationOracle):
     """Wrap an arbitrary evaluation function as an oracle."""
 
@@ -593,7 +630,10 @@ class SparsePolynomial(EvaluationOracle):
         return q[:, 0]
 
     def log_objective(self):
-        return _SparseObjective(self)
+        if (self.coefficients < 0).any():
+            raise InputError("capacity needs nonnegative coefficients")
+        return _LogSumExpObjective(self._float_view(self.coefficients)[None],
+                                   self.exponents.astype(float))
 
     def mixed_partial(self):
         """The coefficient of x_1...x_n."""
@@ -602,36 +642,6 @@ class SparsePolynomial(EvaluationOracle):
     def __repr__(self):
         return (f"SparsePolynomial(n_vars={self.n_vars}, degree={self.degree}, "
                 f"terms={len(self.terms)}, mode={self.mode!r})")
-
-
-class _SparseObjective:
-    """f(y) = log sum_r c_r exp(<r, y>), gradients via softmax weights."""
-
-    def __init__(self, poly: SparsePolynomial):
-        if (poly.coefficients < 0).any():
-            raise InputError("capacity needs nonnegative coefficients")
-        self.R = poly.exponents.astype(float)
-        self.logc = np.log(poly._float_view(poly.coefficients))
-
-    @_last_point
-    def _weights(self, y):
-        v = self.logc + self.R @ y
-        m = v.max()
-        w = np.exp(v - m)
-        z = w.sum()
-        return v, m, w / z, m + np.log(z)
-
-    def value(self, y):
-        return self._weights(y)[3]
-
-    def gradient(self, y):
-        w = self._weights(y)[2]
-        return self.R.T @ w
-
-    def hessian(self, y):
-        w = self._weights(y)[2]
-        g = self.R.T @ w
-        return (self.R * w[:, None]).T @ self.R - np.outer(g, g)
 
 
 class ProductFormPolynomial(EvaluationOracle):
@@ -695,7 +705,8 @@ class ProductFormPolynomial(EvaluationOracle):
         return SparsePolynomial(n, cur, mode=self.mode)
 
     def log_objective(self):
-        return _ProductObjective(self)
+        return _LogSumExpObjective(self._float_view(self.matrix),
+                                   np.eye(self.n_vars))
 
     def mixed_partial(self):
         """per(A), by Glynn's formula."""
@@ -705,34 +716,6 @@ class ProductFormPolynomial(EvaluationOracle):
 
     def __repr__(self):
         return f"ProductFormPolynomial(n={self.n_vars}, mode={self.mode!r})"
-
-
-class _ProductObjective:
-    """f(y) = sum_i log (A e^y)_i; each row contributes a softmax distribution."""
-
-    def __init__(self, poly: ProductFormPolynomial):
-        self.A = poly._float_view(poly.matrix)
-
-    def value(self, y):
-        u = self.A @ np.exp(y)
-        if np.any(u <= 0) or not np.all(np.isfinite(u)):
-            return np.inf
-        return float(np.log(u).sum())
-
-    @_last_point
-    def _row_weights(self, y):
-        x = np.exp(y)
-        un = self.A * x[None, :]
-        u = un.sum(axis=1)
-        return un / u[:, None]
-
-    def gradient(self, y):
-        return self._row_weights(y).sum(axis=0)
-
-    def hessian(self, y):
-        W = self._row_weights(y)
-        h = np.diag(W.sum(axis=0))
-        return h - W.T @ W
 
 
 def _bareiss(m) -> tuple:

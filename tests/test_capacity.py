@@ -1,5 +1,6 @@
 """Capacity minimization and Sinkhorn scaling."""
 import json
+import warnings
 from fractions import Fraction
 
 import numpy as np
@@ -160,6 +161,20 @@ class TestObjectiveDerivatives:
         assert isinstance(obj, _JetObjective)
         assert obj.value(np.array([800.0, -800.0, 0.0, 0.0])) == np.inf
         assert np.isfinite(obj.value(np.array([300.0, -300.0, 0.0, 0.0])))
+
+    def test_product_objective_stays_finite_where_the_exponential_overflows(self):
+        # Each row's log-sum-exp is shifted by its largest exponent, so
+        # e^800 is never formed; a zero entry is a term that is not there.
+        A = np.array([[1.0, 2.0, 3.0], [0.5, 0.0, 1.0], [0.0, 0.0, 2.0]])
+        obj = log_objective(pc.ProductFormPolynomial(A, mode="float"))
+        y = np.array([800.0, -400.0, -400.0])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            f = obj.value(y)
+            g, H = obj.gradient(y), obj.hessian(y)
+        by_hand = sum(np.logaddexp.reduce(np.log(a[a > 0]) + y[a > 0]) for a in A)
+        assert np.isfinite(f) and f == pytest.approx(by_hand, rel=1e-12, abs=1e-12)
+        assert np.isfinite(g).all() and np.isfinite(H).all()
 
     @pytest.mark.parametrize("kind", _PLAIN)
     def test_finite_difference_hessian_takes_its_diagonal_from_the_rows(self, kind):
@@ -351,6 +366,19 @@ class TestStatusesAndValidation:
             s = pc.sinkhorn_scale(m, tol=1e-12)
         log_cap = np.log(s.row_scalers).sum() + np.log(s.col_scalers).sum()
         assert result["log_value"] == pytest.approx(log_cap, abs=1e-9)
+
+    def test_column_scaled_products_converge_without_warnings(self):
+        # Columns scaled by 10^U(-3, 3): Newton's line search tries points
+        # where A e^y leaves the float range, and the objective never forms it.
+        for seed in range(10):
+            rng = np.random.default_rng(seed)
+            A = rng.uniform(0.1, 1, (8, 8)) * 10.0 ** rng.uniform(-3, 3, 8)
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                r = pc.capacity_minimize(pc.ProductFormPolynomial(A, mode="float"))
+            assert r.status == "converged"
+            assert r.log_value == pytest.approx(
+                pc.sinkhorn_scale(A).log_capacity, abs=1e-10)
 
     def test_identically_zero_pencil_rejected(self):
         mats = [[[1.0, 0.0], [0.0, 0.0]], [[2.0, 0.0], [0.0, 0.0]]]

@@ -75,6 +75,12 @@ PAST_FLOATS = {
     "determinantal": {"kind": "determinantal", "matrices": [[["1e400"]]]},
 }
 
+# tests/test_fuzz.py seed 1, case 5. On the slice x_1 x_2 x_3 = 1,
+# p = c_021 x_2 / x_1 + c_111 falls to c_111 only as x_2 / x_1 -> 0.
+BOUNDARY_MINIMUM = {"kind": "sparse", "n": 3, "terms": [
+    {"exp": [0, 2, 1], "coef": 1.27454730706034e-118},
+    {"exp": [1, 1, 1], "coef": 1.9412332167722488e-143}]}
+
 CAPACITY_FIELDS = {"value", "minimizer", "iterations", "gradient_norm",
                    "stop_reason", "log_value", "status"}
 PROFILE_FIELDS = {"direction", "point", "roots", "max_imag", "all_real"}
@@ -531,13 +537,30 @@ class TestBoundCommand:
         assert code == 0 and doc["result"]["permanent"] == str(10 ** 400 + 1)
 
     def test_exact_value_past_the_float_range_is_null(self, tmp_path):
-        # per(A) is about 10^926; Newton stops at degenerate-zero on this
-        # input, so the capacity and the bounds are finite.
+        # per(A) is about 10^926. Newton's 50-nat fall test still stops it at
+        # degenerate-zero on this input, although Cap(A) > 0, so the capacity
+        # and the bounds are finite. The product-form objective is taken in
+        # the log domain, so nothing reaches stderr.
         path = write_doc(tmp_path / "wide.json", wide_product(0))
         proc = run_process(["bound", path, "--mode", "exact", "--no-meta"])
-        assert proc.returncode == 0 and "error:" not in proc.stderr
+        assert proc.returncode == 0 and proc.stderr == ""
         r = json.loads(proc.stdout)["result"]
         assert r["exact_value"] is None and "equality_rank" not in r
+
+    def test_capacity_whose_minimizer_leaves_the_float_range(self, tmp_path):
+        # Newton reaches the boundary infimum c_111 = e^f of p, at a
+        # minimizer past the float range: the value is e^f, not p there.
+        path = write_doc(tmp_path / "boundary.json", BOUNDARY_MINIMUM)
+        proc = run_process(["capacity", path, "--no-meta"])
+        assert proc.returncode == 0 and proc.stderr == ""
+        r = json.loads(proc.stdout)["result"]
+        assert r["minimizer"] is None and r["status"] == "converged"
+        assert r["value"] == pytest.approx(1.9412332167722488e-143, rel=1e-12)
+        proc = run_process(["bound", path, "--no-meta"])
+        assert proc.returncode == 0 and proc.stderr == ""
+        r = json.loads(proc.stdout)["result"]
+        assert r["exact_value"] == 1.9412332167722488e-143
+        assert r["capacity"] == pytest.approx(r["exact_value"], rel=1e-12)
 
     def test_infinite_capacity_exits_3(self, tmp_path, capsys):
         path = tmp_path / "huge.json"
